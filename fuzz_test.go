@@ -505,11 +505,12 @@ func FuzzCheckStatistical(f *testing.F) {
 }
 
 // FuzzServeRequest fuzzes the checking service's wire layer: arbitrary
-// bytes go through the strict decoders, and everything that decodes is
-// (a) checked against the decoder's own validation contract, (b)
-// re-marshaled and re-decoded (wire round-trip), and (c) for small
-// systems, served end to end through the in-process handler, which must
-// answer with a well-formed JSON response and never panic or hang.
+// bytes go through every check endpoint's strict decoder, and
+// everything that decodes is (a) checked against the decoder's own
+// validation contract, (b) re-marshaled and re-decoded (wire
+// round-trip), and (c) for small requests, served end to end through
+// the in-process handler, which must answer with a well-formed JSON
+// response and never panic or hang.
 func FuzzServeRequest(f *testing.F) {
 	f.Add([]byte(`{"system":"init idle\nidle request busy\nbusy result idle\n","ltl":"G F result"}`))
 	f.Add([]byte(`{"system":"init s0\ns0 a s0\n","omega":"( a ) ^w"}`))
@@ -528,64 +529,69 @@ func FuzzServeRequest(f *testing.F) {
 		if len(data) > 1<<14 {
 			return
 		}
-		if req, err := serve.DecodeCheckRequest(data); err == nil {
-			if req.System == "" {
-				t.Fatalf("decoder accepted empty system: %q", data)
+		for _, endpoint := range serve.CheckEndpoints() {
+			decode := func(b []byte) error { _, err := serve.DecodeRequest(endpoint, b); return err }
+			req, err := serve.DecodeRequest(endpoint, data)
+			if err != nil {
+				continue
 			}
-			if (req.LTL == "") == (req.Omega == "") {
-				t.Fatalf("decoder accepted bad ltl/omega combination: %q", data)
-			}
-			if req.TimeoutMS < 0 {
-				t.Fatalf("decoder accepted negative timeout: %q", data)
-			}
-			redecodeServe(t, req, func(b []byte) error { _, err := serve.DecodeCheckRequest(b); return err })
-			if len(req.System) <= 512 && len(req.LTL)+len(req.Omega) <= 128 {
+			redecodeServe(t, req, decode)
+			// Only small requests are served; each gets a short timeout.
+			var small bool
+			switch req := req.(type) {
+			case *serve.CheckRequest:
+				if req.System == "" {
+					t.Fatalf("decoder accepted empty system: %q", data)
+				}
+				if (req.LTL == "") == (req.Omega == "") {
+					t.Fatalf("decoder accepted bad ltl/omega combination: %q", data)
+				}
+				if req.TimeoutMS < 0 {
+					t.Fatalf("decoder accepted negative timeout: %q", data)
+				}
+				small = len(req.System) <= 512 && len(req.LTL)+len(req.Omega) <= 128
 				req.TimeoutMS = 1000
-				serveOnce(t, handler, "/v1/check/all", req)
-			}
-		}
-		if req, err := serve.DecodePortfolioRequest(data); err == nil {
-			if req.System == "" || len(req.LTLs)+len(req.Omegas) == 0 {
-				t.Fatalf("portfolio decoder accepted invalid request: %q", data)
-			}
-			redecodeServe(t, req, func(b []byte) error { _, err := serve.DecodePortfolioRequest(b); return err })
-		}
-		if req, err := serve.DecodeAbstractionRequest(data); err == nil {
-			if req.System == "" || req.Hom == "" || req.Eta == "" {
-				t.Fatalf("abstraction decoder accepted invalid request: %q", data)
-			}
-			redecodeServe(t, req, func(b []byte) error { _, err := serve.DecodeAbstractionRequest(b); return err })
-		}
-		if req, err := serve.DecodeFairAbstractRequest(data); err == nil {
-			if req.System == "" || req.Hom == "" || req.Eta == "" {
-				t.Fatalf("fair-abstract decoder accepted invalid request: %q", data)
-			}
-			if req.Fairness != "strong" && req.Fairness != "weak" {
-				t.Fatalf("fair-abstract decoder accepted fairness %q: %q", req.Fairness, data)
-			}
-			redecodeServe(t, req, func(b []byte) error { _, err := serve.DecodeFairAbstractRequest(b); return err })
-			if len(req.System) <= 512 && len(req.Hom)+len(req.Eta) <= 128 {
+			case *serve.PortfolioRequest:
+				if req.System == "" || len(req.LTLs)+len(req.Omegas) == 0 {
+					t.Fatalf("portfolio decoder accepted invalid request: %q", data)
+				}
+				small = len(req.System) <= 512 && len(strings.Join(append(req.LTLs, req.Omegas...), "")) <= 128
 				req.TimeoutMS = 1000
-				serveOnce(t, handler, "/v1/check/fair-abstract", req)
-			}
-		}
-		if req, err := serve.DecodeStatisticalRequest(data); err == nil {
-			if req.System == "" {
-				t.Fatalf("statistical decoder accepted empty system: %q", data)
-			}
-			if (req.LTL == "") == (req.Omega == "") {
-				t.Fatalf("statistical decoder accepted bad ltl/omega combination: %q", data)
-			}
-			// The decoder normalizes unset budget fields to the engine
-			// defaults before the request is keyed.
-			if req.Samples <= 0 || req.Steps <= 0 || req.Confidence <= 0 || req.Confidence >= 1 {
-				t.Fatalf("statistical decoder left budget un-normalized: %+v", req)
-			}
-			redecodeServe(t, req, func(b []byte) error { _, err := serve.DecodeStatisticalRequest(b); return err })
-			if len(req.System) <= 512 && len(req.LTL)+len(req.Omega) <= 128 {
+			case *serve.AbstractionRequest:
+				if req.System == "" || req.Hom == "" || req.Eta == "" {
+					t.Fatalf("abstraction decoder accepted invalid request: %q", data)
+				}
+				small = len(req.System) <= 512 && len(req.Hom)+len(req.Eta) <= 128
+				req.TimeoutMS = 1000
+			case *serve.FairAbstractRequest:
+				if req.System == "" || req.Hom == "" || req.Eta == "" {
+					t.Fatalf("fair-abstract decoder accepted invalid request: %q", data)
+				}
+				if req.Fairness != "strong" && req.Fairness != "weak" {
+					t.Fatalf("fair-abstract decoder accepted fairness %q: %q", req.Fairness, data)
+				}
+				small = len(req.System) <= 512 && len(req.Hom)+len(req.Eta) <= 128
+				req.TimeoutMS = 1000
+			case *serve.StatisticalRequest:
+				if req.System == "" {
+					t.Fatalf("statistical decoder accepted empty system: %q", data)
+				}
+				if (req.LTL == "") == (req.Omega == "") {
+					t.Fatalf("statistical decoder accepted bad ltl/omega combination: %q", data)
+				}
+				// The decoder normalizes unset budget fields to the engine
+				// defaults before the request is keyed.
+				if req.Samples <= 0 || req.Steps <= 0 || req.Confidence <= 0 || req.Confidence >= 1 {
+					t.Fatalf("statistical decoder left budget un-normalized: %+v", req)
+				}
+				small = len(req.System) <= 512 && len(req.LTL)+len(req.Omega) <= 128
 				req.TimeoutMS = 1000
 				req.Samples, req.Steps = 40, 48
-				serveOnce(t, handler, "/v1/check/statistical", req)
+			default:
+				t.Fatalf("endpoint %q decoded to unexpected type %T", endpoint, req)
+			}
+			if small {
+				serveOnce(t, handler, "/v1/check/"+endpoint, req)
 			}
 		}
 	})

@@ -80,6 +80,21 @@ func VerifyViaAbstraction(sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*Abstra
 	return VerifyViaAbstractionRec(nil, sys, h, eta)
 }
 
+// CheckSigmaNormalForm reports an error unless eta is in Σ'-normal form
+// over h's destination alphabet (Definition 7.2): positive normal form
+// whose atoms are abstract action names. The abstraction method and
+// fairness within abstraction both require it.
+func CheckSigmaNormalForm(h *hom.Hom, eta *ltl.Formula) error {
+	letters := make(map[string]bool)
+	for _, name := range h.Dest().Names() {
+		letters[name] = true
+	}
+	if !eta.Normalize().IsSigmaNormalForm(letters) {
+		return fmt.Errorf("%s is not in Σ'-normal form for alphabet %s", eta, h.Dest())
+	}
+	return nil
+}
+
 // VerifyViaAbstractionRec is VerifyViaAbstraction with every pipeline
 // step reported to rec: the h(L) image, the {#}*-extension, the
 // abstract-system construction, the abstract relative-liveness check,
@@ -88,13 +103,8 @@ func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *
 	sp := obs.StartSpan(rec, "core.VerifyViaAbstraction").
 		Tag("paper", "Corollary 8.4")
 	defer sp.End()
-	letters := map[string]bool{}
-	for _, name := range h.Dest().Names() {
-		letters[name] = true
-	}
-	if !eta.Normalize().IsSigmaNormalForm(letters) {
-		return nil, fmt.Errorf("abstraction: %s is not in Σ'-normal form for alphabet %s",
-			eta, h.Dest())
+	if err := CheckSigmaNormalForm(h, eta); err != nil {
+		return nil, fmt.Errorf("abstraction: %w", err)
 	}
 	trimmed, err := sys.Trim()
 	if err != nil {

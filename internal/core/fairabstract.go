@@ -119,13 +119,8 @@ func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCel
 		return nil, fmt.Errorf("fair abstract: homomorphism source alphabet is not the system's alphabet")
 	}
 	if f := eta.Formula(); f != nil {
-		letters := map[string]bool{}
-		for _, name := range h.Dest().Names() {
-			letters[name] = true
-		}
-		if !f.Normalize().IsSigmaNormalForm(letters) {
-			return nil, fmt.Errorf("fair abstract: %s is not in Σ'-normal form for alphabet %s",
-				f, h.Dest())
+		if err := CheckSigmaNormalForm(h, f); err != nil {
+			return nil, fmt.Errorf("fair abstract: %w", err)
 		}
 	}
 

@@ -247,6 +247,7 @@ func TestBadRequests(t *testing.T) {
 		{"portfolio empty prop", "/v1/check/portfolio", `{"system":"init s\ns a s\n","ltls":[""]}`},
 		{"abstraction no hom", "/v1/check/abstraction", `{"system":"init s\ns a s\n","eta":"G a"}`},
 		{"abstraction bad hom", "/v1/check/abstraction", `{"system":"init s\ns a s\n","hom":"zzz=>x","eta":"G a"}`},
+		{"abstraction concrete-letter eta", "/v1/check/abstraction", `{"system":"init s\ns a s\ns b s\n","hom":"a=>x, b=>","eta":"G F b"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,6 +270,9 @@ func TestBadRequests(t *testing.T) {
 	}
 	if got := s.Trace().Gauges()["serve.inflight"]; got != 0 {
 		t.Fatalf("bad requests left %d inflight", got)
+	}
+	if _, admitted := s.Trace().Gauges()["serve.queued"]; admitted {
+		t.Fatal("a bad request was admitted to the worker queue")
 	}
 }
 

@@ -205,15 +205,6 @@ func TestFairAbstractBadRequests(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 				t.Fatal(err)
 			}
-			// Σ'-normal-form violations surface from the check itself, so
-			// they come back 500 "internal"; everything else is rejected at
-			// decode/parse time with 400.
-			if tc.name == "concrete-letter eta" {
-				if resp.StatusCode == http.StatusOK {
-					t.Fatalf("concrete-letter eta accepted: %+v", er)
-				}
-				return
-			}
 			if resp.StatusCode != http.StatusBadRequest || er.Kind != "bad_request" {
 				t.Fatalf("status %d kind %q, want 400 bad_request", resp.StatusCode, er.Kind)
 			}
@@ -221,6 +212,9 @@ func TestFairAbstractBadRequests(t *testing.T) {
 	}
 	if got := s.Trace().Gauges()["serve.inflight"]; got != 0 {
 		t.Fatalf("bad requests left %d inflight", got)
+	}
+	if _, admitted := s.Trace().Gauges()["serve.queued"]; admitted {
+		t.Fatal("a bad request was admitted to the worker queue")
 	}
 }
 

@@ -28,12 +28,6 @@ type serverMetrics struct {
 	storeRead *obs.Histogram            // persistent-store report probe, ns
 }
 
-// endpointLabels lists every routed endpoint; keep in sync with routes.
-var endpointLabels = []string{
-	"all", "liveness", "safety", "satisfies", "portfolio", "abstraction",
-	"fair-abstract", "statistical", "healthz", "metrics", "debug",
-}
-
 var cachePathLabels = []string{cachePathReportHit, cachePathStoreHit, cachePathPipelineHit, cachePathMiss}
 
 // kernelLabels are the decision-procedure kernels a check can run on;
@@ -45,13 +39,16 @@ var kernelLabels = []string{
 
 func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
-		endpoint:  make(map[string]*obs.Histogram, len(endpointLabels)),
+		endpoint:  make(map[string]*obs.Histogram),
 		phase:     make(map[string]*obs.Histogram, len(core.Phases)*len(kernelLabels)),
 		cachePath: make(map[string]*obs.Histogram, len(cachePathLabels)),
 		queueWait: &obs.Histogram{},
 		storeRead: &obs.Histogram{},
 	}
-	for _, e := range endpointLabels {
+	for _, ep := range endpoints {
+		m.endpoint[ep.name] = &obs.Histogram{}
+	}
+	for _, e := range []string{"healthz", "metrics", "debug"} {
 		m.endpoint[e] = &obs.Histogram{}
 	}
 	for _, p := range core.Phases {
@@ -76,13 +73,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	counters := s.tr.Counters()
 	for _, name := range sortedKeys(counters) {
-		m := metricName(name) + "_total"
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", m, m, counters[name])
+		writeSample(&b, "counter", metricName(name)+"_total", "", counters[name])
 	}
 	gauges := s.tr.Gauges()
 	for _, name := range sortedKeys(gauges) {
-		m := metricName(name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", m, m, gauges[name])
+		writeSample(&b, "gauge", metricName(name), "", gauges[name])
 	}
 	writeCacheStats(&b, "system", s.systems.Stats())
 	writeCacheStats(&b, "pipeline", s.pipelines.Stats())
@@ -157,38 +152,33 @@ func writeHistogramSeries(b *strings.Builder, name, labels string, s obs.Histogr
 	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, s.Count)
 }
 
+// writeSample renders one counter or gauge under its own TYPE line;
+// labels is a preformatted `{key="value"}` or "".
+func writeSample(b *strings.Builder, typ, name, labels string, v int64) {
+	fmt.Fprintf(b, "# TYPE %s %s\n%s%s %d\n", name, typ, name, labels, v)
+}
+
 // writeCacheStats renders one cache's counters with a "cache" label.
 func writeCacheStats(b *strings.Builder, cacheName string, st cache.Stats) {
-	counter := func(metric string, v int64) {
-		fmt.Fprintf(b, "# TYPE %s counter\n%s{cache=%q} %d\n", metric, metric, cacheName, v)
-	}
-	gauge := func(metric string, v int64) {
-		fmt.Fprintf(b, "# TYPE %s gauge\n%s{cache=%q} %d\n", metric, metric, cacheName, v)
-	}
-	counter("relive_serve_cache_hits_total", st.Hits)
-	counter("relive_serve_cache_misses_total", st.Misses)
-	counter("relive_serve_cache_evictions_total", st.Evictions)
-	gauge("relive_serve_cache_entries", int64(st.Len))
-	gauge("relive_serve_cache_capacity", int64(st.Cap))
+	labels := fmt.Sprintf("{cache=%q}", cacheName)
+	writeSample(b, "counter", "relive_serve_cache_hits_total", labels, st.Hits)
+	writeSample(b, "counter", "relive_serve_cache_misses_total", labels, st.Misses)
+	writeSample(b, "counter", "relive_serve_cache_evictions_total", labels, st.Evictions)
+	writeSample(b, "gauge", "relive_serve_cache_entries", labels, int64(st.Len))
+	writeSample(b, "gauge", "relive_serve_cache_capacity", labels, int64(st.Cap))
 }
 
 // writeStoreStats renders the persistent store's counters and
 // occupancy.
 func writeStoreStats(b *strings.Builder, st store.Stats) {
-	counter := func(metric string, v int64) {
-		fmt.Fprintf(b, "# TYPE %s counter\n%s %d\n", metric, metric, v)
-	}
-	gauge := func(metric string, v int64) {
-		fmt.Fprintf(b, "# TYPE %s gauge\n%s %d\n", metric, metric, v)
-	}
-	counter("relive_store_hits_total", st.Hits)
-	counter("relive_store_misses_total", st.Misses)
-	counter("relive_store_corrupt_total", st.Corrupt)
-	counter("relive_store_puts_total", st.Puts)
-	counter("relive_store_evicted_total", st.Evicted)
-	gauge("relive_store_artifacts", st.Artifacts)
-	gauge("relive_store_bytes", st.Bytes)
-	gauge("relive_store_max_bytes", st.MaxBytes)
+	writeSample(b, "counter", "relive_store_hits_total", "", st.Hits)
+	writeSample(b, "counter", "relive_store_misses_total", "", st.Misses)
+	writeSample(b, "counter", "relive_store_corrupt_total", "", st.Corrupt)
+	writeSample(b, "counter", "relive_store_puts_total", "", st.Puts)
+	writeSample(b, "counter", "relive_store_evicted_total", "", st.Evicted)
+	writeSample(b, "gauge", "relive_store_artifacts", "", st.Artifacts)
+	writeSample(b, "gauge", "relive_store_bytes", "", st.Bytes)
+	writeSample(b, "gauge", "relive_store_max_bytes", "", st.MaxBytes)
 }
 
 // metricName sanitizes an obs counter/gauge name into a Prometheus

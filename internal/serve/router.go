@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,9 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"relive/internal/ltl"
 	"relive/internal/obs"
-	"relive/internal/ts"
 )
 
 // Router is rlserve's shard-routing mode: a stateless front end that
@@ -40,10 +38,10 @@ import (
 // retryable immediately.
 //
 // Answers are bit-identical to single-node rlserve: the router never
-// rewrites a backend response body, and its request keys are computed
-// by the same parse → canonicalize → hash functions the backends use,
-// so router-level coalescing can only merge requests a single backend
-// would have merged in its report cache anyway.
+// rewrites a backend response body, and its request keys come from the
+// backends' own endpoint table, so router-level coalescing can only
+// merge requests a single backend would have merged in its report cache
+// anyway.
 
 // RouterConfig tunes a Router. Backends is required; everything else
 // has a serving-appropriate default.
@@ -115,16 +113,17 @@ type flightCell struct {
 }
 
 // proxyResult is the slice of a backend response the router replays to
-// every waiter: status, body, and the headers that carry meaning
-// across the proxy.
+// every waiter: status, body, and the relayed headers.
 type proxyResult struct {
-	status      int
-	body        []byte
-	contentType string
-	cache       string // X-Relive-Cache from the backend
-	retryAfter  string
-	backend     string
+	status  int
+	body    []byte
+	header  http.Header // the backend's response header
+	backend string
 }
+
+// relayedHeaders are the backend response headers that carry meaning
+// across the proxy.
+var relayedHeaders = []string{"Content-Type", CacheHeader, "Retry-After"}
 
 // Router routes check requests over a set of rlserve backends. Create
 // with NewRouter, mount Handler, and Close on shutdown.
@@ -163,21 +162,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("router: at least one backend is required")
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 128
-	}
+	orDefault(&cfg.VNodes, 128)
 	if cfg.LoadFactor <= 1 {
 		cfg.LoadFactor = 1.25
 	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = 2 * time.Second
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = time.Second
-	}
-	if cfg.ProxyTimeout <= 0 {
-		cfg.ProxyTimeout = 90 * time.Second
-	}
+	orDefault(&cfg.HealthInterval, 2*time.Second)
+	orDefault(&cfg.HealthTimeout, time.Second)
+	orDefault(&cfg.ProxyTimeout, 90*time.Second)
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Transport: &http.Transport{
@@ -285,178 +276,35 @@ func (rt *Router) pick(key string) []*routeBackend {
 	return append(append(under, over...), down...)
 }
 
-// routeKey is what the router needs to place and coalesce one request:
-// the report key (coalescing identity — exactly the backends' report
-// cache key), the system key (placement — keeps a system's artifact
-// cells on one backend), and the request's own timeout/no_cache flags.
-type routeKey struct {
-	rkey      string
-	sysKey    string
-	timeoutMS int
-	noCache   bool
-}
-
-var errUnknownEndpoint = errors.New("unknown check endpoint")
-
-// routeKeyFor computes a request's keys with the same parse →
-// canonicalize → hash pipeline the backends use, so router coalescing
-// merges exactly the requests a backend's report cache would. It
-// rejects only what every backend would reject the same way (body
-// shape, system text, LTL syntax); alphabet-dependent validation
-// (ω-regexes, homomorphisms) is left to the routed backend, whose 400
-// is proxied back verbatim.
-func routeKeyFor(endpoint string, body []byte) (routeKey, error) {
-	switch endpoint {
-	case "all", "liveness", "safety", "satisfies":
-		req, err := DecodeCheckRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		part, err := propertyKeyPart(req.LTL, req.Omega)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      reportKey(endpoint, sysKey, part),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "portfolio":
-		req, err := DecodePortfolioRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		keyParts := []string{"portfolio", sysKey}
-		for _, t := range req.LTLs {
-			part, perr := propertyKeyPart(t, "")
-			if perr != nil {
-				return routeKey{}, perr
-			}
-			keyParts = append(keyParts, part)
-		}
-		for _, t := range req.Omegas {
-			keyParts = append(keyParts, "omega\x00"+t)
-		}
-		return routeKey{
-			rkey:      hashKey(keyParts...),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "abstraction":
-		req, err := DecodeAbstractionRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		eta, err := ltl.Parse(req.Eta)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      hashKey("abstraction", sysKey, req.Hom, eta.String()),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "fair-abstract":
-		req, err := DecodeFairAbstractRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		eta, err := ltl.Parse(req.Eta)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      hashKey("fair-abstract", sysKey, req.Hom, req.Fairness, eta.String()),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "statistical":
-		// DecodeStatisticalRequest normalizes seed/budget/confidence
-		// defaults, and statisticalKey is the very function the backend
-		// keys its report cache with, so router coalescing merges exactly
-		// the requests a backend would.
-		req, err := DecodeStatisticalRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		part, err := propertyKeyPart(req.LTL, req.Omega)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      statisticalKey(sysKey, part, req),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	}
-	return routeKey{}, errUnknownEndpoint
-}
-
-// systemKey parses and canonicalizes a system text into the same
-// structural key resolveSystem computes.
-func systemKey(text string) (string, error) {
-	sys, err := ts.ParseString(text)
+// routeKeyFor decodes and keys a request with the backends' own table
+// entry, so router coalescing merges exactly the requests a backend's
+// report cache would, and placement by system key keeps a system's
+// artifact cells on one backend. It rejects only what every backend
+// would reject the same way (body shape, system text, LTL syntax);
+// alphabet-bound validation (ω-regexes, homs, Σ'-normal form) is the
+// routed backend's bind step, whose 400 is proxied back verbatim.
+func routeKeyFor(endpoint string, body []byte) (*call, error) {
+	ep, err := endpointNamed(endpoint)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return hashKey("sys", sys.FormatString()), nil
-}
-
-// propertyKeyPart mirrors resolveProperty's key computation without a
-// system alphabet: LTL is canonicalized through its parse tree,
-// ω-regexes are keyed by raw text (exactly as the backends key them).
-func propertyKeyPart(ltlText, omegaText string) (string, error) {
-	if ltlText != "" {
-		f, err := ltl.Parse(ltlText)
-		if err != nil {
-			return "", err
-		}
-		return "ltl\x00" + f.String(), nil
-	}
-	return "omega\x00" + omegaText, nil
+	return ep.key(body)
 }
 
 // handleCheck places, coalesces, and proxies one check request.
 func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
+	endpoint := r.PathValue("endpoint")
 	body, err := readBody(w, r)
-	if err != nil {
-		rt.badRequests.Add(1)
-		rt.writeError(w, http.StatusBadRequest, "bad_request", err)
+	var rk *call
+	if err == nil {
+		rk, err = routeKeyFor(endpoint, body)
+	}
+	if errors.Is(err, errUnknownEndpoint) {
+		http.NotFound(w, r)
 		return
 	}
-	endpoint := r.PathValue("endpoint")
-	rk, err := routeKeyFor(endpoint, body)
 	if err != nil {
-		if errors.Is(err, errUnknownEndpoint) {
-			http.NotFound(w, r)
-			return
-		}
 		rt.badRequests.Add(1)
 		rt.writeError(w, http.StatusBadRequest, "bad_request", err)
 		return
@@ -470,7 +318,7 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	traceparent := r.Header.Get("traceparent")
 	run := func(ctx context.Context) (*proxyResult, error) {
-		return rt.proxy(ctx, endpoint, rk.sysKey, body, traceparent)
+		return rt.proxy(ctx, endpoint, rk.sys.key, body, traceparent)
 	}
 
 	var res *proxyResult
@@ -499,14 +347,10 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 
 	h := w.Header()
-	if res.contentType != "" {
-		h.Set("Content-Type", res.contentType)
-	}
-	if res.cache != "" {
-		h.Set(CacheHeader, res.cache)
-	}
-	if res.retryAfter != "" {
-		h.Set("Retry-After", res.retryAfter)
+	for _, k := range relayedHeaders {
+		if v := res.header.Get(k); v != "" {
+			h.Set(k, v)
+		}
 	}
 	h.Set(BackendHeader, res.backend)
 	if shared {
@@ -608,7 +452,7 @@ func (rt *Router) proxy(ctx context.Context, endpoint, sysKey string, body []byt
 
 // tryBackend proxies one request to one backend.
 func (rt *Router) tryBackend(ctx context.Context, b *routeBackend, endpoint string, body []byte, traceparent string) (*proxyResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/check/"+endpoint, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/check/"+endpoint, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -632,12 +476,10 @@ func (rt *Router) tryBackend(ctx context.Context, b *routeBackend, endpoint stri
 	}
 	b.proxied.Add(1)
 	return &proxyResult{
-		status:      resp.StatusCode,
-		body:        respBody,
-		contentType: resp.Header.Get("Content-Type"),
-		cache:       resp.Header.Get(CacheHeader),
-		retryAfter:  resp.Header.Get("Retry-After"),
-		backend:     b.url,
+		status:  resp.StatusCode,
+		body:    respBody,
+		header:  resp.Header,
+		backend: b.url,
 	}, nil
 }
 
@@ -742,21 +584,16 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	writeJSON(w, status, resp)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	counter := func(name string, v int64) {
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, v)
-	}
-	counter("relive_route_requests_total", rt.requests.Load())
-	counter("relive_route_coalesced_total", rt.coalesced.Load())
-	counter("relive_route_failover_total", rt.failovers.Load())
-	counter("relive_route_bad_request_total", rt.badRequests.Load())
-	counter("relive_route_unavailable_total", rt.unavailable.Load())
+	writeSample(&b, "counter", "relive_route_requests_total", "", rt.requests.Load())
+	writeSample(&b, "counter", "relive_route_coalesced_total", "", rt.coalesced.Load())
+	writeSample(&b, "counter", "relive_route_failover_total", "", rt.failovers.Load())
+	writeSample(&b, "counter", "relive_route_bad_request_total", "", rt.badRequests.Load())
+	writeSample(&b, "counter", "relive_route_unavailable_total", "", rt.unavailable.Load())
 
 	fmt.Fprintf(&b, "# TYPE relive_route_proxied_total counter\n")
 	for _, bk := range rt.backends {
@@ -787,7 +624,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) writeError(w http.ResponseWriter, status int, kind string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Kind: kind})
+	writeJSON(w, status, ErrorResponse{Error: err.Error(), Kind: kind})
 }

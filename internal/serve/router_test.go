@@ -11,14 +11,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"relive/internal/ltl"
 )
 
-// The router's white-box suite: the key mirror (router keys must equal
-// the backends' cache keys, or coalescing would merge what a backend
-// would not), ring placement, bounded load, and the coalescing cell's
-// lifecycle. The black-box cluster behavior lives in cluster_test.go.
+// The router's white-box suite: which requests share a route key, ring
+// placement, bounded load, and the coalescing cell's lifecycle. The black-box cluster behavior lives in cluster_test.go.
 
 // stubBackends starts n trivial HTTP servers whose /healthz always
 // answers 200, so NewRouter's prober keeps them healthy.
@@ -45,181 +41,74 @@ func newTestRouter(t *testing.T, urls []string) *Router {
 	return rt
 }
 
-// TestRouteKeyMirrorsBackendKeys pins the router's central invariant:
-// routeKeyFor computes exactly the report key the backend handlers
-// cache under, for every endpoint shape — so router-level coalescing
-// can only merge requests a single backend's report cache would merge.
+// TestRouteKeyMirrorsBackendKeys pins which requests the router keys
+// alike. Router and backend keys are equal by construction — routeKeyFor
+// runs the backends' own endpoint table entry — so what remains to pin
+// is behaviour: respellings and spelled-out defaults coalesce, distinct
+// seeds, fairness notions and formulas do not (while keeping one
+// placement per system), bad bodies are rejected, and unknown endpoints
+// are flagged distinctly.
 func TestRouteKeyMirrorsBackendKeys(t *testing.T) {
-	s := New(Config{})
 	sysText := "init idle\nidle request busy\nbusy result idle\nbusy reject idle\n"
-
-	// Single-property endpoints: rkey must equal
-	// reportKey(endpoint, resolveSystem key, resolveProperty part).
-	sysKey, sc, err := s.resolveSystem(sysText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, _, err := resolveProperty(sc, "G F result", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, endpoint := range []string{"all", "liveness", "safety", "satisfies"} {
-		body, _ := json.Marshal(CheckRequest{System: sysText, LTL: "G F result"})
-		rk, err := routeKeyFor(endpoint, body)
+	key := func(endpoint string, req any) *call {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		c, err := routeKeyFor(endpoint, body)
 		if err != nil {
 			t.Fatalf("%s: %v", endpoint, err)
 		}
-		if want := reportKey(endpoint, sysKey, part); rk.rkey != want {
-			t.Fatalf("%s: router rkey %q != backend report key %q", endpoint, rk.rkey, want)
-		}
-		if rk.sysKey != sysKey {
-			t.Fatalf("%s: router sysKey %q != backend %q", endpoint, rk.sysKey, sysKey)
-		}
+		return c
 	}
 
-	// ω-regex properties are keyed by raw text on both sides.
-	const omegaText = "( request result | request reject ) ^w"
-	omegaPart, _, err := resolveProperty(sc, "", omegaText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(CheckRequest{System: sysText, Omega: omegaText})
-	rk, err := routeKeyFor("all", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := reportKey("all", sysKey, omegaPart); rk.rkey != want {
-		t.Fatalf("omega: router rkey %q != backend report key %q", rk.rkey, want)
-	}
-
-	// Portfolio: hashKey("portfolio", sysKey, parts...).
-	body, _ = json.Marshal(PortfolioRequest{System: sysText, LTLs: []string{"G F result", "G F request"}})
-	rk, err = routeKeyFor("portfolio", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, _, _ := resolveProperty(sc, "G F result", "")
-	p2, _, _ := resolveProperty(sc, "G F request", "")
-	if want := hashKey("portfolio", sysKey, p1, p2); rk.rkey != want {
-		t.Fatalf("portfolio: router rkey %q != backend %q", rk.rkey, want)
-	}
-
-	// Abstraction: hashKey("abstraction", sysKey, raw hom, canonical η) —
-	// recomputed here exactly as handleAbstraction does.
-	homText := "request=>request, result=>result, reject=>reject"
-	etaText := "G F ( result | reject )"
-	body, _ = json.Marshal(AbstractionRequest{System: sysText, Hom: homText, Eta: etaText})
-	rk, err = routeKeyFor("abstraction", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eta, err := ltl.Parse(etaText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := hashKey("abstraction", sysKey, homText, eta.String()); rk.rkey != want {
-		t.Fatalf("abstraction: router rkey %q != backend %q", rk.rkey, want)
-	}
-
-	// Fair-abstract: hashKey("fair-abstract", sysKey, raw hom, fairness,
-	// canonical η) — recomputed here exactly as handleFairAbstract does.
 	// The fairness notion is part of the key, so strong and weak requests
 	// never coalesce into one another.
-	faHom := "request=>req, result=>ok, reject=>"
-	faEta := "G F ( ok )"
-	body, _ = json.Marshal(FairAbstractRequest{System: sysText, Hom: faHom, Fairness: "strong", Eta: faEta})
-	rk, err = routeKeyFor("fair-abstract", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faParsed, err := ltl.Parse(faEta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := hashKey("fair-abstract", sysKey, faHom, "strong", faParsed.String()); rk.rkey != want {
-		t.Fatalf("fair-abstract: router rkey %q != backend %q", rk.rkey, want)
-	}
-	body, _ = json.Marshal(FairAbstractRequest{System: sysText, Hom: faHom, Fairness: "weak", Eta: faEta})
-	weakRK, err := routeKeyFor("fair-abstract", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weakRK.rkey == rk.rkey {
+	faHom, faEta := "request=>req, result=>ok, reject=>", "G F ( ok )"
+	strong := key("fair-abstract", FairAbstractRequest{System: sysText, Hom: faHom, Fairness: "strong", Eta: faEta})
+	weak := key("fair-abstract", FairAbstractRequest{System: sysText, Hom: faHom, Fairness: "weak", Eta: faEta})
+	if weak.rkey == strong.rkey {
 		t.Fatal("strong and weak fair-abstract requests collided on one route key")
 	}
-	if weakRK.sysKey != rk.sysKey {
+	if weak.sys.key != strong.sys.key {
 		t.Fatal("same system got different placement keys for different fairness notions")
 	}
 	if _, err := routeKeyFor("fair-abstract", []byte(`{"system":"init s\ns a s\n","hom":"a=>x","fairness":"fair","eta":"G x"}`)); err == nil {
 		t.Fatal("invalid fairness notion accepted by the router")
 	}
 
-	// Statistical: statisticalKey(sysKey, propPart, normalized request) —
-	// the router runs the same decoder as the backend, so an unset budget
-	// and the explicitly-spelled defaults produce one key, and the seed
-	// is part of the key so distinct seeds never coalesce.
-	body, _ = json.Marshal(StatisticalRequest{System: sysText, LTL: "G F result", Seed: 7})
-	statRK, err := routeKeyFor("statistical", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statReq, err := DecodeStatisticalRequest(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := statisticalKey(sysKey, part, statReq); statRK.rkey != want {
-		t.Fatalf("statistical: router rkey %q != backend report key %q", statRK.rkey, want)
-	}
-	if statRK.sysKey != sysKey {
-		t.Fatalf("statistical: router sysKey %q != backend %q", statRK.sysKey, sysKey)
-	}
-	body, _ = json.Marshal(StatisticalRequest{
+	// Statistical: an unset budget and the explicitly-spelled defaults
+	// produce one key, and the seed is part of the key so distinct seeds
+	// never coalesce.
+	stat := key("statistical", StatisticalRequest{System: sysText, LTL: "G F result", Seed: 7})
+	explicit := key("statistical", StatisticalRequest{
 		System: sysText, LTL: "G F result", Seed: 7, Samples: 400, Steps: 256, Confidence: 0.99})
-	explicitRK, err := routeKeyFor("statistical", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicitRK.rkey != statRK.rkey {
+	if explicit.rkey != stat.rkey {
 		t.Fatal("explicitly-spelled default budget got a different route key than the unset budget")
 	}
-	body, _ = json.Marshal(StatisticalRequest{System: sysText, LTL: "G F result", Seed: 8})
-	otherSeedRK, err := routeKeyFor("statistical", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if otherSeedRK.rkey == statRK.rkey {
+	otherSeed := key("statistical", StatisticalRequest{System: sysText, LTL: "G F result", Seed: 8})
+	if otherSeed.rkey == stat.rkey {
 		t.Fatal("distinct seeds collided on one statistical route key")
 	}
-	if otherSeedRK.sysKey != statRK.sysKey {
+	if otherSeed.sys.key != stat.sys.key {
 		t.Fatal("same system got different placement keys for different seeds")
 	}
 	if _, err := routeKeyFor("statistical", []byte(`{"system":"init s\ns a s\n","ltl":"G a","samples":-1}`)); err == nil {
 		t.Fatal("invalid sampling budget accepted by the router")
 	}
 
-	// Canonicalization: a differently-spelled but structurally identical
-	// system (extra blank lines, reordered transitions format the same)
-	// and formula spelling share one key; a different formula does not.
+	// Canonicalization: a system respelled with extra blank lines and
+	// whitespace, and a respelled formula, share one key; a different
+	// formula does not.
 	variant := "\ninit idle\n\nidle  request   busy\nbusy result idle\nbusy reject idle\n\n"
-	b1, _ := json.Marshal(CheckRequest{System: sysText, LTL: "G F result"})
-	b2, _ := json.Marshal(CheckRequest{System: variant, LTL: "G  F   result"})
-	k1, err1 := routeKeyFor("all", b1)
-	k2, err2 := routeKeyFor("all", b2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if k1.rkey != k2.rkey || k1.sysKey != k2.sysKey {
+	k1 := key("all", CheckRequest{System: sysText, LTL: "G F result"})
+	k2 := key("all", CheckRequest{System: variant, LTL: "G  F   result"})
+	if k1.rkey != k2.rkey || k1.sys.key != k2.sys.key {
 		t.Fatal("equivalent spellings of the same request got different route keys")
 	}
-	b3, _ := json.Marshal(CheckRequest{System: sysText, LTL: "G F request"})
-	k3, err := routeKeyFor("all", b3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k3 := key("all", CheckRequest{System: sysText, LTL: "G F request"})
 	if k3.rkey == k1.rkey {
 		t.Fatal("different formulas collided on one route key")
 	}
-	if k3.sysKey != k1.sysKey {
+	if k3.sys.key != k1.sys.key {
 		t.Fatal("same system got different placement keys for different formulas")
 	}
 
@@ -228,6 +117,7 @@ func TestRouteKeyMirrorsBackendKeys(t *testing.T) {
 	if _, err := routeKeyFor("all", []byte(`{"ltl":"G F a"}`)); err == nil {
 		t.Fatal("missing system accepted")
 	}
+	b1, _ := json.Marshal(CheckRequest{System: sysText, LTL: "G F result"})
 	if _, err := routeKeyFor("nope", b1); !errors.Is(err, errUnknownEndpoint) {
 		t.Fatalf("unknown endpoint error = %v", err)
 	}

@@ -18,9 +18,7 @@ import (
 	"time"
 
 	"relive/internal/core"
-	"relive/internal/ltl"
 	"relive/internal/obs"
-	"relive/internal/rex"
 	"relive/internal/serve/cache"
 	"relive/internal/store"
 	"relive/internal/ts"
@@ -103,36 +101,18 @@ type Server struct {
 
 // New returns a ready Server.
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 60 * time.Second
-	}
-	if cfg.SystemEntries <= 0 {
-		cfg.SystemEntries = 256
-	}
-	if cfg.PipelineEntries <= 0 {
-		cfg.PipelineEntries = 1024
-	}
-	if cfg.ReportEntries <= 0 {
-		cfg.ReportEntries = 4096
-	}
-	if cfg.FlightEntries == 0 {
+	orDefault(&cfg.Workers, runtime.GOMAXPROCS(0))
+	orDefault(&cfg.QueueDepth, 64)
+	orDefault(&cfg.Parallelism, 1)
+	orDefault(&cfg.DefaultTimeout, 60*time.Second)
+	orDefault(&cfg.SystemEntries, 256)
+	orDefault(&cfg.PipelineEntries, 1024)
+	orDefault(&cfg.ReportEntries, 4096)
+	if cfg.FlightEntries == 0 { // negative disables the flight recorder
 		cfg.FlightEntries = 256
 	}
-	if cfg.FlightTraces <= 0 {
-		cfg.FlightTraces = 64
-	}
-	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = 250 * time.Millisecond
-	}
+	orDefault(&cfg.FlightTraces, 64)
+	orDefault(&cfg.SlowThreshold, 250*time.Millisecond)
 	tr := cfg.Trace
 	if tr == nil {
 		tr = obs.NewTrace()
@@ -156,6 +136,13 @@ func New(cfg Config) *Server {
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
+}
+
+// orDefault replaces a non-positive setting with its default.
+func orDefault[T int | float64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Handler returns the service's HTTP handler (also used directly by the
@@ -233,17 +220,6 @@ func (s *Server) admit(ctx context.Context) (func(), int, error) {
 	return release, 0, nil
 }
 
-// checkContext derives the per-check context: the request's own context
-// (so a client disconnect cancels the check) bounded by the requested
-// or default timeout.
-func (s *Server) checkContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
 // Artifact kinds in the persistent store. Reports are the hot artifact
 // — a store hit skips the whole pipeline; system and pipeline artifacts
 // are the canonical text and compiled-pipeline metadata keyed by the
@@ -255,23 +231,27 @@ const (
 	storeKindPipeline = "pipeline"
 )
 
-// storeGetReport probes the persistent store for a completed report,
-// timing the read into relive_store_read_seconds. A hit also fills the
-// in-memory report LRU so the next identical request never touches
-// disk.
-func (s *Server) storeGetReport(rkey string) ([]byte, bool) {
+// cachedReport probes the report LRU, then the persistent store, for a
+// completed report, and names the cache path of a hit. The store read is
+// timed into relive_store_read_seconds, and a store hit refills the LRU
+// so the next identical request never touches disk.
+func (s *Server) cachedReport(rkey string) ([]byte, string, bool) {
+	if body, ok := s.reports.Get(rkey); ok {
+		obs.Count(s.tr, "serve.cache.report_hits", 1)
+		return body, cachePathReportHit, true
+	}
 	if s.store == nil {
-		return nil, false
+		return nil, "", false
 	}
 	start := time.Now()
 	body, ok := s.store.Get(storeKindReport, rkey)
 	s.metrics.storeRead.Observe(time.Since(start).Nanoseconds())
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	obs.Count(s.tr, "serve.store.report_hits", 1)
 	s.reports.Add(rkey, body)
-	return body, true
+	return body, cachePathStoreHit, true
 }
 
 // storePut persists one artifact, counting (not surfacing) failures: a
@@ -286,83 +266,52 @@ func (s *Server) storePut(kind, key string, payload []byte) {
 	}
 }
 
-// resolveSystem parses the request's system text and returns its
-// structural key plus the cached single-flight artifact handle. The
-// cached system is re-parsed from the canonical rendering, so its
-// symbol numbering depends only on the key: artifacts built against it
-// are interchangeable no matter how later requests spell the system.
-func (s *Server) resolveSystem(text string) (string, *core.SystemCells, error) {
-	sys, err := ts.ParseString(text)
-	if err != nil {
-		return "", nil, err
-	}
-	canon := sys.FormatString()
-	key := hashKey("sys", canon)
-	sc, hit := s.systems.GetOrAdd(key, func() *core.SystemCells {
-		csys, perr := ts.ParseString(canon)
-		if perr != nil {
-			// Canonical text always round-trips; fall back defensively.
-			csys = sys
+// systemCells returns the cached single-flight artifact handle of a
+// canonicalized system. The cached system is re-parsed from the
+// canonical rendering, so its symbol numbering depends only on the key:
+// artifacts built against it are interchangeable no matter how later
+// requests spell the system.
+func (s *Server) systemCells(cs *canonSystem) *core.SystemCells {
+	sc, hit := s.systems.GetOrAdd(cs.key, func() *core.SystemCells {
+		csys, err := ts.ParseString(cs.canon)
+		if err != nil {
+			// Canonical text always round-trips; fall back defensively to
+			// the request's own spelling, which parsed at key time.
+			csys, _ = ts.ParseString(cs.text)
 		}
 		return core.NewSystemCells(csys)
 	})
 	if hit {
 		obs.Count(s.tr, "serve.cache.system_hits", 1)
 	} else {
-		s.storePut(storeKindSystem, key, []byte(canon))
+		s.storePut(storeKindSystem, cs.key, []byte(cs.canon))
 	}
-	return key, sc, nil
+	return sc
 }
 
-// resolveProperty parses the request's property against the cached
-// system's alphabet and returns its structural key part plus the
-// Property. Exactly one of ltlText and omegaText is non-empty
-// (validated at decode time).
-func resolveProperty(sc *core.SystemCells, ltlText, omegaText string) (string, core.Property, error) {
-	if ltlText != "" {
-		f, err := ltl.Parse(ltlText)
-		if err != nil {
-			return "", core.Property{}, err
-		}
-		// Canonical rendering: "GF result" and "G F result" share a key.
-		return "ltl\x00" + f.String(), core.FromFormula(f, nil), nil
-	}
-	o, err := rex.ParseOmega(sc.System().Alphabet(), omegaText)
+// pipelineFor binds a property to the cached system and returns the
+// cached artifact set for (system, property), creating one that shares
+// the system's trimmed-behavior cells on a miss; hit reports whether the
+// set was already cached (the flight recorder's pipeline-hit/miss
+// cache-path classification).
+func (s *Server) pipelineFor(sysKey string, sc *core.SystemCells, p property) (*core.PipelineCells, bool, error) {
+	prop, err := p.bind(sc)
 	if err != nil {
-		return "", core.Property{}, err
+		return nil, false, err
 	}
-	b, err := o.Buchi()
-	if err != nil {
-		return "", core.Property{}, err
-	}
-	// ω-regex properties are keyed by their raw text: the automaton is
-	// alphabet-bound, so the key must pair with the system key anyway.
-	return "omega\x00" + omegaText, core.FromAutomaton(b), nil
-}
-
-// pipelineFor returns the cached artifact set for (system, property),
-// creating one that shares the system's trimmed-behavior cells on a
-// miss; hit reports whether the set was already cached (the flight
-// recorder's pipeline-hit/miss cache-path classification).
-func (s *Server) pipelineFor(sysKey, propPart string, sc *core.SystemCells, p core.Property) (*core.PipelineCells, bool) {
-	key := hashKey("pipe", sysKey, propPart)
+	key := hashKey("pipe", sysKey, p.part)
 	pc, hit := s.pipelines.GetOrAdd(key, func() *core.PipelineCells {
-		return core.NewPipelineCellsSharing(sc, p)
+		return core.NewPipelineCellsSharing(sc, prop)
 	})
 	if hit {
 		obs.Count(s.tr, "serve.cache.pipeline_hits", 1)
 	} else if s.store != nil {
-		meta, err := json.Marshal(map[string]string{"system": sysKey, "property": propPart})
+		meta, err := json.Marshal(map[string]string{"system": sysKey, "property": p.part})
 		if err == nil {
 			s.storePut(storeKindPipeline, key, meta)
 		}
 	}
-	return pc, hit
-}
-
-// reportKey keys the full-report cache per endpoint.
-func reportKey(endpoint, sysKey, propPart string) string {
-	return hashKey("report", endpoint, sysKey, propPart)
+	return pc, hit, nil
 }
 
 // isContextError reports whether err is (or wraps) a cancellation or

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"relive/internal/mc"
 )
@@ -12,9 +11,9 @@ import (
 // Wire format of the checking service. Every check endpoint accepts a
 // JSON body; decoding is strict (unknown fields are errors) and
 // validated before any automaton work starts, so the service can reject
-// malformed requests without spending a worker slot. DecodeCheckRequest
-// and DecodePortfolioRequest are the exact functions the fuzz target
-// FuzzServeRequest drives.
+// malformed requests without spending a worker slot. Every check
+// endpoint's decoder is driven by the fuzz target FuzzServeRequest,
+// through DecodeRequest.
 
 // Wire-level limits. Requests beyond these are rejected with 400 before
 // parsing; they bound the parser work a single malformed or hostile
@@ -139,151 +138,95 @@ type ErrorResponse struct {
 	Kind string `json:"kind"`
 }
 
-// decodeStrict unmarshals JSON rejecting unknown fields and trailing
-// garbage.
-func decodeStrict(data []byte, v any) error {
+// request is a decoded check body: every type shares the system text,
+// the timeout and the cache bypass.
+type request interface {
+	head() (system string, timeoutMS int, noCache bool)
+}
+
+func (r *CheckRequest) head() (string, int, bool)        { return r.System, r.TimeoutMS, r.NoCache }
+func (r *PortfolioRequest) head() (string, int, bool)    { return r.System, r.TimeoutMS, r.NoCache }
+func (r *AbstractionRequest) head() (string, int, bool)  { return r.System, r.TimeoutMS, r.NoCache }
+func (r *FairAbstractRequest) head() (string, int, bool) { return r.System, r.TimeoutMS, r.NoCache }
+func (r *StatisticalRequest) head() (string, int, bool)  { return r.System, r.TimeoutMS, r.NoCache }
+
+// decodeBody is the strict decoder behind every Decode*Request: it
+// bounds the body, rejects unknown fields and trailing garbage, then
+// validates the system text, the type's own fields (validate may also
+// normalize them) and the timeout, in that order.
+func decodeBody[R request](data []byte, req R, validate func(R) error) (R, error) {
+	var zero R
+	if len(data) > MaxBodyBytes {
+		return zero, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+	if err := dec.Decode(req); err != nil {
+		return zero, err
 	}
 	if dec.More() {
-		return fmt.Errorf("trailing data after JSON body")
+		return zero, fmt.Errorf("trailing data after JSON body")
 	}
-	return nil
+	system, timeoutMS, _ := req.head()
+	if err := validateText("system", "system", system, maxSystemBytes); err != nil {
+		return zero, err
+	}
+	if err := validate(req); err != nil {
+		return zero, err
+	}
+	if err := validateTimeout(timeoutMS); err != nil {
+		return zero, err
+	}
+	return req, nil
 }
 
 // DecodeCheckRequest parses and validates a single-check request body.
 func DecodeCheckRequest(data []byte) (*CheckRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
-	var req CheckRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return nil, err
-	}
-	if err := validateSystemText(req.System); err != nil {
-		return nil, err
-	}
-	if (req.LTL == "") == (req.Omega == "") {
-		return nil, fmt.Errorf("exactly one of \"ltl\" and \"omega\" is required")
-	}
-	if err := validatePropertyText(req.LTL); err != nil {
-		return nil, err
-	}
-	if err := validatePropertyText(req.Omega); err != nil {
-		return nil, err
-	}
-	if err := validateTimeout(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decodeBody(data, new(CheckRequest), func(req *CheckRequest) error {
+		return validateOneProperty(req.LTL, req.Omega)
+	})
 }
 
 // DecodePortfolioRequest parses and validates a portfolio request body.
 func DecodePortfolioRequest(data []byte) (*PortfolioRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
-	var req PortfolioRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return nil, err
-	}
-	if err := validateSystemText(req.System); err != nil {
-		return nil, err
-	}
-	n := len(req.LTLs) + len(req.Omegas)
-	if n == 0 {
-		return nil, fmt.Errorf("at least one property (\"ltls\" or \"omegas\") is required")
-	}
-	if n > maxPortfolioProps {
-		return nil, fmt.Errorf("portfolio exceeds %d properties", maxPortfolioProps)
-	}
-	for _, t := range req.LTLs {
-		if t == "" {
-			return nil, fmt.Errorf("empty property in \"ltls\"")
+	return decodeBody(data, new(PortfolioRequest), func(req *PortfolioRequest) error {
+		n := len(req.LTLs) + len(req.Omegas)
+		if n == 0 {
+			return fmt.Errorf("at least one property (\"ltls\" or \"omegas\") is required")
 		}
-		if err := validatePropertyText(t); err != nil {
-			return nil, err
+		if n > maxPortfolioProps {
+			return fmt.Errorf("portfolio exceeds %d properties", maxPortfolioProps)
 		}
-	}
-	for _, t := range req.Omegas {
-		if t == "" {
-			return nil, fmt.Errorf("empty property in \"omegas\"")
+		if err := validatePropertyList("ltls", req.LTLs); err != nil {
+			return err
 		}
-		if err := validatePropertyText(t); err != nil {
-			return nil, err
-		}
-	}
-	if err := validateTimeout(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return &req, nil
+		return validatePropertyList("omegas", req.Omegas)
+	})
 }
 
 // DecodeAbstractionRequest parses and validates an abstraction request
 // body.
 func DecodeAbstractionRequest(data []byte) (*AbstractionRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
-	var req AbstractionRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return nil, err
-	}
-	if err := validateSystemText(req.System); err != nil {
-		return nil, err
-	}
-	if req.Hom == "" {
-		return nil, fmt.Errorf("\"hom\" is required")
-	}
-	if len(req.Hom) > maxPropertyBytes {
-		return nil, fmt.Errorf("hom text exceeds %d bytes", maxPropertyBytes)
-	}
-	if req.Eta == "" {
-		return nil, fmt.Errorf("\"eta\" is required")
-	}
-	if err := validatePropertyText(req.Eta); err != nil {
-		return nil, err
-	}
-	if err := validateTimeout(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decodeBody(data, new(AbstractionRequest), func(req *AbstractionRequest) error {
+		if err := validateText("hom", "hom", req.Hom, maxPropertyBytes); err != nil {
+			return err
+		}
+		return validateText("eta", "property", req.Eta, maxPropertyBytes)
+	})
 }
 
 // DecodeFairAbstractRequest parses and validates a fair-abstract
 // request body.
 func DecodeFairAbstractRequest(data []byte) (*FairAbstractRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
-	var req FairAbstractRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return nil, err
-	}
-	if err := validateSystemText(req.System); err != nil {
-		return nil, err
-	}
-	if req.Hom == "" {
-		return nil, fmt.Errorf("\"hom\" is required")
-	}
-	if len(req.Hom) > maxPropertyBytes {
-		return nil, fmt.Errorf("hom text exceeds %d bytes", maxPropertyBytes)
-	}
-	if req.Fairness != "strong" && req.Fairness != "weak" {
-		return nil, fmt.Errorf("\"fairness\" must be \"strong\" or \"weak\"")
-	}
-	if req.Eta == "" {
-		return nil, fmt.Errorf("\"eta\" is required")
-	}
-	if err := validatePropertyText(req.Eta); err != nil {
-		return nil, err
-	}
-	if err := validateTimeout(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decodeBody(data, new(FairAbstractRequest), func(req *FairAbstractRequest) error {
+		if err := validateText("hom", "hom", req.Hom, maxPropertyBytes); err != nil {
+			return err
+		}
+		if req.Fairness != "strong" && req.Fairness != "weak" {
+			return fmt.Errorf("\"fairness\" must be \"strong\" or \"weak\"")
+		}
+		return validateText("eta", "property", req.Eta, maxPropertyBytes)
+	})
 }
 
 // DecodeStatisticalRequest parses, validates, and *normalizes* a
@@ -291,69 +234,58 @@ func DecodeFairAbstractRequest(data []byte) (*FairAbstractRequest, error) {
 // any keying, so explicit-default and omitted-default bodies coalesce
 // in every cache and in the router.
 func DecodeStatisticalRequest(data []byte) (*StatisticalRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
-	var req StatisticalRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return nil, err
-	}
-	if err := validateSystemText(req.System); err != nil {
-		return nil, err
-	}
-	if (req.LTL == "") == (req.Omega == "") {
-		return nil, fmt.Errorf("exactly one of \"ltl\" and \"omega\" is required")
-	}
-	if err := validatePropertyText(req.LTL); err != nil {
-		return nil, err
-	}
-	if err := validatePropertyText(req.Omega); err != nil {
-		return nil, err
-	}
-	if req.Samples < 0 || req.Samples > maxStatSamples {
-		return nil, fmt.Errorf("\"samples\" must be in [0, %d]", maxStatSamples)
-	}
-	if req.Steps < 0 || req.Steps > maxStatSteps {
-		return nil, fmt.Errorf("\"steps\" must be in [0, %d]", maxStatSteps)
-	}
-	if req.Confidence < 0 || req.Confidence >= 1 {
-		return nil, fmt.Errorf("\"confidence\" must be in [0, 1)")
-	}
-	if req.Samples == 0 {
-		req.Samples = mc.DefaultSamples
-	}
-	if req.Steps == 0 {
-		req.Steps = mc.DefaultSteps
-	}
-	if req.Confidence == 0 {
-		req.Confidence = mc.DefaultConfidence
-	}
-	if work := int64(req.Samples) * int64(req.Steps); work > maxStatWork {
-		return nil, fmt.Errorf("sampling budget samples*steps = %d exceeds %d", work, maxStatWork)
-	}
-	if err := validateTimeout(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decodeBody(data, new(StatisticalRequest), func(req *StatisticalRequest) error {
+		if err := validateOneProperty(req.LTL, req.Omega); err != nil {
+			return err
+		}
+		if req.Samples < 0 || req.Samples > maxStatSamples {
+			return fmt.Errorf("\"samples\" must be in [0, %d]", maxStatSamples)
+		}
+		if req.Steps < 0 || req.Steps > maxStatSteps {
+			return fmt.Errorf("\"steps\" must be in [0, %d]", maxStatSteps)
+		}
+		if req.Confidence < 0 || req.Confidence >= 1 {
+			return fmt.Errorf("\"confidence\" must be in [0, 1)")
+		}
+		orDefault(&req.Samples, mc.DefaultSamples)
+		orDefault(&req.Steps, mc.DefaultSteps)
+		orDefault(&req.Confidence, mc.DefaultConfidence)
+		if work := int64(req.Samples) * int64(req.Steps); work > maxStatWork {
+			return fmt.Errorf("sampling budget samples*steps = %d exceeds %d", work, maxStatWork)
+		}
+		return nil
+	})
 }
 
-// statisticalKey is the report-cache key of a *normalized* statistical
-// request; the router computes the same key from the same decoder, so
-// cluster coalescing merges exactly what a backend's cache would.
-func statisticalKey(sysKey, propPart string, req *StatisticalRequest) string {
-	return hashKey("statistical", sysKey, propPart,
-		strconv.FormatInt(req.Seed, 10),
-		strconv.Itoa(req.Samples),
-		strconv.Itoa(req.Steps),
-		strconv.FormatFloat(req.Confidence, 'g', -1, 64))
-}
-
-func validateSystemText(text string) error {
+// validateText requires a text field and bounds its size; what names
+// the text in the size error.
+func validateText(field, what, text string, limit int) error {
 	if text == "" {
-		return fmt.Errorf("\"system\" is required")
+		return fmt.Errorf("%q is required", field)
 	}
-	if len(text) > maxSystemBytes {
-		return fmt.Errorf("system text exceeds %d bytes", maxSystemBytes)
+	if len(text) > limit {
+		return fmt.Errorf("%s text exceeds %d bytes", what, limit)
+	}
+	return nil
+}
+
+// validateOneProperty requires exactly one of an LTL and an ω-regex
+// property.
+func validateOneProperty(ltlText, omegaText string) error {
+	if (ltlText == "") == (omegaText == "") {
+		return fmt.Errorf("exactly one of \"ltl\" and \"omega\" is required")
+	}
+	return validatePropertyText(ltlText + omegaText) // one of them is empty
+}
+
+func validatePropertyList(field string, texts []string) error {
+	for _, t := range texts {
+		if t == "" {
+			return fmt.Errorf("empty property in %q", field)
+		}
+		if err := validatePropertyText(t); err != nil {
+			return err
+		}
 	}
 	return nil
 }
