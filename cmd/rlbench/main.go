@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"relive/internal/exp"
-	"relive/internal/kernel"
 	"relive/internal/obs"
 )
 
@@ -76,18 +75,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	parallel := fs.Int("parallel", 1, "worker-pool size for running experiments concurrently (0 = GOMAXPROCS)")
 	phaseTrials := fs.Int("phase-trials", 25, "instrumented checks behind the PHASES record in -metrics-json (0 disables)")
-	kernelFlag := fs.String("kernel", "auto", "decision-procedure kernel: auto, subset, or antichain")
-	simCap := fs.Int("sim-cap", kernel.DefaultSimulationCap, "antichain simulation-seeding cap: max simulation-pair space before the preorder is skipped (0 disables seeding)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "rlbench: %v\n", err)
-		return 2
-	}
-	kernel.SetDefault(kern)
-	kernel.SetSimulationCap(*simCap)
 	stopProf, err := obs.StartCPUProfile(*cpuprofile)
 	if err != nil {
 		fmt.Fprintf(stderr, "rlbench: %v\n", err)

@@ -24,7 +24,6 @@ import (
 	"os"
 
 	"relive"
-	"relive/internal/kernel"
 	"relive/internal/obs"
 )
 
@@ -52,8 +51,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	traceJSON := fs.String("trace-json", "", "write the span/metric trace as JSON to this file (- for stdout)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
-	kernelFlag := fs.String("kernel", "auto", "decision-procedure kernel: auto, subset, or antichain")
-	simCap := fs.Int("sim-cap", kernel.DefaultSimulationCap, "antichain simulation-seeding cap: max simulation-pair space before the preorder is skipped (0 disables seeding)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -62,13 +59,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fs.Usage()
 		return 2
 	}
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "rlcheck: %v\n", err)
-		return 2
-	}
-	kernel.SetDefault(kern)
-	kernel.SetSimulationCap(*simCap)
 	stopProf, err := obs.StartCPUProfile(*cpuprofile)
 	if err != nil {
 		fmt.Fprintf(stderr, "rlcheck: %v\n", err)

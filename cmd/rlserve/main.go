@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"relive/internal/kernel"
 	"relive/internal/serve"
 	"relive/internal/store"
 )
@@ -77,8 +76,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	logLevel := fs.String("log-level", "off", "per-request logging to stderr: debug, info, warn, error, or off")
 	logJSON := fs.Bool("log-json", false, "log requests as JSON lines instead of text")
 	version := fs.Bool("version", false, "print build info as JSON and exit")
-	kernelFlag := fs.String("kernel", "auto", "decision-procedure kernel: auto, subset, or antichain")
-	simCap := fs.Int("sim-cap", kernel.DefaultSimulationCap, "antichain simulation-seeding cap: max simulation-pair space before the preorder is skipped (0 disables seeding)")
 	storeDir := fs.String("store", "", "persistent artifact store directory (empty = no persistence); point replicas at one shared volume to share completed work")
 	storeMax := fs.Int64("store-max-bytes", 0, "artifact store size bound before LRU eviction (0 = 256 MiB)")
 	storeFsync := fs.Bool("store-fsync", false, "fsync every artifact write (crash durability for the newest artifacts)")
@@ -86,13 +83,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "rlserve: %v\n", err)
-		return 2
-	}
-	kernel.SetDefault(kern)
-	kernel.SetSimulationCap(*simCap)
 	if *version {
 		out := struct {
 			serve.BuildInfo

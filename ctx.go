@@ -60,53 +60,53 @@ func (c *Checker) CheckAllPropertyCtx(ctx context.Context, sys *System, p Proper
 	if c.fbSet {
 		return c.checkAllWithFallback(ctx, sys, p)
 	}
-	return core.CheckAllCtx(c.kernelCtx(ctx), c.rec, sys, p, c.par)
+	return core.CheckAllCtx(ctx, c.rec, sys, p, c.par)
 }
 
 // CheckRelativeLivenessCtx is the Checker's CheckRelativeLiveness with
 // cooperative cancellation.
 func (c *Checker) CheckRelativeLivenessCtx(ctx context.Context, sys *System, f *Formula) (LivenessResult, error) {
-	return core.RelativeLivenessCtx(c.kernelCtx(ctx), c.rec, sys, core.FromFormula(f, nil))
+	return core.RelativeLivenessCtx(ctx, c.rec, sys, core.FromFormula(f, nil))
 }
 
 // CheckRelativeLivenessPropertyCtx is CheckRelativeLivenessCtx for a
 // Property.
 func (c *Checker) CheckRelativeLivenessPropertyCtx(ctx context.Context, sys *System, p Property) (LivenessResult, error) {
-	return core.RelativeLivenessCtx(c.kernelCtx(ctx), c.rec, sys, p)
+	return core.RelativeLivenessCtx(ctx, c.rec, sys, p)
 }
 
 // CheckRelativeSafetyCtx is the Checker's CheckRelativeSafety with
 // cooperative cancellation.
 func (c *Checker) CheckRelativeSafetyCtx(ctx context.Context, sys *System, f *Formula) (SafetyResult, error) {
-	return core.RelativeSafetyCtx(c.kernelCtx(ctx), c.rec, sys, core.FromFormula(f, nil))
+	return core.RelativeSafetyCtx(ctx, c.rec, sys, core.FromFormula(f, nil))
 }
 
 // CheckRelativeSafetyPropertyCtx is CheckRelativeSafetyCtx for a
 // Property.
 func (c *Checker) CheckRelativeSafetyPropertyCtx(ctx context.Context, sys *System, p Property) (SafetyResult, error) {
-	return core.RelativeSafetyCtx(c.kernelCtx(ctx), c.rec, sys, p)
+	return core.RelativeSafetyCtx(ctx, c.rec, sys, p)
 }
 
 // CheckSatisfiesCtx is the Checker's CheckSatisfies with cooperative
 // cancellation.
 func (c *Checker) CheckSatisfiesCtx(ctx context.Context, sys *System, f *Formula) (SatisfactionResult, error) {
-	return core.SatisfiesCtx(c.kernelCtx(ctx), c.rec, sys, core.FromFormula(f, nil))
+	return core.SatisfiesCtx(ctx, c.rec, sys, core.FromFormula(f, nil))
 }
 
 // CheckSatisfiesPropertyCtx is CheckSatisfiesCtx for a Property.
 func (c *Checker) CheckSatisfiesPropertyCtx(ctx context.Context, sys *System, p Property) (SatisfactionResult, error) {
-	return core.SatisfiesCtx(c.kernelCtx(ctx), c.rec, sys, p)
+	return core.SatisfiesCtx(ctx, c.rec, sys, p)
 }
 
 // CheckPropertyPortfolioCtx is CheckPropertyPortfolio with cooperative
 // cancellation: running checks poll ctx and not-yet-started jobs are
 // abandoned once it expires.
 func (c *Checker) CheckPropertyPortfolioCtx(ctx context.Context, sys *System, props []Property) ([]*Report, error) {
-	return core.CheckPortfolioCtx(c.kernelCtx(ctx), c.rec, sys, props, c.portfolioWorkers())
+	return core.CheckPortfolioCtx(ctx, c.rec, sys, props, c.portfolioWorkers())
 }
 
 // CheckSystemsPortfolioCtx is CheckSystemsPortfolio with cooperative
 // cancellation.
 func (c *Checker) CheckSystemsPortfolioCtx(ctx context.Context, systems []*System, p Property) ([]*Report, error) {
-	return core.CheckSystemsPortfolioCtx(c.kernelCtx(ctx), c.rec, systems, p, c.portfolioWorkers())
+	return core.CheckSystemsPortfolioCtx(ctx, c.rec, systems, p, c.portfolioWorkers())
 }

@@ -71,19 +71,6 @@ func (o Ops) IntersectCtx(a, c *Buchi) (*Buchi, error) {
 	return out, nil
 }
 
-// Union is Union with instrumentation.
-func (o Ops) Union(a, c *Buchi) *Buchi {
-	if o.Rec == nil {
-		return Union(a, c)
-	}
-	sp := obs.StartSpan(o.Rec, "buchi.Union").
-		Int("left_states", int64(a.NumStates())).
-		Int("right_states", int64(c.NumStates()))
-	out := Union(a, c)
-	o.finish(sp, "buchi.union", out)
-	return out
-}
-
 // Reduce is (*Buchi).Reduce with instrumentation.
 func (o Ops) Reduce(b *Buchi) *Buchi {
 	if o.Rec == nil {
@@ -114,28 +101,6 @@ func (o Ops) Complement(b *Buchi) (*Buchi, error) {
 	return out, nil
 }
 
-// ComplementAuto is (*Buchi).ComplementAuto with instrumentation: the
-// deterministic construction when it applies, rank-based otherwise.
-func (o Ops) ComplementAuto(b *Buchi) (*Buchi, error) {
-	if o.Rec == nil {
-		return b.ComplementAuto()
-	}
-	algorithm := "rank-based"
-	if b.IsDeterministic() {
-		algorithm = "deterministic"
-	}
-	sp := obs.StartSpan(o.Rec, "buchi.ComplementAuto").
-		Tag("algorithm", algorithm).
-		Int("in_states", int64(b.NumStates()))
-	out, err := b.ComplementAuto()
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	o.finish(sp, "buchi.complement", out)
-	return out, nil
-}
-
 // PrefixNFA is (*Buchi).PrefixNFA with instrumentation: the pre(L_ω)
 // construction (reduce, then accept every finite path).
 func (o Ops) PrefixNFA(b *Buchi) *nfa.NFA {
@@ -150,24 +115,6 @@ func (o Ops) PrefixNFA(b *Buchi) *nfa.NFA {
 	obs.Count(o.Rec, "buchi.prefixnfa.calls", 1)
 	sp.End()
 	return out
-}
-
-// LimitOfPrefixClosed is LimitOfPrefixClosed with instrumentation,
-// including the prefix-closure validation cost.
-func (o Ops) LimitOfPrefixClosed(a *nfa.NFA) (*Buchi, error) {
-	if o.Rec == nil {
-		return LimitOfPrefixClosed(a)
-	}
-	sp := obs.StartSpan(o.Rec, "buchi.LimitOfPrefixClosed").
-		Int("in_states", int64(a.NumStates())).
-		Int("in_transitions", int64(a.NumTransitions()))
-	out, err := LimitOfPrefixClosed(a)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	o.finish(sp, "buchi.limit", out)
-	return out, nil
 }
 
 // LimitOfAllAccepting is LimitOfAllAccepting with instrumentation.
@@ -185,55 +132,6 @@ func (o Ops) LimitOfAllAccepting(a *nfa.NFA) (*Buchi, error) {
 	}
 	o.finish(sp, "buchi.limit", out)
 	return out, nil
-}
-
-// AcceptingLasso is (*Buchi).AcceptingLasso with instrumentation: the
-// emptiness check with witness extraction.
-func (o Ops) AcceptingLasso(b *Buchi) (word.Lasso, bool) {
-	if o.Rec == nil {
-		return b.AcceptingLasso()
-	}
-	sp := obs.StartSpan(o.Rec, "buchi.AcceptingLasso").
-		Int("in_states", int64(b.NumStates())).
-		Int("in_transitions", int64(b.NumTransitions()))
-	l, ok := b.AcceptingLasso()
-	empty := int64(1)
-	if ok {
-		empty = 0
-	}
-	sp.Int("empty", empty)
-	obs.Count(o.Rec, "buchi.emptiness.calls", 1)
-	sp.End()
-	return l, ok
-}
-
-// IsEmpty is (*Buchi).IsEmpty with instrumentation.
-func (o Ops) IsEmpty(b *Buchi) bool {
-	_, ok := o.AcceptingLasso(b)
-	return !ok
-}
-
-// IntersectLasso is IntersectLasso — on-the-fly emptiness of the
-// product with witness extraction — with instrumentation. The span
-// records how many product states the search explored before deciding,
-// the measure the laziness is meant to shrink.
-func (o Ops) IntersectLasso(a, c *Buchi) (word.Lasso, bool) {
-	if o.Rec == nil {
-		return IntersectLasso(a, c)
-	}
-	sp := obs.StartSpan(o.Rec, "buchi.IntersectEmpty").
-		Int("left_states", int64(a.NumStates())).
-		Int("right_states", int64(c.NumStates()))
-	l, explored, ok, _ := intersectLasso(nil, a, c, nil, nil)
-	empty := int64(1)
-	if ok {
-		empty = 0
-	}
-	sp.Int("explored_states", int64(explored))
-	sp.Int("empty", empty)
-	obs.Count(o.Rec, "buchi.emptiness.calls", 1)
-	sp.End()
-	return l, ok
 }
 
 // IntersectLassoCtx is IntersectLasso with instrumentation and
@@ -260,31 +158,4 @@ func (o Ops) IntersectLassoCtx(a, c *Buchi) (word.Lasso, bool, error) {
 	obs.Count(o.Rec, "buchi.emptiness.calls", 1)
 	sp.End()
 	return l, ok, nil
-}
-
-// IntersectEmpty is IntersectEmpty with instrumentation.
-func (o Ops) IntersectEmpty(a, c *Buchi) bool {
-	_, ok := o.IntersectLasso(a, c)
-	return !ok
-}
-
-// Included is Included with instrumentation; the dominant cost is the
-// complementation of c, which appears as a child span.
-func (o Ops) Included(a, c *Buchi) (bool, word.Lasso, error) {
-	if o.Rec == nil {
-		return Included(a, c)
-	}
-	sp := obs.StartSpan(o.Rec, "buchi.Included").
-		Int("left_states", int64(a.NumStates())).
-		Int("right_states", int64(c.NumStates()))
-	defer sp.End()
-	comp, err := o.Complement(c)
-	if err != nil {
-		return false, word.Lasso{}, err
-	}
-	l, ok := o.IntersectLasso(a, comp)
-	if ok {
-		return false, l, nil
-	}
-	return true, word.Lasso{}, nil
 }

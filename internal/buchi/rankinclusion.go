@@ -6,7 +6,6 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/interrupt"
-	"relive/internal/kernel"
 	"relive/internal/word"
 )
 
@@ -326,43 +325,29 @@ func IncludedRankCtx(ctx context.Context, a, c *Buchi) (bool, word.Lasso, error)
 	return false, lassoWitness(e.edges, e.acc, e.parent, e.psym, comp), nil
 }
 
-// autoRankMin is the right-hand-side state count from which kernel.Auto
-// picks the lazy rank route for Büchi inclusion/universality. The eager
-// complement is 2^O(n log n) in this count; below the threshold it is
-// small enough that laziness cannot win.
+// autoRankMin is the right-hand-side state count from which Büchi
+// inclusion runs the lazy rank route. The eager complement is
+// 2^O(n log n) in this count; below the threshold it is small enough
+// that laziness cannot win.
 const autoRankMin = 8
 
-// ResolveKernel resolves an Auto kernel choice for a Büchi inclusion or
-// universality check whose right-hand side is c: the lazy rank route
-// from autoRankMin states, the eager complement-then-intersect route
-// below. Explicit choices pass through.
-func ResolveKernel(k kernel.Kind, c *Buchi) kernel.Kind {
-	switch k {
-	case kernel.Subset, kernel.Antichain:
-		return k
-	}
+// ResolveKernel names the route IncludedKernelCtx runs against
+// right-hand side c: "antichain" (the lazy rank route) from autoRankMin
+// states, "subset" (the eager complement-then-intersect route) below.
+func ResolveKernel(c *Buchi) string {
 	if c.NumStates() >= autoRankMin {
-		return kernel.Antichain
+		return "antichain"
 	}
-	return kernel.Subset
+	return "subset"
 }
 
-// IncludedKernelCtx is Büchi inclusion dispatched over the kernel
-// choice: the lazy rank route when k resolves to the antichain/lazy
-// kernels, the eager Complement-then-IntersectLasso route otherwise.
-func IncludedKernelCtx(ctx context.Context, k kernel.Kind, a, c *Buchi) (bool, word.Lasso, error) {
-	if ResolveKernel(k, c) == kernel.Antichain {
+// IncludedKernelCtx reports whether L_ω(a) ⊆ L_ω(c) on the route the
+// size of c picks: the lazy rank route (IncludedRankCtx) from
+// autoRankMin states, the eager Complement-then-IntersectLasso route
+// (Included) below.
+func IncludedKernelCtx(ctx context.Context, a, c *Buchi) (bool, word.Lasso, error) {
+	if ResolveKernel(c) == "antichain" {
 		return IncludedRankCtx(ctx, a, c)
 	}
-	ok, l, err := Included(a, c)
-	if err != nil {
-		return false, word.Lasso{}, err
-	}
-	return ok, l, nil
-}
-
-// UniversalKernelCtx reports whether L_ω(c) = Σ^ω, dispatched over the
-// kernel choice, with a rejected lasso as counterexample.
-func UniversalKernelCtx(ctx context.Context, k kernel.Kind, c *Buchi) (bool, word.Lasso, error) {
-	return IncludedKernelCtx(ctx, k, UniversalAutomaton(c.ab), c)
+	return Included(a, c)
 }

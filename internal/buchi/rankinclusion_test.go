@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"relive/internal/genbase"
-	"relive/internal/kernel"
+	"relive/internal/word"
 )
 
 // Differential tests for the lazy rank-based inclusion kernel: on
@@ -84,37 +84,43 @@ func TestUniversalKernelAgainstComplementEmptiness(t *testing.T) {
 		}
 		_, nonEmpty := comp.AcceptingLasso()
 		wantUniversal := !nonEmpty
-		for _, k := range []kernel.Kind{kernel.Subset, kernel.Antichain} {
-			got, l, err := UniversalKernelCtx(nil, k, c)
+		routes := []struct {
+			name string
+			run  func(a, c *Buchi) (bool, word.Lasso, error)
+		}{
+			{"eager", Included},
+			{"lazy", func(a, c *Buchi) (bool, word.Lasso, error) { return IncludedRankCtx(nil, a, c) }},
+		}
+		for _, r := range routes {
+			got, l, err := r.run(UniversalAutomaton(ab), c)
 			if err != nil {
-				t.Fatalf("trial %d: kernel %v: %v", trial, k, err)
+				t.Fatalf("trial %d: route %s: %v", trial, r.name, err)
 			}
 			if got != wantUniversal {
-				t.Fatalf("trial %d: kernel %v: universal=%v, complement emptiness says %v\nc=%v",
-					trial, k, got, wantUniversal, c)
+				t.Fatalf("trial %d: route %s: universal=%v, complement emptiness says %v\nc=%v",
+					trial, r.name, got, wantUniversal, c)
 			}
 			if !got && c.AcceptsLasso(l) {
-				t.Fatalf("trial %d: kernel %v: rejected-lasso witness %v is accepted", trial, k, l.String(ab))
+				t.Fatalf("trial %d: route %s: rejected-lasso witness %v is accepted", trial, r.name, l.String(ab))
 			}
 		}
 	}
 }
 
+// TestBuchiResolveKernelThreshold pins the size dispatch: the lazy rank
+// route from autoRankMin = 8 right-hand states, the eager route below.
 func TestBuchiResolveKernelThreshold(t *testing.T) {
 	ab := genbase.Letters(2)
-	small := New(ab)
-	small.AddState(true)
-	big := New(ab)
-	for i := 0; i < 32; i++ {
-		big.AddState(i%3 == 0)
-	}
-	if got := ResolveKernel(kernel.Auto, small); got != kernel.Subset {
-		t.Fatalf("Auto on small rhs = %v, want Subset", got)
-	}
-	if got := ResolveKernel(kernel.Auto, big); got != kernel.Antichain {
-		t.Fatalf("Auto on big rhs = %v, want Antichain", got)
-	}
-	if got := ResolveKernel(kernel.Subset, big); got != kernel.Subset {
-		t.Fatalf("explicit Subset did not pass through: %v", got)
+	for _, tc := range []struct {
+		states int
+		want   string
+	}{{1, "subset"}, {7, "subset"}, {8, "antichain"}, {32, "antichain"}} {
+		c := New(ab)
+		for i := 0; i < tc.states; i++ {
+			c.AddState(i%3 == 0)
+		}
+		if got := ResolveKernel(c); got != tc.want {
+			t.Fatalf("%d-state rhs routes to %s, want %s", tc.states, got, tc.want)
+		}
 	}
 }

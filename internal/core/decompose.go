@@ -81,7 +81,7 @@ func IsSafetyProperty(p Property, ab *alphabet.Alphabet) (bool, word.Lasso, erro
 
 // IsLivenessProperty reports whether p is a (classical) liveness
 // property over ab: every finite word extends to a word in P,
-// i.e. pre(P) = Σ*, a universality check run on the configured kernel.
+// i.e. pre(P) = Σ*, a universality check on the route its size picks.
 // The witness is a finite word with no extension in P when the check
 // fails. By Remark 1 this coincides with relative liveness over the
 // universal system.

@@ -7,7 +7,6 @@ import (
 	"relive/internal/buchi"
 	"relive/internal/fairness"
 	"relive/internal/hom"
-	"relive/internal/kernel"
 	"relive/internal/obs"
 	"relive/internal/ts"
 )
@@ -22,11 +21,9 @@ import (
 // (hom.InverseImageBuchi), so the decision combines the repo's two
 // halves: the Sections 6–8 abstraction machinery builds h⁻¹(¬P), and
 // the Theorem 5.1 Streett-style fair-emptiness checker decides whether
-// a fair accepted run exists. A kernel-dispatched pre(L ∩ h⁻¹(¬P))
-// emptiness pre-filter settles the common "no run at all violates"
-// case without touching the fairness machinery; the verdict and the
-// witness are kernel-independent by construction, so reports are
-// bit-identical across Auto/Subset/Antichain.
+// a fair accepted run exists. A fused pre(L ∩ h⁻¹(¬P)) emptiness
+// pre-filter settles the common "no run at all violates" case without
+// touching the fairness machinery.
 
 // FairAbstractReport is the outcome of a fair-abstract check. It
 // marshals to JSON for rlcheck -json and the /check/fair-abstract
@@ -92,7 +89,7 @@ func CheckFairAbstract(sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Prope
 // CheckFairAbstractRec is CheckFairAbstract with every pipeline phase
 // reported to rec: the trim/behavior construction ("lim(L)"), the
 // negation automaton ("¬P"), the inverse image ("h⁻¹(¬P)"), the
-// kernel-dispatched pre-filter ("pre(L∩h⁻¹(¬P))"), and the fair
+// fused pre-filter ("pre(L∩h⁻¹(¬P))"), and the fair
 // emptiness search ("fair(L∩h⁻¹(¬P))").
 func CheckFairAbstractRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
 	return CheckFairAbstractCells(nil, rec, NewSystemCells(sys), h, kind, eta)
@@ -160,17 +157,12 @@ func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCel
 	isp.Int("out_states", int64(bad.NumStates()))
 	isp.End()
 
-	// Kernel-dispatched pre-filter: when lim(L) ∩ h⁻¹(¬P) is empty, no
-	// run at all — fair or not — violates, and the Streett machinery is
-	// skipped. Both kernel routes produce bit-identical automata, and
-	// only emptiness of the result feeds the verdict, so the report is
-	// kernel-independent.
-	kern := kernel.FromContext(ctx)
+	// Pre-filter: when lim(L) ∩ h⁻¹(¬P) is empty, no run at all — fair
+	// or not — violates, and the Streett machinery is skipped.
 	psp := obs.StartSpan(rec, "pre(L∩h⁻¹(¬P))").
 		Int("behavior_states", int64(behaviors.NumStates())).
-		Int("violation_states", int64(bad.NumStates())).
-		Tag("kernel", preProductKernelName(kern))
-	pre, explored, err := preProductKernel(ctx, kern, buchi.Ops{Rec: rec, Ctx: ctx}, behaviors, bad)
+		Int("violation_states", int64(bad.NumStates()))
+	pre, explored, err := buchi.PreProductNFACtx(ctx, behaviors, bad)
 	if err != nil {
 		psp.Tag("aborted", "context")
 		psp.End()
@@ -187,7 +179,7 @@ func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCel
 
 	// Some run violates; decide whether a fair one does. The search runs
 	// on the already-trimmed system (its own trim pass is then a no-op)
-	// and is deterministic and kernel-independent.
+	// and is deterministic.
 	esp := obs.StartSpan(rec, "fair(L∩h⁻¹(¬P))").
 		Tag("paper", "Theorem 5.1 machinery: Streett fair emptiness").
 		Tag("fairness", FairnessKindName(kind))

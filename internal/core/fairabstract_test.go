@@ -2,15 +2,11 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"math/rand"
 	"testing"
 
 	"relive/internal/alphabet"
 	"relive/internal/fairness"
-	"relive/internal/gen"
 	"relive/internal/hom"
-	"relive/internal/kernel"
 	"relive/internal/ltl"
 	"relive/internal/ts"
 )
@@ -175,50 +171,6 @@ func TestCheckFairAbstractTrimAgreement(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCheckFairAbstractKernelBitIdentical pins that the three kernels
-// produce byte-identical reports on randomized inputs — the pre-filter
-// is the only kernel-dispatched stage and only its emptiness feeds the
-// verdict.
-func TestCheckFairAbstractKernelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	src := gen.Letters(3)
-	kinds := []kernel.Kind{kernel.Auto, kernel.Subset, kernel.Antichain}
-	checked := 0
-	for trial := 0; trial < 60; trial++ {
-		sys := gen.System(rng, src, 2+rng.Intn(4), 0.3+0.4*rng.Float64())
-		h := gen.Hom(rng, src, 0.4)
-		eta := FromFormula(gen.Formula(rng, h.Dest().Names(), 1+rng.Intn(2)), ltl.Canonical(h.Dest()))
-		fkind := fairness.Strong
-		if rng.Intn(2) == 0 {
-			fkind = fairness.Weak
-		}
-		var blobs [][]byte
-		for _, k := range kinds {
-			ctx := kernel.NewContext(context.Background(), k)
-			report, err := CheckFairAbstractCtx(ctx, nil, sys, h, fkind, eta)
-			if err != nil {
-				blobs = append(blobs, []byte("err:"+err.Error()))
-				continue
-			}
-			b, err := json.Marshal(report)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs = append(blobs, b)
-		}
-		for i := 1; i < len(blobs); i++ {
-			if string(blobs[i]) != string(blobs[0]) {
-				t.Fatalf("trial %d: kernel %s report differs from %s:\n%s\nvs\n%s\n%s",
-					trial, kinds[i], kinds[0], blobs[i], blobs[0], sys.FormatString())
-			}
-		}
-		checked++
-	}
-	if checked < 40 {
-		t.Fatalf("only %d conclusive trials", checked)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"relive/internal/buchi"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
 	"relive/internal/obs"
 	"relive/internal/ts"
@@ -34,12 +33,11 @@ func MachineClosedRec(rec obs.Recorder, lomega, lambda *buchi.Buchi) (MachineClo
 	ops := buchi.Ops{Rec: rec}
 	preL := ops.PrefixNFA(lomega)
 	preLambda := ops.PrefixNFA(lambda)
-	kern := kernel.Default()
 	isp := obs.StartSpan(rec, "pre(L_ω) ⊆ pre(Λ)").
-		Tag("kernel", nfa.ResolveKernel(kern, preLambda).String()).
+		Tag("kernel", nfa.ResolveKernel(preLambda)).
 		Int("left_states", int64(preL.NumStates())).
 		Int("right_states", int64(preLambda.NumStates()))
-	ok, w, err := nfa.IncludedKernelCtx(nil, kern, preL, preLambda)
+	ok, w, err := nfa.IncludedKernelCtx(nil, preL, preLambda)
 	isp.End()
 	if err != nil {
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
@@ -70,7 +68,7 @@ func RelativeLivenessViaMachineClosure(sys *ts.System, p Property) (MachineClosu
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
 	}
 	preL := behaviors.PrefixNFA()
-	ok, w, err := nfa.IncludedKernelCtx(nil, pl.kern, preL, preLambda)
+	ok, w, err := nfa.IncludedKernelCtx(nil, preL, preLambda)
 	if err != nil {
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
 	}

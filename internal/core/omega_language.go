@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"relive/internal/buchi"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
 	"relive/internal/word"
 )
@@ -25,13 +24,12 @@ func RelativeLivenessOmega(lomega *buchi.Buchi, p Property) (LivenessResult, err
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness (ω): %w", err)
 	}
-	kern := kernel.Default()
 	preL := lomega.PrefixNFA()
-	preLP, _, err := preProductKernel(nil, kern, buchi.Ops{}, lomega, pa)
+	preLP, _, err := buchi.PreProductNFACtx(nil, lomega, pa)
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness (ω): %w", err)
 	}
-	ok, w, err := nfa.IncludedKernelCtx(nil, kern, preL, preLP)
+	ok, w, err := nfa.IncludedKernelCtx(nil, preL, preLP)
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness (ω): %w", err)
 	}
@@ -50,7 +48,7 @@ func RelativeSafetyOmega(lomega *buchi.Buchi, p Property) (SafetyResult, error) 
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (ω): %w", err)
 	}
-	preLP, _, err := preProductKernel(nil, kernel.Default(), buchi.Ops{}, lomega, pa)
+	preLP, _, err := buchi.PreProductNFACtx(nil, lomega, pa)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (ω): %w", err)
 	}
@@ -99,7 +97,7 @@ func IsLimitClosed(lomega *buchi.Buchi) (bool, word.Lasso, error) {
 		return false, word.Lasso{}, err
 	}
 	// L_ω ⊆ lim(pre(L_ω)) always; check the converse.
-	ok, l, err := buchi.IncludedKernelCtx(nil, kernel.Default(), limPre, lomega)
+	ok, l, err := buchi.IncludedKernelCtx(nil, limPre, lomega)
 	if err != nil {
 		return false, word.Lasso{}, fmt.Errorf("limit closure: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
 	"relive/internal/obs"
 	"relive/internal/ts"
@@ -90,13 +89,12 @@ type shared struct {
 // exactly once per check, even when the three verdicts run
 // concurrently. A nil ctx never cancels (the plain serial path).
 type pipeline struct {
-	ctx  context.Context
-	rec  obs.Recorder
-	sys  *ts.System
-	p    Property
-	ops  buchi.Ops
-	kern kernel.Kind
-	sh   *shared
+	ctx context.Context
+	rec obs.Recorder
+	sys *ts.System
+	p   Property
+	ops buchi.Ops
+	sh  *shared
 }
 
 func newPipeline(rec obs.Recorder, sys *ts.System, p Property) *pipeline {
@@ -109,8 +107,7 @@ func newPipelineCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, p Pro
 		lim:  newLimitsCell(sys),
 		prop: &propCell{p: p, ab: sys.Alphabet()},
 	}
-	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx},
-		kern: kernel.FromContext(ctx), sh: sh}
+	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx}, sh: sh}
 }
 
 // newPipelineSharing builds a pipeline over pre-existing cells. Portfolio
@@ -125,22 +122,20 @@ func newPipelineSharing(ctx context.Context, rec obs.Recorder, sys *ts.System, p
 		prop = &propCell{p: p, ab: sys.Alphabet()}
 	}
 	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx},
-		kern: kernel.FromContext(ctx), sh: &shared{sys: sys, lim: lim, prop: prop}}
+		sh: &shared{sys: sys, lim: lim, prop: prop}}
 }
 
 // view returns a pipeline over the same shared cells whose spans are
 // reported to rec instead. CheckAll's parallel mode gives each verdict
 // goroutine its own per-worker view.
 func (pl *pipeline) view(rec obs.Recorder) *pipeline {
-	return &pipeline{ctx: pl.ctx, rec: rec, sys: pl.sys, p: pl.p, ops: buchi.Ops{Rec: rec, Ctx: pl.ctx},
-		kern: pl.kern, sh: pl.sh}
+	return &pipeline{ctx: pl.ctx, rec: rec, sys: pl.sys, p: pl.p, ops: buchi.Ops{Rec: rec, Ctx: pl.ctx}, sh: pl.sh}
 }
 
 // viewCells returns a pipeline over an externally cached shared-cell
 // set (see PipelineCells), attributing spans to rec and polling ctx.
 func viewCells(ctx context.Context, rec obs.Recorder, sh *shared, p Property) *pipeline {
-	return &pipeline{ctx: ctx, rec: rec, sys: sh.sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx},
-		kern: kernel.FromContext(ctx), sh: sh}
+	return &pipeline{ctx: ctx, rec: rec, sys: sh.sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx}, sh: sh}
 }
 
 // limits returns the trimmed system and its behavior automaton lim(L).
@@ -177,9 +172,8 @@ func (pl *pipeline) preProduct() (*nfa.NFA, error) {
 		}
 		psp := obs.StartSpan(pl.rec, "pre(L∩P)").
 			Int("behavior_states", int64(behaviors.NumStates())).
-			Int("property_states", int64(pa.NumStates())).
-			Tag("kernel", preProductKernelName(pl.kern))
-		preLP, explored, err := preProductKernel(pl.ctx, pl.kern, pl.ops, behaviors, pa)
+			Int("property_states", int64(pa.NumStates()))
+		preLP, explored, err := buchi.PreProductNFACtx(pl.ctx, behaviors, pa)
 		if err != nil {
 			psp.Tag("aborted", "context")
 			psp.End()
@@ -190,31 +184,4 @@ func (pl *pipeline) preProduct() (*nfa.NFA, error) {
 		psp.End()
 		return preLP, nil
 	})
-}
-
-// preProductKernel computes pre(L_ω(a) ∩ L_ω(c)) dispatched over the
-// kernel choice: the fused single-pass construction
-// (buchi.PreProductNFACtx) by default, or the classic materialized
-// Intersect → PrefixNFA → Trim chain when k forces the subset kernels.
-// The two routes produce bit-identical automata (see
-// buchi/preproduct.go); the fused one skips the intermediate Büchi
-// automata. The int result is the product state count, for spans.
-func preProductKernel(ctx context.Context, k kernel.Kind, ops buchi.Ops, a, c *buchi.Buchi) (*nfa.NFA, int, error) {
-	if k == kernel.Subset {
-		prod, err := ops.IntersectCtx(a, c)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ops.PrefixNFA(prod).Trim(), prod.NumStates(), nil
-	}
-	return buchi.PreProductNFACtx(ctx, a, c)
-}
-
-// preProductKernelName is the span/metrics label for the pre(L∩P)
-// route preProductKernel picks for k.
-func preProductKernelName(k kernel.Kind) string {
-	if k == kernel.Subset {
-		return "materialized"
-	}
-	return "fused"
 }

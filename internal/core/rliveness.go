@@ -70,10 +70,10 @@ func relativeLivenessPipe(pl *pipeline) (LivenessResult, error) {
 	}
 	isp := obs.StartSpan(pl.rec, "pre(L) ⊆ pre(L∩P)").
 		Tag("paper", "Lemma 4.3: pre(L) = pre(L∩P)").
-		Tag("kernel", nfa.ResolveKernel(pl.kern, preLP).String()).
+		Tag("kernel", nfa.ResolveKernel(preLP)).
 		Int("left_states", int64(preL.NumStates())).
 		Int("right_states", int64(preLP.NumStates()))
-	ok, w, err := nfa.IncludedKernelCtx(pl.ctx, pl.kern, preL, preLP)
+	ok, w, err := nfa.IncludedKernelCtx(pl.ctx, preL, preLP)
 	if err != nil {
 		isp.Tag("aborted", "context")
 		isp.End()

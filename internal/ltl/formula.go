@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Op enumerates formula constructors.
@@ -43,8 +44,19 @@ type Formula struct {
 	Name        string // atom name, only for OpAtom
 	Left, Right *Formula
 
-	key string // memoized canonical form
+	// Memoized canonical form. Formulas are shared across goroutines, so
+	// key is written once, by the caller that moves keyState from
+	// keyUnset to keyStoring, and read only after keyState is keyReady.
+	key      string
+	keyState atomic.Uint32
 }
+
+// Formula.keyState values.
+const (
+	keyUnset uint32 = iota
+	keyStoring
+	keyReady
+)
 
 // Constructors. Unary operators use Left.
 
@@ -109,13 +121,17 @@ func AndAll(fs ...*Formula) *Formula {
 // Key returns a canonical string form usable as a map key; structurally
 // equal formulas share the key.
 func (f *Formula) Key() string {
-	if f.key != "" {
+	if f.keyState.Load() == keyReady {
 		return f.key
 	}
 	var b strings.Builder
 	f.writeKey(&b)
-	f.key = b.String()
-	return f.key
+	k := b.String()
+	if f.keyState.CompareAndSwap(keyUnset, keyStoring) {
+		f.key = k
+		f.keyState.Store(keyReady)
+	}
+	return k
 }
 
 func (f *Formula) writeKey(b *strings.Builder) {

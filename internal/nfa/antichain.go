@@ -5,7 +5,6 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/interrupt"
-	"relive/internal/kernel"
 	"relive/internal/word"
 )
 
@@ -25,32 +24,28 @@ import (
 // are bit-compatible with the subset route.
 
 // autoAntichainMin is the right-hand-side state count from which
-// kernel.Auto picks the antichain route for inclusion/universality.
-// Below it, the antichain bookkeeping cannot win anything and Auto
-// keeps the classic subset kernel (and its exact exploration order).
+// inclusion and universality run the antichain route. Below it, the
+// antichain bookkeeping cannot win anything and the classic subset
+// route (and its exact exploration order) runs instead. RemoveEpsilon
+// preserves the state count, so the pre-ε-removal count decides.
 const autoAntichainMin = 16
 
-// ResolveKernel resolves an Auto kernel choice for an inclusion or
-// universality check against right-hand side b: antichain from
-// autoAntichainMin states, subset below. Explicit choices pass through.
-func ResolveKernel(k kernel.Kind, b *NFA) kernel.Kind {
-	switch k {
-	case kernel.Subset, kernel.Antichain:
-		return k
-	}
-	// RemoveEpsilon preserves the state count, so the pre-ε-removal
-	// count is the post-removal one.
+// ResolveKernel names the route IncludedKernelCtx and UniversalKernelCtx
+// run against right-hand side b: "antichain" from autoAntichainMin
+// states, "subset" below. Spans carry it as their kernel tag.
+func ResolveKernel(b *NFA) string {
 	if b.NumStates() >= autoAntichainMin {
-		return kernel.Antichain
+		return "antichain"
 	}
-	return kernel.Subset
+	return "subset"
 }
 
-// IncludedKernelCtx is IncludedCtx dispatched over the kernel choice:
-// the antichain kernel when k resolves to it, the classic subset
-// construction otherwise.
-func IncludedKernelCtx(ctx context.Context, k kernel.Kind, a, b *NFA) (bool, word.Word, error) {
-	if ResolveKernel(k, b) == kernel.Antichain {
+// IncludedKernelCtx reports whether L(a) ⊆ L(b) on the route the size of
+// b picks: the antichain kernel from autoAntichainMin states, the
+// classic subset construction (IncludedCtx) below. Both return the same
+// verdict and a counterexample of the same length.
+func IncludedKernelCtx(ctx context.Context, a, b *NFA) (bool, word.Word, error) {
+	if ResolveKernel(b) == "antichain" {
 		return IncludedAntichainCtx(ctx, a, b)
 	}
 	return IncludedCtx(ctx, a, b)
@@ -68,6 +63,12 @@ func IncludedAntichain(a, b *NFA) (bool, word.Word) {
 // IncludedCtx (same verdict, same counterexample length) is pinned by
 // the differential tests and the fuzz target.
 func IncludedAntichainCtx(ctx context.Context, a, b *NFA) (bool, word.Word, error) {
+	return includedAntichain(ctx, a, b, simulationCap)
+}
+
+// includedAntichain is IncludedAntichainCtx with the simulation-seeding
+// cap as a parameter; cap 0 disables seeding.
+func includedAntichain(ctx context.Context, a, b *NFA, cap int) (bool, word.Word, error) {
 	ae := a.epsFree()
 	be := b.epsFree()
 	nb := be.NumStates()
@@ -90,7 +91,7 @@ func IncludedAntichainCtx(ctx context.Context, a, b *NFA) (bool, word.Word, erro
 		}
 	}
 
-	simBelow, cross := inclusionPreorder(ae, be, kernel.SimulationCapFromContext(ctx))
+	simBelow, cross := inclusionPreorder(ae, be, cap)
 
 	in := newSetInterner(nb)
 	scratch := newStateBits(nb)
@@ -221,16 +222,16 @@ func IncludedAntichainCtx(ctx context.Context, a, b *NFA) (bool, word.Word, erro
 }
 
 // Universal reports whether L(a) = Σ*, with a shortest rejected word as
-// counterexample, dispatching over the process-default kernel choice.
+// counterexample, on the route the size of a picks.
 func Universal(a *NFA) (bool, word.Word) {
-	ok, w, _ := UniversalKernelCtx(nil, kernel.Default(), a)
+	ok, w, _ := UniversalKernelCtx(nil, a)
 	return ok, w
 }
 
-// UniversalKernelCtx is universality dispatched over the kernel choice,
+// UniversalKernelCtx is universality on the route the size of a picks,
 // like IncludedKernelCtx.
-func UniversalKernelCtx(ctx context.Context, k kernel.Kind, a *NFA) (bool, word.Word, error) {
-	if ResolveKernel(k, a) == kernel.Antichain {
+func UniversalKernelCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
+	if ResolveKernel(a) == "antichain" {
 		return UniversalAntichainCtx(ctx, a)
 	}
 	return UniversalSubsetCtx(ctx, a)
@@ -319,6 +320,12 @@ func UniversalSubsetCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
 // in IncludedAntichainCtx with the trivial Σ* left component elided.
 // Verdicts and counterexample lengths match the subset route.
 func UniversalAntichainCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
+	return universalAntichain(ctx, a, simulationCap)
+}
+
+// universalAntichain is UniversalAntichainCtx with the simulation-seeding
+// cap as a parameter; cap 0 disables seeding.
+func universalAntichain(ctx context.Context, a *NFA, cap int) (bool, word.Word, error) {
 	ae := a.epsFree()
 	nb := ae.NumStates()
 	if nb == 0 {
@@ -334,7 +341,7 @@ func UniversalAntichainCtx(ctx context.Context, a *NFA) (bool, word.Word, error)
 		}
 	}
 
-	simBelow := simBelowOf(ae, kernel.SimulationCapFromContext(ctx))
+	simBelow := simBelowOf(ae, cap)
 
 	in := newSetInterner(nb)
 	scratch := newStateBits(nb)

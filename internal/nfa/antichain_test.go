@@ -15,7 +15,6 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/genbase"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
 )
 
@@ -234,26 +233,20 @@ func TestDirectSimulationImpliesInclusion(t *testing.T) {
 	}
 }
 
+// TestResolveKernelThreshold pins the size dispatch: the antichain
+// route from autoAntichainMin = 16 right-hand states, subset below.
 func TestResolveKernelThreshold(t *testing.T) {
 	ab := genbase.Letters(2)
-	small := nfa.New(ab)
-	for i := 0; i < 4; i++ {
-		small.AddState(true)
-	}
-	big := nfa.New(ab)
-	for i := 0; i < 64; i++ {
-		big.AddState(true)
-	}
-	if got := nfa.ResolveKernel(kernel.Auto, small); got != kernel.Subset {
-		t.Fatalf("Auto on small rhs = %v, want Subset", got)
-	}
-	if got := nfa.ResolveKernel(kernel.Auto, big); got != kernel.Antichain {
-		t.Fatalf("Auto on big rhs = %v, want Antichain", got)
-	}
-	if got := nfa.ResolveKernel(kernel.Subset, big); got != kernel.Subset {
-		t.Fatalf("explicit Subset did not pass through: %v", got)
-	}
-	if got := nfa.ResolveKernel(kernel.Antichain, small); got != kernel.Antichain {
-		t.Fatalf("explicit Antichain did not pass through: %v", got)
+	for _, tc := range []struct {
+		states int
+		want   string
+	}{{4, "subset"}, {15, "subset"}, {16, "antichain"}, {64, "antichain"}} {
+		b := nfa.New(ab)
+		for i := 0; i < tc.states; i++ {
+			b.AddState(true)
+		}
+		if got := nfa.ResolveKernel(b); got != tc.want {
+			t.Fatalf("%d-state rhs routes to %s, want %s", tc.states, got, tc.want)
+		}
 	}
 }

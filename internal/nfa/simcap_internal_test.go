@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"relive/internal/alphabet"
-	"relive/internal/kernel"
 )
 
 // chainNFA builds a small deterministic chain over {a} accepting a^n,
@@ -51,27 +50,5 @@ func TestSimulationCapGatesSeeding(t *testing.T) {
 	}
 	if sb := simBelowOf(be, upairs); sb == nil {
 		t.Fatalf("cap %d (exactly the pair space) skipped the preorder", upairs)
-	}
-}
-
-// TestSimulationCapResolution pins the process-default / context
-// override layering: unset means DefaultSimulationCap, SetSimulationCap
-// rebinds the default (including to 0), and WithSimulationCap shadows
-// whatever the default is.
-func TestSimulationCapResolution(t *testing.T) {
-	if got := kernel.SimulationCapFromContext(nil); got != kernel.DefaultSimulationCap {
-		t.Fatalf("unset cap = %d, want DefaultSimulationCap %d", got, kernel.DefaultSimulationCap)
-	}
-	kernel.SetSimulationCap(0)
-	defer kernel.SetSimulationCap(kernel.DefaultSimulationCap)
-	if got := kernel.SimulationCapFromContext(nil); got != 0 {
-		t.Fatalf("cap after SetSimulationCap(0) = %d, want 0", got)
-	}
-	ctx := kernel.WithSimulationCap(nil, 99)
-	if got := kernel.SimulationCapFromContext(ctx); got != 99 {
-		t.Fatalf("context cap = %d, want 99", got)
-	}
-	if got := kernel.SimulationCapFromContext(kernel.WithSimulationCap(ctx, -5)); got != 0 {
-		t.Fatalf("negative context cap = %d, want 0", got)
 	}
 }

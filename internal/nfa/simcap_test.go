@@ -3,7 +3,7 @@
 // verdicts and counterexample lengths must match both the fully-seeded
 // antichain route and the classic subset route on every input. The
 // seeding is a pure pruning aid; this pins that turning it off is
-// always safe (the -sim-cap escape hatch).
+// always safe.
 package nfa_test
 
 import (
@@ -11,14 +11,12 @@ import (
 	"testing"
 
 	"relive/internal/genbase"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
 )
 
 func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	unseeded := kernel.WithSimulationCap(nil, 0)
-	seeded := kernel.WithSimulationCap(nil, 1<<20)
+	const unseeded, seeded = 0, 1 << 20
 	shapes := []genbase.Config{
 		{States: 6, Symbols: 2, Density: 0.5, AcceptRatio: 0.4},
 		{States: 12, Symbols: 3, Density: 0.4, AcceptRatio: 0.3},
@@ -31,11 +29,11 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 		b := genbase.NFA(rng, cfg, ab)
 
 		okRef, wRef := nfa.Included(a, b)
-		ok0, w0, err := nfa.IncludedAntichainCtx(unseeded, a, b)
+		ok0, w0, err := nfa.IncludedAntichainCap(nil, a, b, unseeded)
 		if err != nil {
 			t.Fatal(err)
 		}
-		okS, wS, err := nfa.IncludedAntichainCtx(seeded, a, b)
+		okS, wS, err := nfa.IncludedAntichainCap(nil, a, b, seeded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +53,7 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u0, uw0, err := nfa.UniversalAntichainCtx(unseeded, a)
+		u0, uw0, err := nfa.UniversalAntichainCap(nil, a, unseeded)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,20 +9,18 @@ import "relive/internal/alphabet"
 // set inclusion to inclusion up to simulation and lets the search drop
 // pairs whose left state is simulated by a right state outright.
 
-// The pair space of the simulation fixpoints seeding the antichain
-// kernels is bounded by a cap (kernel.DefaultSimulationCap by default,
-// configurable via kernel.SetSimulationCap / kernel.WithSimulationCap
-// and the CLIs' -sim-cap flag). Larger inputs skip the preorder and
+// simulationCap bounds the pair space of the simulation fixpoints
+// seeding the antichain kernels. Larger inputs skip the preorder and
 // fall back to the identity (plain ⊆ subsumption), which keeps the
-// seeding cost negligible next to the search it accelerates. The
-// default is deliberately small: the fixpoint costs pairs × edges ×
-// rounds, and on mid-size non-adversarial operands (where the subset
-// search is already cheap) a preorder over ~10⁴ pairs costs more than
-// the whole search it would prune — the antichain's ⊆-minimality
-// carries the asymptotic win on its own. A cap of 0 disables seeding
-// entirely; verdicts and counterexample lengths are identical either
-// way (the preorder only widens subsumption, it never changes what the
-// search can find).
+// seeding cost negligible next to the search it accelerates. The cap is
+// deliberately small: the fixpoint costs pairs × edges × rounds, and on
+// mid-size non-adversarial operands (where the subset search is already
+// cheap) a preorder over ~10⁴ pairs costs more than the whole search it
+// would prune — the antichain's ⊆-minimality carries the asymptotic win
+// on its own. Verdicts and counterexample lengths are identical at any
+// cap, 0 (no seeding) included: the preorder only widens subsumption,
+// it never changes what the search can find.
+const simulationCap = 1 << 12
 
 // DirectSimulation computes the direct simulation preorder on the
 // automaton's states as a greatest fixpoint: sim[p][q] means q

@@ -40,8 +40,8 @@ func (t *teeRecorder) SpanStartAt(name string, parent SpanID) SpanID {
 	return t.spans.SpanStart(name)
 }
 
-func (t *teeRecorder) SpanEnd(id SpanID)                  { t.spans.SpanEnd(id) }
-func (t *teeRecorder) SpanTag(id SpanID, k, v string)     { t.spans.SpanTag(id, k, v) }
+func (t *teeRecorder) SpanEnd(id SpanID)                    { t.spans.SpanEnd(id) }
+func (t *teeRecorder) SpanTag(id SpanID, k, v string)       { t.spans.SpanTag(id, k, v) }
 func (t *teeRecorder) SpanInt(id SpanID, k string, v int64) { t.spans.SpanInt(id, k, v) }
 
 func (t *teeRecorder) Count(name string, delta int64) {

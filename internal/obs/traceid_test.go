@@ -27,10 +27,10 @@ func TestValidTraceID(t *testing.T) {
 		ok bool
 	}{
 		{valid, true},
-		{strings.ToUpper(valid), false},              // w3c mandates lowercase
-		{strings.Repeat("0", 32), false},             // all-zero is invalid
-		{valid[:31], false},                          // wrong length
-		{valid[:31] + "g", false},                    // non-hex
+		{strings.ToUpper(valid), false},  // w3c mandates lowercase
+		{strings.Repeat("0", 32), false}, // all-zero is invalid
+		{valid[:31], false},              // wrong length
+		{valid[:31] + "g", false},        // non-hex
 		{"", false},
 	} {
 		if got := ValidTraceID(tc.id); got != tc.ok {

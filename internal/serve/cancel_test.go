@@ -405,8 +405,8 @@ func TestServiceLoad(t *testing.T) {
 	metricsText := mbuf.String()
 	for _, want := range []string{
 		`relive_serve_request_seconds_bucket{endpoint="all",le="`,
-		`relive_check_phase_seconds_bucket{phase="trim",kernel="auto",le="`,
-		`relive_check_phase_seconds_bucket{phase="emptiness",kernel="auto",le="`,
+		`relive_check_phase_seconds_bucket{phase="trim",le="`,
+		`relive_check_phase_seconds_bucket{phase="emptiness",le="`,
 		`relive_serve_cache_path_seconds_bucket{path="report-hit",le="`,
 		`relive_serve_queue_wait_seconds_count`,
 	} {

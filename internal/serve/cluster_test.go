@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,27 +39,32 @@ type cluster struct {
 	rs       *httptest.Server
 }
 
-// startBackend boots one rlserve replica over the shared store dir.
-func startBackend(t *testing.T, dir string) *clusterBackend {
+// startBackend boots one rlserve replica over the shared store dir; a
+// non-nil wrap wraps its handler.
+func startBackend(t *testing.T, dir string, wrap func(http.Handler) http.Handler) *clusterBackend {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := serve.New(serve.Config{Store: st})
-	hs := httptest.NewServer(s.Handler())
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := httptest.NewServer(h)
 	t.Cleanup(hs.Close)
 	return &clusterBackend{s: s, hs: hs}
 }
 
 // startCluster boots n replicas over one store dir plus a router with a
-// fast health probe, and waits until the router sees every backend.
-func startCluster(t *testing.T, n int) *cluster {
+// fast health probe; a non-nil wrap wraps every backend's handler.
+func startCluster(t *testing.T, n int, wrap func(http.Handler) http.Handler) *cluster {
 	t.Helper()
 	c := &cluster{dir: t.TempDir()}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		b := startBackend(t, c.dir)
+		b := startBackend(t, c.dir, wrap)
 		c.backends = append(c.backends, b)
 		urls[i] = b.hs.URL
 	}
@@ -167,7 +173,7 @@ func clusterBattery() []struct {
 // produce byte-identical bodies — the router's core contract.
 func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 	_, single := newTestServer(t, serve.Config{})
-	c := startCluster(t, 3)
+	c := startCluster(t, 3, nil)
 
 	for i, req := range clusterBattery() {
 		wantStatus, _, wantBody := postFull(t, single.URL+"/v1/check/"+req.endpoint, req.body)
@@ -205,14 +211,33 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 // through the router collapse into ONE backend check; everyone shares
 // the same bytes.
 func TestClusterCoalescing(t *testing.T) {
-	c := startCluster(t, 3)
+	const n = 120
+	// The backends hold every check until all n callers have joined the
+	// router's flight cell, so the leader's proxy cannot finish (and a
+	// late caller start a second one) before the last caller keys its
+	// request.
+	gate := make(chan struct{})
+	c := startCluster(t, 3, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/check/") {
+				<-gate
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	go func() {
+		defer close(gate)
+		deadline := time.Now().Add(10 * time.Second)
+		for c.router.FlightWaiters() < n && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	req := serve.CheckRequest{System: bigSystemText(2500), LTL: slowLTL}
 	data, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const n = 120
 	type result struct {
 		status    int
 		coalesced bool
@@ -277,7 +302,7 @@ func TestClusterCoalescing(t *testing.T) {
 // straight from the shared store; restart the backend on the same port
 // and it rejoins warm.
 func TestClusterFailoverAndWarmStore(t *testing.T) {
-	c := startCluster(t, 3)
+	c := startCluster(t, 3, nil)
 	battery := clusterBattery()
 
 	type answer struct {
@@ -518,7 +543,7 @@ func TestClusterStoreCorruptionRecomputes(t *testing.T) {
 // TestRouterHealthzAndMetrics: the router's own observability surface
 // reflects the cluster.
 func TestRouterHealthzAndMetrics(t *testing.T) {
-	c := startCluster(t, 3)
+	c := startCluster(t, 3, nil)
 	_, _, _ = postFull(t, c.rs.URL+"/v1/check/all", serve.CheckRequest{System: serverText, LTL: "G F result"})
 
 	resp, err := http.Get(c.rs.URL + "/healthz")

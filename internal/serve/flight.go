@@ -18,7 +18,6 @@ type CheckRecord struct {
 	Verdict     string           `json:"verdict"`        // ok|cancelled|timeout|error|shed|draining|bad_request
 	Status      int              `json:"status"`
 	CachePath   string           `json:"cache_path,omitempty"` // report-hit|pipeline-hit|miss
-	Kernel      string           `json:"kernel,omitempty"`     // auto|subset|antichain
 	StartUnixNS int64            `json:"start_unix_ns"`
 	DurationNS  int64            `json:"duration_ns"`
 	QueueWaitNS int64            `json:"queue_wait_ns,omitempty"`

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"relive/internal/core"
-	"relive/internal/kernel"
 	"relive/internal/obs"
 	"relive/internal/serve/cache"
 	"relive/internal/store"
@@ -22,7 +21,7 @@ import (
 // Observe is a no-op.
 type serverMetrics struct {
 	endpoint  map[string]*obs.Histogram // full request latency, ns
-	phase     map[string]*obs.Histogram // pipeline phase duration, ns, keyed "phase|kernel"
+	phase     map[string]*obs.Histogram // pipeline phase duration, ns
 	cachePath map[string]*obs.Histogram // request latency by cache path, ns
 	queueWait *obs.Histogram            // admission queue wait, ns
 	storeRead *obs.Histogram            // persistent-store report probe, ns
@@ -30,17 +29,10 @@ type serverMetrics struct {
 
 var cachePathLabels = []string{cachePathReportHit, cachePathStoreHit, cachePathPipelineHit, cachePathMiss}
 
-// kernelLabels are the decision-procedure kernels a check can run on;
-// the phase histograms are split by the kernel in effect so a -kernel
-// rollout (or bisection) can be compared phase by phase on one server.
-var kernelLabels = []string{
-	kernel.Auto.String(), kernel.Subset.String(), kernel.Antichain.String(),
-}
-
 func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
 		endpoint:  make(map[string]*obs.Histogram),
-		phase:     make(map[string]*obs.Histogram, len(core.Phases)*len(kernelLabels)),
+		phase:     make(map[string]*obs.Histogram, len(core.Phases)),
 		cachePath: make(map[string]*obs.Histogram, len(cachePathLabels)),
 		queueWait: &obs.Histogram{},
 		storeRead: &obs.Histogram{},
@@ -52,9 +44,7 @@ func newServerMetrics() *serverMetrics {
 		m.endpoint[e] = &obs.Histogram{}
 	}
 	for _, p := range core.Phases {
-		for _, k := range kernelLabels {
-			m.phase[p+"|"+k] = &obs.Histogram{}
-		}
+		m.phase[p] = &obs.Histogram{}
 	}
 	for _, c := range cachePathLabels {
 		m.cachePath[c] = &obs.Histogram{}
@@ -87,7 +77,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	writeHistogramFamily(&b, "relive_serve_request_seconds", "endpoint", s.metrics.endpoint)
-	writePhaseHistograms(&b, s.metrics.phase)
+	writeHistogramFamily(&b, "relive_check_phase_seconds", "phase", s.metrics.phase)
 	writeHistogramFamily(&b, "relive_serve_cache_path_seconds", "path", s.metrics.cachePath)
 	fmt.Fprintf(&b, "# TYPE relive_serve_queue_wait_seconds histogram\n")
 	writeHistogramSeries(&b, "relive_serve_queue_wait_seconds", "", s.metrics.queueWait.Snapshot())
@@ -119,17 +109,6 @@ func writeHistogramFamily(b *strings.Builder, name, labelKey string, series map[
 	fmt.Fprintf(b, "# TYPE %s histogram\n", name)
 	for _, label := range sortedKeys(series) {
 		writeHistogramSeries(b, name, fmt.Sprintf("%s=%q", labelKey, label), series[label].Snapshot())
-	}
-}
-
-// writePhaseHistograms renders the phase-duration family, splitting the
-// internal "phase|kernel" keys into two Prometheus labels.
-func writePhaseHistograms(b *strings.Builder, series map[string]*obs.Histogram) {
-	fmt.Fprintf(b, "# TYPE relive_check_phase_seconds histogram\n")
-	for _, key := range sortedKeys(series) {
-		phase, kern, _ := strings.Cut(key, "|")
-		labels := fmt.Sprintf("phase=%q,kernel=%q", phase, kern)
-		writeHistogramSeries(b, "relive_check_phase_seconds", labels, series[key].Snapshot())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"relive/internal/core"
-	"relive/internal/kernel"
 	"relive/internal/obs"
 )
 
@@ -31,7 +30,6 @@ type reqInfo struct {
 	rec      obs.Recorder // tee of trace + server metrics, or the metrics trace alone
 
 	queueWait time.Duration
-	kern      string // kernel in effect for the request: auto | subset | antichain
 	cachePath string // report-hit | pipeline-hit | miss
 	verdict   string // ok | cancelled | timeout | error | shed | draining | bad_request
 	hash      string // structural report key
@@ -68,7 +66,6 @@ func (s *Server) traced(endpoint string, check bool, h http.HandlerFunc) http.Ha
 			check:    check,
 			start:    time.Now(),
 			rec:      s.tr,
-			kern:     kernel.Default().String(),
 		}
 		tid, ok := obs.ParseTraceparent(r.Header.Get(TraceHeader))
 		if !ok {
@@ -103,7 +100,6 @@ func (s *Server) traced(endpoint string, check bool, h http.HandlerFunc) http.Ha
 				Verdict:     ri.verdict,
 				Status:      ri.status,
 				CachePath:   ri.cachePath,
-				Kernel:      ri.kern,
 				StartUnixNS: ri.start.UnixNano(),
 				DurationNS:  dur.Nanoseconds(),
 				QueueWaitNS: ri.queueWait.Nanoseconds(),
@@ -144,7 +140,7 @@ func (s *Server) observeRequest(ri *reqInfo, dur time.Duration, phases map[strin
 		s.metrics.cachePath[ri.cachePath].Observe(dur.Nanoseconds())
 	}
 	for phase, ns := range phases {
-		s.metrics.phase[phase+"|"+ri.kern].Observe(ns)
+		s.metrics.phase[phase].Observe(ns)
 	}
 }
 

@@ -55,8 +55,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestCorruptArtifactsReadAsMisses(t *testing.T) {
 	payload := []byte("a perfectly fine artifact payload")
 	corruptions := []struct {
-		name    string
-		mutate  func([]byte) []byte
+		name   string
+		mutate func([]byte) []byte
 	}{
 		{"empty file", func(b []byte) []byte { return nil }},
 		{"short header", func(b []byte) []byte { return b[:headerSize-3] }},

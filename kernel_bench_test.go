@@ -1,14 +1,15 @@
 package relive_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
 	"relive/internal/genbase"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
+	"relive/internal/word"
 )
 
 // Adversarial benchmark families for the inclusion/universality
@@ -20,9 +21,10 @@ import (
 // nondeterministic right-hand side that requires at least one b: the
 // eager route builds the whole rank-based complement up front, the lazy
 // route finds the a^ω counterexample after touching a handful of
-// complement configurations. Each benchmark runs as /kernel=subset and
-// /kernel=antichain sub-benchmarks over the same instance, so the
-// BENCH_*.json files record the head-to-head on identical inputs.
+// complement configurations. Each benchmark calls both routes directly
+// as /kernel=subset and /kernel=antichain sub-benchmarks over the same
+// instance, so the BENCH_*.json files record the head-to-head on
+// identical inputs.
 
 // kthFromEndNFA accepts words over ab whose k-th symbol from the end is
 // sym: a k+1 state chain behind a guessing self-loop.
@@ -111,17 +113,36 @@ func aOmega(ab *alphabet.Alphabet) *buchi.Buchi {
 	return a
 }
 
-var kernelKinds = []kernel.Kind{kernel.Subset, kernel.Antichain}
+// The routes each family pits against each other, under the kernel
+// names of the sub-benchmark labels: the classic subset (or eager
+// complement) route and the antichain (or lazy rank) route.
+var (
+	universalRoutes = []struct {
+		kernel string
+		run    func(context.Context, *nfa.NFA) (bool, word.Word, error)
+	}{{"subset", nfa.UniversalSubsetCtx}, {"antichain", nfa.UniversalAntichainCtx}}
+	inclusionRoutes = []struct {
+		kernel string
+		run    func(context.Context, *nfa.NFA, *nfa.NFA) (bool, word.Word, error)
+	}{{"subset", nfa.IncludedCtx}, {"antichain", nfa.IncludedAntichainCtx}}
+	buchiInclusionRoutes = []struct {
+		kernel string
+		run    func(context.Context, *buchi.Buchi, *buchi.Buchi) (bool, word.Lasso, error)
+	}{
+		{"subset", func(_ context.Context, a, c *buchi.Buchi) (bool, word.Lasso, error) { return buchi.Included(a, c) }},
+		{"antichain", buchi.IncludedRankCtx},
+	}
+)
 
 func BenchmarkKthFromEndUniversality(b *testing.B) {
 	ab := genbase.Letters(2)
 	for _, k := range []int{8, 12, 16} {
 		trap := kthTrapNFA(ab, k)
-		for _, kind := range kernelKinds {
-			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, kind), func(b *testing.B) {
+		for _, route := range universalRoutes {
+			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, route.kernel), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ok, _, err := nfa.UniversalKernelCtx(nil, kind, trap)
+					ok, _, err := route.run(nil, trap)
 					if err != nil || !ok {
 						b.Fatalf("universal=%v err=%v", ok, err)
 					}
@@ -136,11 +157,11 @@ func BenchmarkKthFromEndInclusion(b *testing.B) {
 	for _, k := range []int{8, 12, 16} {
 		left := kthFromEndNFA(ab, k, ab.Symbols()[0])
 		trap := kthTrapNFA(ab, k)
-		for _, kind := range kernelKinds {
-			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, kind), func(b *testing.B) {
+		for _, route := range inclusionRoutes {
+			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, route.kernel), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ok, _, err := nfa.IncludedKernelCtx(nil, kind, left, trap)
+					ok, _, err := route.run(nil, left, trap)
 					if err != nil || !ok {
 						b.Fatalf("included=%v err=%v", ok, err)
 					}
@@ -155,11 +176,11 @@ func BenchmarkLazyRankInclusion(b *testing.B) {
 	for _, n := range []int{2, 3} {
 		left := aOmega(ab)
 		right := needsBBuchi(ab, n)
-		for _, kind := range kernelKinds {
-			b.Run(fmt.Sprintf("n=%d/kernel=%s", n, kind), func(b *testing.B) {
+		for _, route := range buchiInclusionRoutes {
+			b.Run(fmt.Sprintf("n=%d/kernel=%s", n, route.kernel), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ok, l, err := buchi.IncludedKernelCtx(nil, kind, left, right)
+					ok, l, err := route.run(nil, left, right)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -172,8 +193,8 @@ func BenchmarkLazyRankInclusion(b *testing.B) {
 	}
 }
 
-// TestKernelAgreementAdversarial is the dual-kernel gate CI runs on the
-// adversarial corpus: both kernels must return the same verdict on
+// TestKernelAgreementAdversarial is the dual-route gate CI runs on the
+// adversarial corpus: both routes must return the same verdict on
 // every instance, and every counterexample must be a genuine member of
 // the witness language. Benchmarks measure; this fails the build on
 // divergence.
@@ -190,11 +211,11 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 				n = trap.Clone()
 				n.SetAccepting(nfa.State(n.NumStates()-1), false)
 			}
-			uniS, wS, err := nfa.UniversalKernelCtx(nil, kernel.Subset, n)
+			uniS, wS, err := nfa.UniversalSubsetCtx(nil, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			uniA, wA, err := nfa.UniversalKernelCtx(nil, kernel.Antichain, n)
+			uniA, wA, err := nfa.UniversalAntichainCtx(nil, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,11 +228,11 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 		}
 		// Inclusion left ⊆ trap (holds) and trap ⊆ left (fails).
 		for _, pair := range [][2]*nfa.NFA{{left, trap}, {trap, left}} {
-			okS, wS, err := nfa.IncludedKernelCtx(nil, kernel.Subset, pair[0], pair[1])
+			okS, wS, err := nfa.IncludedCtx(nil, pair[0], pair[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			okA, wA, err := nfa.IncludedKernelCtx(nil, kernel.Antichain, pair[0], pair[1])
+			okA, wA, err := nfa.IncludedAntichainCtx(nil, pair[0], pair[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,8 +252,8 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		left := aOmega(ab)
 		right := needsBBuchi(ab, n)
-		okE, lE, errE := buchi.IncludedKernelCtx(nil, kernel.Subset, left, right)
-		okL, lL, errL := buchi.IncludedKernelCtx(nil, kernel.Antichain, left, right)
+		okE, lE, errE := buchi.Included(left, right)
+		okL, lL, errL := buchi.IncludedRankCtx(nil, left, right)
 		if (errE == nil) != (errL == nil) {
 			t.Fatalf("n=%d: error divergence: eager %v, lazy %v", n, errE, errL)
 		}

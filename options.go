@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"relive/internal/core"
-	"relive/internal/kernel"
 	"relive/internal/ltl"
 	"relive/internal/obs"
 )
@@ -37,32 +36,13 @@ func NewTrace() *Trace { return obs.NewTrace() }
 // ReadTraceJSON parses a dump written by (*Trace).WriteJSON.
 func ReadTraceJSON(r io.Reader) (TraceDump, error) { return obs.ReadJSON(r) }
 
-// KernelKind selects which decision-procedure kernel the inclusion and
-// universality checks inside a Checker run on; see WithKernel.
-type KernelKind = kernel.Kind
-
-// The kernel choices. KernelAuto picks per call site by input size and
-// is the default; KernelSubset forces the classic eagerly-materialized
-// routes; KernelAntichain forces the antichain/lazy routes. Verdicts
-// and witnesses are identical across kernels — only the work to reach
-// them differs.
-const (
-	KernelAuto      = kernel.Auto
-	KernelSubset    = kernel.Subset
-	KernelAntichain = kernel.Antichain
-)
-
 // Checker runs the decision procedures with options attached — a
-// Recorder, a parallelism degree, and a kernel choice; the zero value
-// (or With() with no options) behaves exactly like the package-level
-// functions.
+// Recorder, a parallelism degree, and the statistical engine's
+// settings; the zero value (or With() with no options) behaves exactly
+// like the package-level functions.
 type Checker struct {
-	rec       Recorder
-	par       int
-	kern      kernel.Kind
-	kernSet   bool
-	simCap    int
-	simCapSet bool
+	rec Recorder
+	par int
 
 	// Statistical engine options (see statistical.go).
 	statSeed    int64
@@ -100,39 +80,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithKernel scopes a kernel choice to the returned Checker: every
-// inclusion, universality, and pre(L∩P) construction run through it
-// uses the chosen kernel, overriding the process-wide default set by
-// the CLIs' -kernel flag. KernelSubset is the escape hatch for
-// bisecting a suspected antichain-kernel fault; verdicts and witnesses
-// are identical either way (the antichain kernels are differ-checked
-// against the subset routes, see docs/PERFORMANCE.md).
-func WithKernel(k KernelKind) Option {
-	return func(c *Checker) {
-		c.kern = k
-		c.kernSet = true
-	}
-}
-
-// WithSimulationCap scopes the antichain kernels' simulation-seeding
-// cap to the returned Checker: the maximum simulation-pair space
-// (|b|² + |a|·|b| for an inclusion a ⊆ b) the kernels may spend
-// computing the simulation preorder that widens antichain subsumption.
-// Inputs over the cap — and every input when n is 0 — skip the preorder
-// and prune by plain ⊆ alone. Verdicts and witnesses are identical at
-// any cap (the preorder only removes redundant work, never answers);
-// the cap trades seeding cost against search pruning. The process-wide
-// default is kernel.DefaultSimulationCap (see the CLIs' -sim-cap flag).
-func WithSimulationCap(n int) Option {
-	return func(c *Checker) {
-		if n < 0 {
-			n = 0
-		}
-		c.simCap = n
-		c.simCapSet = true
-	}
-}
-
 // With returns a Checker carrying the given options. Existing
 // package-level entry points are unchanged; this is the additive way to
 // attach observability:
@@ -154,21 +101,6 @@ func (c *Checker) Recorder() Recorder { return c.rec }
 // Parallelism returns the configured parallelism degree (0 = serial).
 func (c *Checker) Parallelism() int { return c.par }
 
-// kernelCtx returns ctx carrying the Checker's kernel and
-// simulation-cap overrides, or ctx unchanged when neither option was
-// given (so checks fall back to the process-wide defaults). A nil ctx
-// with an override becomes a background context; without one it stays
-// nil (the uncancellable serial path).
-func (c *Checker) kernelCtx(ctx context.Context) context.Context {
-	if c.kernSet {
-		ctx = kernel.NewContext(ctx, c.kern)
-	}
-	if c.simCapSet {
-		ctx = kernel.WithSimulationCap(ctx, c.simCap)
-	}
-	return ctx
-}
-
 // CheckRelativeLiveness is the package-level CheckRelativeLiveness with
 // the Checker's options applied.
 func (c *Checker) CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult, error) {
@@ -177,9 +109,6 @@ func (c *Checker) CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult
 
 // CheckRelativeLivenessProperty is CheckRelativeLiveness for a Property.
 func (c *Checker) CheckRelativeLivenessProperty(sys *System, p Property) (LivenessResult, error) {
-	if c.kernSet || c.simCapSet {
-		return core.RelativeLivenessCtx(c.kernelCtx(nil), c.rec, sys, p)
-	}
 	return core.RelativeLivenessRec(c.rec, sys, p)
 }
 
@@ -191,9 +120,6 @@ func (c *Checker) CheckRelativeSafety(sys *System, f *Formula) (SafetyResult, er
 
 // CheckRelativeSafetyProperty is CheckRelativeSafety for a Property.
 func (c *Checker) CheckRelativeSafetyProperty(sys *System, p Property) (SafetyResult, error) {
-	if c.kernSet || c.simCapSet {
-		return core.RelativeSafetyCtx(c.kernelCtx(nil), c.rec, sys, p)
-	}
 	return core.RelativeSafetyRec(c.rec, sys, p)
 }
 
@@ -205,9 +131,6 @@ func (c *Checker) CheckSatisfies(sys *System, f *Formula) (SatisfactionResult, e
 
 // CheckSatisfiesProperty is CheckSatisfies for a Property.
 func (c *Checker) CheckSatisfiesProperty(sys *System, p Property) (SatisfactionResult, error) {
-	if c.kernSet || c.simCapSet {
-		return core.SatisfiesCtx(c.kernelCtx(nil), c.rec, sys, p)
-	}
 	return core.SatisfiesRec(c.rec, sys, p)
 }
 
@@ -218,12 +141,11 @@ func (c *Checker) CheckAll(sys *System, f *Formula) (*Report, error) {
 	return c.CheckAllProperty(sys, core.FromFormula(f, nil))
 }
 
-// CheckAllProperty is CheckAll for a Property.
+// CheckAllProperty is CheckAll for a Property: CheckAllPropertyCtx
+// under context.Background(), so WithStatisticalFallback applies here
+// too.
 func (c *Checker) CheckAllProperty(sys *System, p Property) (*Report, error) {
-	if c.kernSet || c.simCapSet {
-		return core.CheckAllCtx(c.kernelCtx(nil), c.rec, sys, p, c.par)
-	}
-	return core.CheckAllParRec(c.rec, sys, p, c.par)
+	return c.CheckAllPropertyCtx(context.Background(), sys, p)
 }
 
 // CheckPropertyPortfolio runs CheckAll for every property against sys
@@ -233,9 +155,6 @@ func (c *Checker) CheckAllProperty(sys *System, p Property) (*Report, error) {
 // reports come back in props order with verdicts and witnesses
 // identical to checking each property serially.
 func (c *Checker) CheckPropertyPortfolio(sys *System, props []Property) ([]*Report, error) {
-	if c.kernSet || c.simCapSet {
-		return core.CheckPortfolioCtx(c.kernelCtx(nil), c.rec, sys, props, c.portfolioWorkers())
-	}
 	return core.CheckPortfolioRec(c.rec, sys, props, c.portfolioWorkers())
 }
 
@@ -244,9 +163,6 @@ func (c *Checker) CheckPropertyPortfolio(sys *System, props []Property) ([]*Repo
 // sharing an alphabet share the property automaton and its negation.
 // Reports come back in systems order, identical to the serial results.
 func (c *Checker) CheckSystemsPortfolio(systems []*System, p Property) ([]*Report, error) {
-	if c.kernSet || c.simCapSet {
-		return core.CheckSystemsPortfolioCtx(c.kernelCtx(nil), c.rec, systems, p, c.portfolioWorkers())
-	}
 	return core.CheckSystemsPortfolioRec(c.rec, systems, p, c.portfolioWorkers())
 }
 
@@ -280,12 +196,8 @@ func (c *Checker) VerifyViaAbstraction(sys *System, h *Hom, eta *Formula) (*Abst
 }
 
 // CheckFairAbstract is the package-level CheckFairAbstract with the
-// Checker's options applied. The verdict and report are identical under
-// every kernel choice.
+// Checker's options applied.
 func (c *Checker) CheckFairAbstract(sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
 	p := core.FromFormula(eta, ltl.Canonical(h.Dest()))
-	if c.kernSet || c.simCapSet {
-		return core.CheckFairAbstractCtx(c.kernelCtx(nil), c.rec, sys, h, kind, p)
-	}
 	return core.CheckFairAbstractRec(c.rec, sys, h, kind, p)
 }

@@ -2,8 +2,13 @@ package relive_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"relive"
 )
@@ -92,39 +97,95 @@ func TestTraceJSONRoundTripPublic(t *testing.T) {
 	}
 }
 
-// TestWithSimulationCap: disabling the antichain kernels' simulation
-// seeding (cap 0) must not change any verdict — the preorder only
-// prunes redundant search work. Checked against the plain API on the
-// antichain kernel, where the seeding would otherwise run.
-func TestWithSimulationCap(t *testing.T) {
-	sys := observedServer(t)
-	f := relive.MustParseLTL("G F result")
+// ringSystem is an n-state cycle s0 → s1 → … → s0 whose closing edge
+// is labelled result and every other edge step.
+func ringSystem(t *testing.T, n int) *relive.System {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("init s0\n")
+	for i := 0; i < n; i++ {
+		act := "step"
+		if i == n-1 {
+			act = "result"
+		}
+		fmt.Fprintf(&b, "s%d %s s%d\n", i, act, (i+1)%n)
+	}
+	sys, err := relive.ParseSystemString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
-	plain, err := relive.CheckAll(sys, f)
+// TestStatisticalFallbackPlainCheckAll: over the state gate, the plain
+// CheckAll falls back exactly like CheckAllCtx — a sampled report with
+// the sampled verdict in all three verdict fields.
+func TestStatisticalFallbackPlainCheckAll(t *testing.T) {
+	sys := ringSystem(t, 24)
+	f := relive.MustParseLTL("G F result")
+	c := relive.With(relive.WithStatisticalFallback(4, 0))
+	rep, err := c.CheckAll(sys, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cap := range []int{0, 1, 1 << 20} {
-		rep, err := relive.With(
-			relive.WithKernel(relive.KernelAntichain),
-			relive.WithSimulationCap(cap),
-		).CheckAll(sys, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Satisfied != plain.Satisfied ||
-			rep.RelativeLiveness != plain.RelativeLiveness ||
-			rep.RelativeSafety != plain.RelativeSafety {
-			t.Errorf("cap %d: verdicts diverge: %+v vs %+v", cap, rep, plain)
-		}
+	if rep.Statistical == nil {
+		t.Fatal("CheckAll over the state gate returned an exact report")
 	}
-	// The option alone (no WithKernel) must also route through the
-	// context path and keep verdicts.
-	rep, err := relive.With(relive.WithSimulationCap(0)).CheckAll(sys, f)
+	holds := rep.Statistical.Holds
+	if rep.Satisfied != holds || rep.RelativeLiveness != holds || rep.RelativeSafety != holds {
+		t.Errorf("verdict fields %v/%v/%v, sampled verdict %v",
+			rep.Satisfied, rep.RelativeLiveness, rep.RelativeSafety, holds)
+	}
+	viaCtx, err := c.CheckAllCtx(context.Background(), sys, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Satisfied != plain.Satisfied {
-		t.Errorf("sim-cap-only checker diverges: %+v vs %+v", rep, plain)
+	got, _ := json.Marshal(rep)
+	want, _ := json.Marshal(viaCtx)
+	if !bytes.Equal(got, want) {
+		t.Errorf("CheckAll and CheckAllCtx disagree:\n%s\n%s", got, want)
+	}
+}
+
+// TestStatisticalFallbackUnderGateIsExact: under the state gate the
+// report is the exact one, unmarked.
+func TestStatisticalFallbackUnderGateIsExact(t *testing.T) {
+	sys := ringSystem(t, 24)
+	f := relive.MustParseLTL("G F result")
+	rep, err := relive.With(relive.WithStatisticalFallback(100, 0)).CheckAll(sys, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Statistical != nil {
+		t.Fatal("CheckAll under the state gate returned a sampled report")
+	}
+	exact, err := relive.CheckAll(sys, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(rep)
+	want, _ := json.Marshal(exact)
+	if !bytes.Equal(got, want) {
+		t.Errorf("fallback-enabled exact report differs from plain CheckAll:\n%s\n%s", got, want)
+	}
+}
+
+// TestStatisticalFallbackCancelledCaller: a caller context that is
+// already cancelled returns a context error on either side of the
+// state gate and never falls back to sampling.
+func TestStatisticalFallbackCancelledCaller(t *testing.T) {
+	sys := ringSystem(t, 24)
+	f := relive.MustParseLTL("G F result")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, maxStates := range []int{4, 100} {
+		c := relive.With(relive.WithStatisticalFallback(maxStates, time.Hour))
+		rep, err := c.CheckAllCtx(ctx, sys, f)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("maxStates %d: err = %v, want context.Canceled", maxStates, err)
+		}
+		if rep != nil {
+			t.Errorf("maxStates %d: cancelled check returned a report: %+v", maxStates, rep)
+		}
 	}
 }

@@ -60,15 +60,16 @@ func WithConfidence(level float64) Option {
 	return func(c *Checker) { c.statConf = level }
 }
 
-// WithStatisticalFallback makes the Checker's CheckAllCtx fall back to
-// the statistical engine instead of failing or stalling on systems too
-// big to check exactly: systems with more than maxStates states are
-// sampled directly, and when maxExact > 0 the exact check runs under
-// that time budget and a deadline overrun (with the caller's context
-// still alive) reruns statistically. A fallback report carries the
-// sampled fair verdict in all three verdict fields and marks itself
-// with a non-nil Statistical field — it is a confidence-interval
-// answer, never an exact one. maxStates <= 0 disables the state gate.
+// WithStatisticalFallback makes the Checker's CheckAll, CheckAllProperty
+// and their Ctx forms fall back to the statistical engine instead of
+// failing or stalling on systems too big to check exactly: systems with
+// more than maxStates states are sampled directly, and when maxExact > 0
+// the exact check runs under that time budget and a deadline overrun
+// (with the caller's context still alive) reruns statistically. A
+// fallback report carries the sampled fair verdict in all three verdict
+// fields and marks itself with a non-nil Statistical field — it is a
+// confidence-interval answer, never an exact one. maxStates <= 0
+// disables the state gate.
 func WithStatisticalFallback(maxStates int, maxExact time.Duration) Option {
 	return func(c *Checker) {
 		c.fbStates = maxStates
@@ -103,9 +104,6 @@ func (c *Checker) CheckStatistical(sys *System, f *Formula) (*StatisticalReport,
 
 // CheckStatisticalProperty is CheckStatistical for a Property.
 func (c *Checker) CheckStatisticalProperty(sys *System, p Property) (*StatisticalReport, error) {
-	if c.kernSet || c.simCapSet {
-		return core.CheckStatisticalCtx(c.kernelCtx(nil), c.rec, sys, p, c.statOptions())
-	}
 	return core.CheckStatisticalRec(c.rec, sys, p, c.statOptions())
 }
 
@@ -117,7 +115,7 @@ func (c *Checker) CheckStatisticalCtx(ctx context.Context, sys *System, f *Formu
 
 // CheckStatisticalPropertyCtx is CheckStatisticalCtx for a Property.
 func (c *Checker) CheckStatisticalPropertyCtx(ctx context.Context, sys *System, p Property) (*StatisticalReport, error) {
-	return core.CheckStatisticalCtx(c.kernelCtx(ctx), c.rec, sys, p, c.statOptions())
+	return core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
 }
 
 // checkAllWithFallback is CheckAllPropertyCtx under
@@ -126,7 +124,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 	if c.fbStates > 0 && sys.NumStates() > c.fbStates {
 		return c.statFallbackReport(ctx, sys, p)
 	}
-	exactCtx := c.kernelCtx(ctx)
+	exactCtx := ctx
 	var cancel context.CancelFunc
 	if c.fbTimeout > 0 {
 		if exactCtx == nil {
@@ -153,7 +151,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 // carry the sampled answer and the Statistical field holds the full
 // sampled evidence, so the report can never be mistaken for exact.
 func (c *Checker) statFallbackReport(ctx context.Context, sys *System, p Property) (*Report, error) {
-	sr, err := core.CheckStatisticalCtx(c.kernelCtx(ctx), c.rec, sys, p, c.statOptions())
+	sr, err := core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
 	if err != nil {
 		return nil, err
 	}
