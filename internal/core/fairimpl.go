@@ -54,7 +54,7 @@ func SynthesizeFairImplementationRec(rec obs.Recorder, sys *ts.System, p Propert
 			"fair implementation: %s is not a relative liveness property (bad prefix %s)",
 			p, rl.BadPrefix.String(sys.Alphabet()))
 	}
-	trimmed, behaviors, err := trimmedBehaviors(nil, rec, sys)
+	trimmed, behaviors, err := newLimitsCell(sys).get(nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("fair implementation: %w", err)
 	}

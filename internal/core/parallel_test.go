@@ -158,7 +158,7 @@ func TestParallelCheckAllSingleFlight(t *testing.T) {
 		for _, s := range tr.Spans() {
 			counts[s.Name]++
 		}
-		for _, name := range []string{"lim(L)", "P→Büchi", "¬P", "pre(L∩P)"} {
+		for _, name := range []string{"trim(L)", "lim(L)", "P→Büchi", "¬P", "pre(L∩P)"} {
 			if counts[name] != 1 {
 				t.Errorf("trial %d: span %q recorded %d times, want exactly 1", trial, name, counts[name])
 			}

@@ -29,7 +29,7 @@ var Phases = []string{PhaseTrim, PhaseProperty, PhasePre, PhaseEmptiness, PhaseS
 // durations of a trace's mapped spans measures each phase once.
 func PhaseOf(spanName string) string {
 	switch spanName {
-	case "lim(L)":
+	case "trim(L)", "lim(L)":
 		return PhaseTrim
 	case "P→Büchi", "¬P", "h⁻¹(¬P)":
 		return PhaseProperty

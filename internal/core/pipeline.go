@@ -10,35 +10,47 @@ import (
 	"relive/internal/ts"
 )
 
-// limArtifacts is the value of the limits cell: the trimmed system and
-// its behavior automaton lim(L). A nil trimmed system (with nil error)
-// is the vacuous case — sys has no infinite behavior at all.
-type limArtifacts struct {
-	trimmed   *ts.System
-	behaviors *buchi.Buchi
-}
-
-// limitsCell is the single-flight memo for the trimmed system and its
-// behavior automaton lim(L). It is shared by every pipeline checking
-// the same system, so a property portfolio trims the system and builds
-// lim(L) exactly once regardless of how many workers race into it; the
-// serving layer additionally keeps these cells in its LRU so the
-// artifacts survive across requests.
+// limitsCell is the pair of single-flight memos for the system-only
+// artifacts: the trimmed system (span "trim(L)") and its behavior
+// automaton lim(L) (span "lim(L)"), built from the trimmed system on
+// first demand. It is shared by every pipeline checking the same
+// system, so a property portfolio trims the system and builds lim(L)
+// exactly once regardless of how many workers race into it; the serving
+// layer additionally keeps these cells in its LRU so the artifacts
+// survive across requests. The statistical check reads only the trimmed
+// system and never pays for lim(L).
 type limitsCell struct {
-	sys *ts.System
-	c   cell[limArtifacts]
+	sys  *ts.System
+	trim cell[*ts.System]
+	lim  cell[*buchi.Buchi]
 }
 
 func newLimitsCell(sys *ts.System) *limitsCell {
 	return &limitsCell{sys: sys}
 }
 
-func (c *limitsCell) get(ctx context.Context, rec obs.Recorder) (*ts.System, *buchi.Buchi, error) {
-	v, err := c.c.get(ctx, func() (limArtifacts, error) {
-		trimmed, behaviors, err := trimmedBehaviors(ctx, rec, c.sys)
-		return limArtifacts{trimmed: trimmed, behaviors: behaviors}, err
+// trimmed returns the trimmed system. A nil system (with nil error) is
+// the vacuous case — sys has no infinite behavior at all.
+func (c *limitsCell) trimmed(ctx context.Context, rec obs.Recorder) (*ts.System, error) {
+	return c.trim.get(ctx, func() (*ts.System, error) {
+		return trimSystem(ctx, rec, c.sys)
 	})
-	return v.trimmed, v.behaviors, err
+}
+
+// get returns the trimmed system and its behavior automaton lim(L), or
+// two nils in the vacuous case.
+func (c *limitsCell) get(ctx context.Context, rec obs.Recorder) (*ts.System, *buchi.Buchi, error) {
+	trimmed, err := c.trimmed(ctx, rec)
+	if err != nil || trimmed == nil {
+		return nil, nil, err
+	}
+	behaviors, err := c.lim.get(ctx, func() (*buchi.Buchi, error) {
+		return behaviorsOf(rec, trimmed)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return trimmed, behaviors, nil
 }
 
 // propCell is the single-flight memo for the property automaton P and

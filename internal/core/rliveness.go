@@ -86,32 +86,43 @@ func relativeLivenessPipe(pl *pipeline) (LivenessResult, error) {
 	return LivenessResult{Holds: false, BadPrefix: w}, nil
 }
 
-// trimmedBehaviors trims sys and builds its behavior automaton lim(L),
-// reporting sizes under a "lim(L)" span. A nil trimmed system (with nil
-// error) signals that sys has no infinite behavior at all, the vacuous
-// case of the Section 4 checks. A context error from the trim fixpoint
-// is propagated, never folded into the vacuous case.
-func trimmedBehaviors(ctx context.Context, rec obs.Recorder, sys *ts.System) (*ts.System, *buchi.Buchi, error) {
-	sp := obs.StartSpan(rec, "lim(L)").
-		Tag("paper", "Section 3: system behaviors").
+// trimSystem trims sys, reporting sizes under a "trim(L)" span. A nil
+// trimmed system (with nil error) signals that sys has no infinite
+// behavior at all, the vacuous case of the Section 4 checks. A context
+// error from the trim fixpoint is propagated, never folded into the
+// vacuous case.
+func trimSystem(ctx context.Context, rec obs.Recorder, sys *ts.System) (*ts.System, error) {
+	sp := obs.StartSpan(rec, "trim(L)").
+		Tag("paper", "Section 3: states with an infinite continuation").
 		Int("in_states", int64(sys.NumStates()))
 	defer sp.End()
 	trimmed, err := sys.TrimCtx(ctx)
 	if err != nil {
 		if isContextError(err) {
 			sp.Tag("aborted", "context")
-			return nil, nil, err
+			return nil, err
 		}
 		sp.Int("out_states", 0)
-		return nil, nil, nil
+		return nil, nil
 	}
+	sp.Int("out_states", int64(trimmed.NumStates()))
+	return trimmed, nil
+}
+
+// behaviorsOf builds the behavior automaton lim(L) of a trimmed system,
+// reporting sizes under a "lim(L)" span.
+func behaviorsOf(rec obs.Recorder, trimmed *ts.System) (*buchi.Buchi, error) {
+	sp := obs.StartSpan(rec, "lim(L)").
+		Tag("paper", "Section 3: system behaviors").
+		Int("in_states", int64(trimmed.NumStates()))
+	defer sp.End()
 	behaviors, err := trimmed.Behaviors()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sp.Int("out_states", int64(behaviors.NumStates()))
 	sp.Int("out_transitions", int64(behaviors.NumTransitions()))
-	return trimmed, behaviors, nil
+	return behaviors, nil
 }
 
 // RelativeLivenessDirect decides relative liveness straight from

@@ -106,8 +106,8 @@ func CheckStatistical(sys *ts.System, p Property, o StatOptions) (*StatisticalRe
 }
 
 // CheckStatisticalRec is CheckStatistical with the trim phase and the
-// sampling sweep reported to rec ("lim(L)" and "mc.sample" spans,
-// mc.samples/mc.settled/mc.hits counters).
+// sampling sweep reported to rec ("trim(L)" and "mc.sample" spans,
+// mc.samples/mc.settled/mc.hits/mc.steps counters).
 func CheckStatisticalRec(rec obs.Recorder, sys *ts.System, p Property, o StatOptions) (*StatisticalReport, error) {
 	return CheckStatisticalCells(nil, rec, NewSystemCells(sys), p, o)
 }
@@ -152,7 +152,7 @@ func CheckStatisticalCells(ctx context.Context, rec obs.Recorder, sc *SystemCell
 		Method:      "clopper-pearson",
 	}
 
-	trimmed, _, err := sc.lim.get(ctx, rec)
+	trimmed, err := sc.lim.trimmed(ctx, rec)
 	if err != nil {
 		return nil, fmt.Errorf("statistical: %w", err)
 	}
@@ -184,10 +184,12 @@ func CheckStatisticalCells(ctx context.Context, rec obs.Recorder, sc *SystemCell
 	}
 	msp.Int("settled", int64(res.Settled))
 	msp.Int("hits", int64(res.Hits))
+	msp.Int("steps_walked", res.StepsWalked)
 	msp.End()
 	obs.Count(rec, "mc.samples", int64(res.Samples))
 	obs.Count(rec, "mc.settled", int64(res.Settled))
 	obs.Count(rec, "mc.hits", int64(res.Hits))
+	obs.Count(rec, "mc.steps", res.StepsWalked)
 
 	report.Settled = res.Settled
 	report.Hits = res.Hits

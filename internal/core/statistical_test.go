@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"relive/internal/ltl"
+	"relive/internal/obs"
 	"relive/internal/ts"
 )
 
@@ -124,6 +125,9 @@ func TestCheckStatisticalPhase(t *testing.T) {
 	if got := PhaseOf("mc.sample"); got != PhaseSample {
 		t.Fatalf("PhaseOf(mc.sample) = %q", got)
 	}
+	if got := PhaseOf("trim(L)"); got != PhaseTrim {
+		t.Fatalf("PhaseOf(trim(L)) = %q", got)
+	}
 	found := false
 	for _, p := range Phases {
 		if p == PhaseSample {
@@ -132,5 +136,42 @@ func TestCheckStatisticalPhase(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("Phases does not list %q", PhaseSample)
+	}
+}
+
+// TestCheckStatisticalSpans: the check trims the system but never
+// builds lim(L), and the mc.sample span and the mc.steps counter report
+// the steps the walks actually took — since a walk stops once its
+// outcome is fixed, at most samples × steps. On the paper's broken
+// server the only bottom SCC is the one-state sink, so every walk stops
+// right after its prefix, short of the budget.
+func TestCheckStatisticalSpans(t *testing.T) {
+	p := FromFormula(ltl.MustParse("G F result"), nil)
+	for _, text := range []string{statServerText, statBrokenText} {
+		tr := obs.NewTrace()
+		o := StatOptions{Seed: 3, Samples: 120, Steps: 64, Workers: 2}
+		if _, err := CheckStatisticalRec(tr, statSys(t, text), p, o); err != nil {
+			t.Fatal(err)
+		}
+		var walked int64 = -1
+		counts := map[string]int{}
+		for _, sp := range tr.Spans() {
+			counts[sp.Name]++
+			if sp.Name == "mc.sample" {
+				walked = sp.Ints["steps_walked"]
+			}
+		}
+		if counts["trim(L)"] != 1 || counts["lim(L)"] != 0 {
+			t.Fatalf("spans trim(L) ×%d, lim(L) ×%d; want 1 and 0", counts["trim(L)"], counts["lim(L)"])
+		}
+		if walked <= 0 || walked > int64(o.Samples*o.Steps) {
+			t.Fatalf("steps_walked = %d, want in (0, %d]", walked, o.Samples*o.Steps)
+		}
+		if got := tr.Counters()["mc.steps"]; got != walked {
+			t.Fatalf("mc.steps = %d, want steps_walked %d", got, walked)
+		}
+		if text == statBrokenText && walked >= int64(o.Samples*o.Steps) {
+			t.Fatalf("steps_walked = %d: walks did not stop once settled", walked)
+		}
 	}
 }

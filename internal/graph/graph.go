@@ -380,9 +380,23 @@ func CoReachable(n int, targets []bool, succ Succ) []bool {
 // finite system whose every state has a successor, the strongly fair runs
 // are exactly the runs whose infinity set is such a bottom component.
 func BottomSCCs(n int, sources []int, succ Succ) [][]int {
-	comps := SCCs(n, succ)
-	compOf := ComponentOf(n, comps)
-	reach := Reachable(n, sources, succ)
+	off := make([]int32, n+1)
+	var dst []int32
+	for v := 0; v < n; v++ {
+		for _, w := range succ(v) {
+			dst = append(dst, int32(w))
+		}
+		off[v+1] = int32(len(dst))
+	}
+	return BottomSCCsCSR(CSR{Off: off, Dst: dst}, sources)
+}
+
+// BottomSCCsCSR is BottomSCCs over a CSR adjacency; components come in
+// SCCsCSR order.
+func BottomSCCsCSR(g CSR, sources []int) [][]int {
+	comps := SCCsCSR(g)
+	compOf := ComponentOf(g.NumVertices(), comps)
+	reach := ReachableCSR(g, sources)
 	var bottoms [][]int
 	for ci, c := range comps {
 		if !reach[c[0]] {
@@ -390,7 +404,7 @@ func BottomSCCs(n int, sources []int, succ Succ) [][]int {
 		}
 		isBottom := true
 		for _, v := range c {
-			for _, w := range succ(v) {
+			for _, w := range g.Succ(v) {
 				if compOf[w] != ci {
 					isBottom = false
 					break

@@ -35,7 +35,7 @@ func Wilson(hits, n int, confidence float64) (lo, hi float64) {
 //	lo = BetaInv(α/2;   hits,   n-hits+1)   (0 when hits == 0)
 //	hi = BetaInv(1-α/2; hits+1, n-hits)     (1 when hits == n)
 //
-// In the all-hits regime the lower bound is α^(1/n), strictly
+// In the all-hits regime the lower bound is (α/2)^(1/n), strictly
 // increasing in n — the honest form of "more samples ⇒ tighter CI"
 // that the metamorphic budget-monotonicity law asserts.
 func ClopperPearson(hits, n int, confidence float64) (lo, hi float64) {

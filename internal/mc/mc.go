@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"relive/internal/alphabet"
+	"relive/internal/graph"
 	"relive/internal/interrupt"
 	"relive/internal/word"
 )
@@ -23,8 +26,9 @@ type Config struct {
 	Seed int64
 	// Samples is the number of independent random walks.
 	Samples int
-	// Steps is the length of each walk; the second half must settle
-	// into a bottom SCC for the sample to count.
+	// Steps bounds the length of each walk: the states it visits in
+	// its second half must be exactly one bottom SCC for the sample to
+	// count, and the walk stops as soon as that is decided.
 	Steps int
 	// Confidence is the two-sided level of the reported interval,
 	// e.g. 0.99.
@@ -84,13 +88,20 @@ type Result struct {
 	// Counterexample is the lowest-index settled violating sample, nil
 	// when every settled sample hit.
 	Counterexample *Counterexample
+	// StepsWalked is the number of steps the walks took. A walk stops
+	// as soon as its outcome is fixed, so this is at most
+	// Samples × Steps.
+	StepsWalked int64
 }
 
-// Run samples cfg.Samples random walks of the implicit graph t,
-// detects bottom-SCC lassos, evaluates each settled lasso with eval,
-// and returns counts, the Clopper–Pearson interval, and the first
-// violating sample. eval must be safe for concurrent use (it is called
-// from Workers goroutines) and deterministic; Run's result is then a
+// Run samples cfg.Samples random walks of the graph t, detects
+// bottom-SCC lassos, evaluates each settled lasso with eval, and
+// returns counts, the Clopper–Pearson interval, and the first violating
+// sample. Before sampling it visits every state of t once to index the
+// bottom SCCs, the only places a walk can settle. eval must be safe for
+// concurrent use (it is called from Workers goroutines) and
+// deterministic, and it must not retain the lasso it is handed: the
+// lasso's slices are reused by the next walk. Run's result is then a
 // deterministic function of (t, Seed, Samples, Steps, Confidence),
 // independent of Workers and scheduling. The context is polled
 // cooperatively inside every walk.
@@ -99,13 +110,7 @@ func Run(ctx context.Context, t Target, cfg Config, eval func(word.Lasso) (bool,
 	if t.NumStates() == 0 {
 		return nil, fmt.Errorf("mc: target has no states")
 	}
-	type slot struct {
-		settled bool
-		hit     bool
-		lasso   word.Lasso
-		err     error
-	}
-	slots := make([]slot, cfg.Samples)
+	g := compile(t)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -113,22 +118,24 @@ func Run(ctx context.Context, t Target, cfg Config, eval func(word.Lasso) (bool,
 	if workers > cfg.Samples {
 		workers = cfg.Samples
 	}
+	tallies := make([]tally, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
+	for w := range tallies {
+		go func(tl *tally) {
 			defer wg.Done()
-			var tick interrupt.Tick
+			wk := newWalker(g, cfg.Steps)
+			defer func() { tl.walked = wk.walked }()
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= cfg.Samples {
 					return
 				}
 				rng := newSplitMix(cfg.Seed, i)
-				l, settled, err := sample(ctx, t, &tick, &rng, cfg.Steps)
+				l, settled, err := wk.walk(ctx, &rng)
 				if err != nil {
-					slots[i].err = err
+					tl.err, tl.errAt = err, i
 					return
 				}
 				if !settled {
@@ -136,45 +143,48 @@ func Run(ctx context.Context, t Target, cfg Config, eval func(word.Lasso) (bool,
 				}
 				hit, err := eval(l)
 				if err != nil {
-					slots[i].err = fmt.Errorf("mc: evaluating sample %d: %w", i, err)
+					tl.err, tl.errAt = fmt.Errorf("mc: evaluating sample %d: %w", i, err), i
 					return
 				}
-				slots[i] = slot{settled: true, hit: hit, lasso: l}
+				tl.settled++
+				if hit {
+					tl.hits++
+				} else if tl.cex == nil {
+					tl.cex = &Counterexample{Index: i, Lasso: word.Lasso{Prefix: l.Prefix.Clone(), Loop: l.Loop.Clone()}}
+				}
 			}
-		}()
+		}(&tallies[w])
 	}
 	wg.Wait()
-	// Aggregate in index order so counts and the chosen counterexample
-	// are independent of which worker ran which sample. A deterministic
-	// eval error outranks the cancellation that tore other workers down.
-	var firstErr, firstCtxErr error
+	// Each worker claims indices in increasing order, so its first
+	// violation and its error are its lowest-index ones, and the merged
+	// result is independent of which worker ran which sample. A
+	// deterministic eval error outranks the cancellation that tore other
+	// workers down.
+	var evalErr *tally
+	var ctxErr error
 	res := &Result{Samples: cfg.Samples}
-	for i := range slots {
-		if err := slots[i].err; err != nil {
-			if isCtxErr(err) {
-				if firstCtxErr == nil {
-					firstCtxErr = err
-				}
-			} else if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	for w := range tallies {
+		tl := &tallies[w]
+		res.Settled += tl.settled
+		res.Hits += tl.hits
+		res.StepsWalked += tl.walked
+		if tl.cex != nil && (res.Counterexample == nil || tl.cex.Index < res.Counterexample.Index) {
+			res.Counterexample = tl.cex
 		}
-		if !slots[i].settled {
-			continue
-		}
-		res.Settled++
-		if slots[i].hit {
-			res.Hits++
-		} else if res.Counterexample == nil {
-			res.Counterexample = &Counterexample{Index: i, Lasso: slots[i].lasso}
+		switch {
+		case tl.err == nil:
+		case isCtxErr(tl.err):
+			ctxErr = tl.err
+		case evalErr == nil || tl.errAt < evalErr.errAt:
+			evalErr = tl
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if evalErr != nil {
+		return nil, evalErr.err
 	}
-	if firstCtxErr != nil {
-		return nil, firstCtxErr
+	if ctxErr != nil {
+		return nil, ctxErr
 	}
 	if res.Settled > 0 {
 		res.Estimate = float64(res.Hits) / float64(res.Settled)
@@ -183,199 +193,247 @@ func Run(ctx context.Context, t Target, cfg Config, eval func(word.Lasso) (bool,
 	return res, nil
 }
 
+// tally is what one worker keeps of its walks: counts, its first
+// violating sample, and the error that stopped it (with its sample
+// index), so a run holds O(workers) results instead of one per sample.
+type tally struct {
+	settled, hits int
+	walked        int64
+	cex           *Counterexample
+	err           error
+	errAt         int
+}
+
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// sample takes one steps-long uniform random walk of t and, when its
-// second half has settled into a bottom SCC (the visited tail is closed
-// under every enabled transition — being the tail of one walk it is
-// strongly connected, hence a bottom SCC), returns the behavior
-// "sampled prefix · fair covering cycle^ω". A walk that dies at a dead
-// end or has not settled yields settled=false; on the trimmed systems
-// core hands the engine, dead ends cannot occur.
-func sample(ctx context.Context, t Target, tick *interrupt.Tick, rng *splitMix, steps int) (word.Lasso, bool, error) {
-	half := steps / 2
-	if half == 0 {
+// walkGraph is a target compiled for walking: its transitions in CSR
+// form (the i-th transition of s has the dense id Off[s]+i, target
+// Dst[id] and action sym[id]) and the index of its nontrivial bottom
+// SCCs, the only places a walk can settle. Run builds it once; the
+// workers only read it.
+type walkGraph struct {
+	graph.CSR
+	sym    []alphabet.Symbol
+	start  int
+	bottom []int32 // bottom[s] indexes comps, or is -1 outside every nontrivial bottom SCC
+	comps  [][]int
+}
+
+// compile visits every state of t once, copying its transitions and
+// finding the nontrivial bottom SCCs reachable from its start.
+func compile(t Target) *walkGraph {
+	n := t.NumStates()
+	g := &walkGraph{CSR: graph.CSR{Off: make([]int32, n+1)}, start: t.Start(), bottom: make([]int32, n)}
+	for s := 0; s < n; s++ {
+		for i, d := 0, t.Degree(s); i < d; i++ {
+			to, sym := t.Edge(s, i)
+			g.Dst = append(g.Dst, int32(to))
+			g.sym = append(g.sym, sym)
+		}
+		g.Off[s+1] = int32(len(g.Dst))
+		g.bottom[s] = -1
+	}
+	for _, c := range graph.BottomSCCsCSR(g.CSR, []int{g.start}) {
+		if graph.IsTrivialSCCCSR(c, g.CSR) {
+			continue
+		}
+		for _, s := range c {
+			g.bottom[s] = int32(len(g.comps))
+		}
+		g.comps = append(g.comps, c)
+	}
+	return g
+}
+
+// walker is one worker's scratch, reused by every walk it takes: the
+// prefix buffer, the loop buffer, epoch-stamped state and transition
+// marks, and the sweep's search queue and path. A walk that does not
+// settle allocates nothing.
+type walker struct {
+	g      *walkGraph
+	steps  int
+	prefix word.Word
+	loop   word.Word
+	seen   marks // states
+	swept  marks // transitions, by dense id
+	queue  []bfsEntry
+	path   []int32
+	tick   interrupt.Tick
+	walked int64
+}
+
+func newWalker(g *walkGraph, steps int) *walker {
+	return &walker{
+		g:      g,
+		steps:  steps,
+		prefix: make(word.Word, steps/2),
+		seen:   marks{at: make([]uint32, g.NumVertices())},
+		swept:  marks{at: make([]uint32, len(g.Dst))},
+	}
+}
+
+// walk takes one uniform random walk of at most steps steps from the
+// start state. The walk settles when the states it visits in its second
+// half (from step steps/2 on) are exactly a bottom SCC B, which it
+// decides as soon as the outcome is fixed: a walk outside every
+// nontrivial bottom SCC at step steps/2 never settles, and a walk inside
+// B stops once it has visited every state of B (settled) or once too few
+// steps remain to do so (unsettled). A settled walk yields the behavior
+// "prefix · fair covering cycle of B^ω" as a view into the walker's
+// buffers, valid until the next walk. A walk that dies at a dead end
+// never settles; on the trimmed systems core hands the engine, dead ends
+// cannot occur.
+func (w *walker) walk(ctx context.Context, rng *splitMix) (word.Lasso, bool, error) {
+	if len(w.prefix) == 0 {
 		return word.Lasso{}, false, nil
 	}
-	froms := make([]int32, 0, steps)
-	syms := make(word.Word, 0, steps)
-	cur := t.Start()
-	last := cur
-	for i := 0; i < steps; i++ {
-		if err := tick.Poll(ctx); err != nil {
+	g := w.g
+	cur := g.start
+	for i := range w.prefix {
+		if err := w.tick.Poll(ctx); err != nil {
 			return word.Lasso{}, false, err
 		}
-		d := t.Degree(cur)
-		if d == 0 {
+		lo, hi := g.Off[cur], g.Off[cur+1]
+		if lo == hi {
 			return word.Lasso{}, false, nil
 		}
-		to, sym := t.Edge(cur, rng.intn(d))
-		froms = append(froms, int32(cur))
-		syms = append(syms, sym)
-		cur = to
+		e := lo + int32(rng.intn(int(hi-lo)))
+		w.prefix[i] = g.sym[e]
+		cur = int(g.Dst[e])
+		w.walked++
 	}
-	last = cur
-	// States visited in the second half of the walk.
-	inSet := make([]bool, t.NumStates())
-	var members []int32
-	add := func(s int32) {
-		if !inSet[s] {
-			inSet[s] = true
-			members = append(members, s)
+	b := g.bottom[cur]
+	if b < 0 {
+		return word.Lasso{}, false, nil
+	}
+	comp := g.comps[b]
+	start := cur
+	w.seen.clear()
+	w.seen.add(cur)
+	for covered, left := 1, w.steps-len(w.prefix); covered < len(comp); left-- {
+		if left < len(comp)-covered {
+			return word.Lasso{}, false, nil
+		}
+		if err := w.tick.Poll(ctx); err != nil {
+			return word.Lasso{}, false, err
+		}
+		lo := g.Off[cur]
+		cur = int(g.Dst[lo+int32(rng.intn(int(g.Off[cur+1]-lo)))])
+		w.walked++
+		if w.seen.add(cur) {
+			covered++
 		}
 	}
-	for _, s := range froms[half:] {
-		add(s)
-	}
-	add(int32(last))
-	// Closed under every enabled transition?
-	for _, s := range members {
-		d := t.Degree(int(s))
-		for i := 0; i < d; i++ {
-			to, _ := t.Edge(int(s), i)
-			if !inSet[to] {
-				return word.Lasso{}, false, nil
-			}
-		}
-	}
-	prefix := make(word.Word, half)
-	copy(prefix, syms[:half])
-	loop, ok := coveringCycle(t, int(froms[half]), inSet, members)
+	loop, ok := w.coveringCycle(start, comp)
 	if !ok {
 		return word.Lasso{}, false, nil
 	}
-	return word.MustLasso(prefix, loop), true, nil
+	return word.Lasso{Prefix: w.prefix, Loop: loop}, true, nil
 }
 
 // coveringCycle returns the action word of a cycle from start that
-// traverses every transition inside the closed set — the canonical
+// traverses every transition of start's bottom SCC comp — the canonical
 // strongly fair sweep a uniform random run performs infinitely often
 // almost surely. Deterministic: the sweep repeatedly takes the
 // BFS-shortest path (successors in index order) to the next untraversed
-// transition.
-func coveringCycle(t Target, start int, inSet []bool, members []int32) (word.Word, bool) {
-	remaining := map[int64]bool{}
-	for _, s := range members {
-		d := t.Degree(int(s))
-		for i := 0; i < d; i++ {
-			remaining[edgeKey(int(s), i)] = true
-		}
+// transition, then the shortest path back to start. The word is the
+// walker's loop buffer.
+func (w *walker) coveringCycle(start int, comp []int) (word.Word, bool) {
+	g := w.g
+	w.swept.clear()
+	remaining := 0
+	for _, s := range comp {
+		remaining += int(g.Off[s+1] - g.Off[s])
 	}
-	if len(remaining) == 0 {
-		return nil, false
-	}
-	var out word.Word
+	out := w.loop[:0]
 	cur := start
-	for len(remaining) > 0 {
-		path, ok := pathToEdge(t, cur, inSet, remaining)
-		if !ok {
-			return nil, false // cannot happen in a closed SC set
+	for remaining > 0 {
+		path := w.shortestPath(cur, func(e int32) bool { return !w.swept.has(int(e)) })
+		if path == nil {
+			return nil, false // cannot happen in a bottom SCC
 		}
-		for _, st := range path {
-			to, sym := t.Edge(st.from, st.i)
-			out = append(out, sym)
-			delete(remaining, edgeKey(st.from, st.i))
-			cur = to
+		for _, e := range path {
+			out = append(out, g.sym[e])
+			if w.swept.add(int(e)) {
+				remaining--
+			}
+			cur = int(g.Dst[e])
 		}
 	}
-	back, ok := pathToState(t, cur, inSet, start)
-	if !ok {
-		return nil, false
+	if cur != start {
+		path := w.shortestPath(cur, func(e int32) bool { return int(g.Dst[e]) == start })
+		if path == nil {
+			return nil, false
+		}
+		for _, e := range path {
+			out = append(out, g.sym[e])
+		}
 	}
-	for _, st := range back {
-		_, sym := t.Edge(st.from, st.i)
-		out = append(out, sym)
-	}
-	if len(out) == 0 {
-		return nil, false
-	}
+	w.loop = out
 	return out, true
 }
 
-func edgeKey(s, i int) int64 { return int64(s)<<32 | int64(i) }
-
-type pathStep struct {
-	from, i int
+type bfsEntry struct {
+	state  int
+	parent int   // queue index of the predecessor, -1 at the root
+	edge   int32 // transition from the predecessor
 }
 
-// pathToEdge returns the steps of a shortest walk from cur that ends by
-// traversing some transition in want, staying inside the set.
-func pathToEdge(t Target, cur int, inSet []bool, want map[int64]bool) ([]pathStep, bool) {
-	type entry struct {
-		state  int
-		parent int
-		step   pathStep
-	}
-	queue := []entry{{state: cur, parent: -1}}
-	seen := map[int]bool{cur: true}
-	for qi := 0; qi < len(queue); qi++ {
-		st := queue[qi].state
-		d := t.Degree(st)
-		for i := 0; i < d; i++ {
-			to, _ := t.Edge(st, i)
-			if !inSet[to] {
-				continue
-			}
-			if want[edgeKey(st, i)] {
-				path := []pathStep{{from: st, i: i}}
-				for j := qi; queue[j].parent != -1; j = queue[j].parent {
-					path = append(path, queue[j].step)
+// shortestPath returns the transitions of a shortest walk from cur
+// whose last transition satisfies hit, scanning successors in index
+// order, or nil when there is none. The slice is reused by the next
+// call.
+func (w *walker) shortestPath(cur int, hit func(e int32) bool) []int32 {
+	g := w.g
+	w.seen.clear()
+	w.seen.add(cur)
+	w.queue = append(w.queue[:0], bfsEntry{state: cur, parent: -1})
+	for qi := 0; qi < len(w.queue); qi++ {
+		st := w.queue[qi].state
+		for e := g.Off[st]; e < g.Off[st+1]; e++ {
+			if hit(e) {
+				w.path = append(w.path[:0], e)
+				for j := qi; w.queue[j].parent != -1; j = w.queue[j].parent {
+					w.path = append(w.path, w.queue[j].edge)
 				}
-				reverse(path)
-				return path, true
+				slices.Reverse(w.path)
+				return w.path
 			}
-			if !seen[to] {
-				seen[to] = true
-				queue = append(queue, entry{state: to, parent: qi, step: pathStep{from: st, i: i}})
+			if to := int(g.Dst[e]); w.seen.add(to) {
+				w.queue = append(w.queue, bfsEntry{state: to, parent: qi, edge: e})
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// pathToState returns the steps of a shortest walk from cur to goal
-// inside the set (empty when cur == goal).
-func pathToState(t Target, cur int, inSet []bool, goal int) ([]pathStep, bool) {
-	if cur == goal {
-		return nil, true
-	}
-	type entry struct {
-		state  int
-		parent int
-		step   pathStep
-	}
-	queue := []entry{{state: cur, parent: -1}}
-	seen := map[int]bool{cur: true}
-	for qi := 0; qi < len(queue); qi++ {
-		st := queue[qi].state
-		d := t.Degree(st)
-		for i := 0; i < d; i++ {
-			to, _ := t.Edge(st, i)
-			if !inSet[to] || seen[to] {
-				continue
-			}
-			if to == goal {
-				path := []pathStep{{from: st, i: i}}
-				for j := qi; queue[j].parent != -1; j = queue[j].parent {
-					path = append(path, queue[j].step)
-				}
-				reverse(path)
-				return path, true
-			}
-			seen[to] = true
-			queue = append(queue, entry{state: to, parent: qi, step: pathStep{from: st, i: i}})
-		}
-	}
-	return nil, false
+// marks is a set over [0, len(at)) that clear empties in O(1) by
+// moving to a fresh epoch.
+type marks struct {
+	at    []uint32
+	epoch uint32
 }
 
-func reverse(p []pathStep) {
-	for l, r := 0, len(p)-1; l < r; l, r = l+1, r-1 {
-		p[l], p[r] = p[r], p[l]
+func (m *marks) clear() {
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.at)
+		m.epoch = 1
 	}
 }
+
+// add inserts i and reports whether it was absent.
+func (m *marks) add(i int) bool {
+	if m.at[i] == m.epoch {
+		return false
+	}
+	m.at[i] = m.epoch
+	return true
+}
+
+func (m *marks) has(i int) bool { return m.at[i] == m.epoch }
 
 // splitMix is the per-sample PRNG: a splitmix64 stream whose state is
 // derived from (seed, sample index) alone, so sample i's walk is the

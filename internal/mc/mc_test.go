@@ -2,11 +2,13 @@ package mc
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
-	"relive/internal/interrupt"
 	"relive/internal/oracle"
 	"relive/internal/ts"
 	"relive/internal/word"
@@ -180,10 +182,10 @@ func TestSampledLassosAreBehaviors(t *testing.T) {
 	sys := mustSystem(t, brokenText)
 	tgt := mustTarget(t, sys)
 	settled := 0
+	w := newWalker(compile(tgt), 64)
 	for i := 0; i < 200; i++ {
 		rng := newSplitMix(99, i)
-		var tick interrupt.Tick
-		l, ok, err := sample(context.Background(), tgt, &tick, &rng, 64)
+		l, ok, err := w.walk(context.Background(), &rng)
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
@@ -205,14 +207,13 @@ func TestCoveringCycleSweepsEveryTransition(t *testing.T) {
 	tgt := mustTarget(t, sys)
 	// The whole system is one bottom SCC; sweep from every state.
 	n := tgt.NumStates()
-	inSet := make([]bool, n)
-	members := make([]int32, n)
-	for s := 0; s < n; s++ {
-		inSet[s] = true
-		members[s] = int32(s)
+	g := compile(tgt)
+	if len(g.comps) != 1 || len(g.comps[0]) != n {
+		t.Fatalf("bottom SCCs = %v, want one of all %d states", g.comps, n)
 	}
+	w := newWalker(g, 2)
 	for start := 0; start < n; start++ {
-		loop, ok := coveringCycle(tgt, start, inSet, members)
+		loop, ok := w.coveringCycle(start, g.comps[0])
 		if !ok {
 			t.Fatalf("coveringCycle from %d failed", start)
 		}
@@ -220,7 +221,7 @@ func TestCoveringCycleSweepsEveryTransition(t *testing.T) {
 		// untraversed outgoing edge with the emitted symbol; it must
 		// exist, visit every edge, and return to start.
 		cur := start
-		traversed := map[int64]bool{}
+		traversed := map[int]bool{}
 		for _, sym := range loop {
 			found := false
 			d := tgt.Degree(cur)
@@ -228,7 +229,7 @@ func TestCoveringCycleSweepsEveryTransition(t *testing.T) {
 				to, s := tgt.Edge(cur, i)
 				if s == sym && !found {
 					// Deterministic systems: symbol determines the edge.
-					traversed[edgeKey(cur, i)] = true
+					traversed[int(g.Off[cur])+i] = true
 					cur = to
 					found = true
 				}
@@ -250,6 +251,31 @@ func TestCoveringCycleSweepsEveryTransition(t *testing.T) {
 	}
 }
 
+// TestRunAllocationsIndependentOfSamples: a walk that does not settle
+// allocates nothing, so on a target where no walk settles (32-step
+// walks cannot visit a 64-state bottom SCC) Run allocates the same for
+// 100 samples as for 10,000.
+func TestRunAllocationsIndependentOfSamples(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("init s0\n")
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&b, "s%d a s%d\ns%d b s%d\n", i, (i+1)%64, i, (3*i+1)%64)
+	}
+	sys := mustSystem(t, b.String())
+	tgt := mustTarget(t, sys)
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			res, err := Run(context.Background(), tgt, Config{Seed: 1, Samples: samples, Steps: 32, Workers: 2}, loopHas(sys, "a"))
+			if err != nil || res.Settled != 0 {
+				t.Fatalf("Run: %+v, %v; want no settled walk", res, err)
+			}
+		})
+	}
+	if few, many := allocs(100), allocs(10000); few != many {
+		t.Fatalf("Run allocates %v times at 100 samples, %v at 10,000", few, many)
+	}
+}
+
 func TestRunContextCancellation(t *testing.T) {
 	sys := mustSystem(t, serverText)
 	tgt := mustTarget(t, sys)
@@ -258,6 +284,27 @@ func TestRunContextCancellation(t *testing.T) {
 	_, err := Run(ctx, tgt, Config{Seed: 1, Samples: 50000, Steps: 4096}, loopHas(sys, "result"))
 	if err == nil || !isCtxErr(err) {
 		t.Fatalf("want context error, got %v", err)
+	}
+}
+
+// TestRunEvalErrorOutranksCancellation: an eval error is what Run
+// reports even when the cancellation it triggers stops the other
+// workers with context errors.
+func TestRunEvalErrorOutranksCancellation(t *testing.T) {
+	sys := mustSystem(t, serverText)
+	tgt := mustTarget(t, sys)
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2, 3, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := Run(ctx, tgt, Config{Seed: 3, Samples: 5000, Steps: 64, Workers: workers},
+			func(word.Lasso) (bool, error) {
+				cancel()
+				return false, boom
+			})
+		cancel()
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want the eval error", workers, err)
+		}
 	}
 }
 
@@ -293,7 +340,7 @@ func TestClopperPearsonKnownValues(t *testing.T) {
 
 // TestAllHitsLowerBoundMonotone pins the honest form of "more samples ⇒
 // tighter interval": in the all-hits regime the Clopper–Pearson lower
-// bound α^{1/n} strictly increases with n.
+// bound (α/2)^{1/n} strictly increases with n.
 func TestAllHitsLowerBoundMonotone(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{1, 2, 5, 10, 50, 100, 400, 1000} {

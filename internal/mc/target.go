@@ -1,8 +1,11 @@
-// Package mc is the statistical relative-liveness engine: massively
-// parallel random-walk sampling over an *implicit* transition graph,
-// streaming bottom-SCC lasso detection with on-the-fly property
-// evaluation, and confidence-interval verdicts (Wilson and
-// Clopper–Pearson). It realizes the paper's Section 9 outlook —
+// Package mc is the statistical relative-liveness engine: parallel
+// random-walk sampling of a transition graph, bottom-SCC lasso
+// detection with on-the-fly property evaluation, and
+// confidence-interval verdicts (Wilson and Clopper–Pearson). Run first
+// visits every state once, to compile the graph into flat successor
+// arrays and index its nontrivial bottom SCCs with internal/graph's
+// Tarjan; each walk then ends as soon as its outcome is fixed. It
+// realizes the paper's Section 9 outlook —
 // relative liveness "informally says: almost all computations satisfy
 // the property" — as a sampling engine: under the uniform random
 // scheduler a run of a finite-state system almost surely falls into a
@@ -21,12 +24,12 @@ import (
 	"relive/internal/ts"
 )
 
-// Target is the implicit transition graph the sampler walks: successor
-// callbacks only, so the engine never materializes a product or even
-// requires the graph to exist in memory. States are dense ints in
-// [0, NumStates); the transitions of a state are indexed 0..Degree-1 in
-// a fixed deterministic order (the same (state, i) must always yield
-// the same successor — sampling determinism depends on it).
+// Target is the transition graph the sampler walks, given by successor
+// callbacks; Run reads every transition once, when it compiles the
+// graph. States are dense ints in [0, NumStates); the transitions of a
+// state are indexed 0..Degree-1 in a fixed deterministic order (the
+// same (state, i) must always yield the same successor — sampling
+// determinism depends on it).
 type Target interface {
 	// NumStates bounds the state space (used to size visited sets).
 	NumStates() int

@@ -47,8 +47,9 @@ func statFixture(seed int64) serve.StatisticalRequest {
 
 // slowStatistical is a statistical request whose sampling sweep runs
 // long enough for mid-flight cancellation to land: the budget is at the
-// work cap and the walks never settle (2500 visited states cannot close
-// a 4000-state bottom SCC), so the full 10M steps are taken.
+// work cap and the walks never settle (the 2500 steps after the prefix
+// cannot visit a 4000-state bottom SCC), so each walk stops at step
+// 2500 and the sweep walks 5M steps.
 func slowStatistical(noCache bool, timeoutMS int) serve.StatisticalRequest {
 	return serve.StatisticalRequest{
 		System:    bigSystemText(4000),
@@ -335,6 +336,7 @@ func TestStatisticalMetricsExported(t *testing.T) {
 		"relive_mc_samples_total",
 		"relive_mc_settled_total",
 		"relive_mc_hits_total",
+		"relive_mc_steps_total",
 		`relive_serve_request_seconds_bucket{endpoint="statistical"`,
 		`relive_check_phase_seconds_bucket{phase="sampling"`,
 	} {

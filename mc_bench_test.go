@@ -19,17 +19,22 @@ import (
 	"relive/internal/ts"
 )
 
-// statBenchSystem renders an n-state strongly connected system in the
-// shape of the e2e harness's big fixture: three actions, every state on
-// a ring with two extra chords, so the whole graph is one bottom SCC.
+// statBenchSystem renders an n-state transient part in front of a
+// 3-state bottom ring. The transient states s0..s(n-1) form a ring with
+// two chords each (actions a and b), in the shape of the e2e harness's
+// big fixture, and each also leaves on c for the ring r0 → r1 → r2 → r0.
+// A walk leaves the transient part within a few steps and covers the
+// ring right after its prefix, so the sampled checks settle, while the
+// exact check still pays for all n+3 states.
 func statBenchSystem(n int) *ts.System {
 	var b strings.Builder
 	b.WriteString("init s0\n")
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "s%d a s%d\n", i, (i+1)%n)
 		fmt.Fprintf(&b, "s%d b s%d\n", i, (2*i+1)%n)
-		fmt.Fprintf(&b, "s%d c s0\n", i)
+		fmt.Fprintf(&b, "s%d c r0\n", i)
 	}
+	b.WriteString("r0 a r1\nr1 b r2\nr2 c r0\n")
 	sys, err := ts.ParseString(b.String())
 	if err != nil {
 		panic(err)
@@ -55,8 +60,11 @@ func BenchmarkStatisticalVsExact(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep, err := core.CheckStatistical(sys, p,
 					core.StatOptions{Seed: 1, Samples: 100, Steps: 128, Workers: 1})
-				if err != nil || rep.Verdict == core.StatVerdictFails {
-					b.Fatalf("verdict %v, %v", rep.Verdict, err)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Verdict == core.StatVerdictFails || rep.Settled == 0 {
+					b.Fatalf("verdict %v with %d settled", rep.Verdict, rep.Settled)
 				}
 			}
 		})
@@ -85,9 +93,13 @@ func BenchmarkStatisticalBudget(b *testing.B) {
 		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CheckStatistical(sys, p,
-					core.StatOptions{Seed: 1, Samples: samples, Steps: 128, Workers: 1}); err != nil {
+				rep, err := core.CheckStatistical(sys, p,
+					core.StatOptions{Seed: 1, Samples: samples, Steps: 128, Workers: 1})
+				if err != nil {
 					b.Fatal(err)
+				}
+				if rep.Settled == 0 {
+					b.Fatal("no walk settled")
 				}
 			}
 		})
@@ -107,9 +119,13 @@ func BenchmarkStatisticalWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CheckStatistical(sys, p,
-					core.StatOptions{Seed: 1, Samples: 400, Steps: 256, Workers: workers}); err != nil {
+				rep, err := core.CheckStatistical(sys, p,
+					core.StatOptions{Seed: 1, Samples: 400, Steps: 256, Workers: workers})
+				if err != nil {
 					b.Fatal(err)
+				}
+				if rep.Settled == 0 {
+					b.Fatal("no walk settled")
 				}
 			}
 		})
