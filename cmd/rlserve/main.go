@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	addr := fs.String("addr", ":8080", "listen address (host:port, :0 for an ephemeral port)")
 	workers := fs.Int("workers", 0, "max concurrent checks (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "max queued checks beyond the running ones before shedding with 429 (0 = 64)")
-	par := fs.Int("par", 0, "per-check verdict parallelism for CheckAll (0 = serial)")
 	timeout := fs.Duration("timeout", 0, "default per-check timeout when the request sets none (0 = 60s)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight checks on shutdown")
 	flight := fs.Int("flight", 0, "flight recorder size: completed checks kept for /debug/checks (0 = 256, negative disables tracing)")
@@ -115,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	srv := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		Parallelism:    *par,
 		DefaultTimeout: *timeout,
 		FlightEntries:  *flight,
 		SlowThreshold:  *slow,

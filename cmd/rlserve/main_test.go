@@ -86,3 +86,15 @@ func TestRunBadFlags(t *testing.T) {
 		t.Fatalf("bad addr exit = %d, want 2", code)
 	}
 }
+
+// TestRunRejectsPar checks that the per-check parallelism flag is gone:
+// checks run serially, one per worker slot.
+func TestRunRejectsPar(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-addr", "127.0.0.1:0", "-par", "2"}, &out, &errOut, nil); code != 2 {
+		t.Fatalf("-par 2 exit = %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -par") {
+		t.Fatalf("stderr does not name the unknown flag: %q", errOut.String())
+	}
+}

@@ -2,6 +2,7 @@ package relive
 
 import (
 	"context"
+	"runtime"
 
 	"relive/internal/core"
 )
@@ -20,12 +21,12 @@ import (
 
 // CheckAllCtx is CheckAll with cooperative cancellation.
 func CheckAllCtx(ctx context.Context, sys *System, f *Formula) (*Report, error) {
-	return core.CheckAllCtx(ctx, nil, sys, core.FromFormula(f, nil), 1)
+	return core.CheckAllCtx(ctx, nil, sys, core.FromFormula(f, nil))
 }
 
 // CheckAllPropertyCtx is CheckAllProperty with cooperative cancellation.
 func CheckAllPropertyCtx(ctx context.Context, sys *System, p Property) (*Report, error) {
-	return core.CheckAllCtx(ctx, nil, sys, p, 1)
+	return core.CheckAllCtx(ctx, nil, sys, p)
 }
 
 // CheckRelativeLivenessCtx is CheckRelativeLiveness with cooperative
@@ -46,11 +47,10 @@ func CheckSatisfiesCtx(ctx context.Context, sys *System, f *Formula) (Satisfacti
 }
 
 // CheckAllCtx is the Checker's CheckAll with cooperative cancellation;
-// under WithParallelism the three verdicts run concurrently and all
-// poll the same context. Under WithStatisticalFallback a system over
-// the state budget — or an exact run over the time budget — is
-// answered by the sampling engine instead (the report's Statistical
-// field marks such answers).
+// the three verdicts run serially and all poll the same context. Under
+// WithStatisticalFallback a system over the state budget — or an exact
+// run over the time budget — is answered by the sampling engine
+// instead (the report's Statistical field marks such answers).
 func (c *Checker) CheckAllCtx(ctx context.Context, sys *System, f *Formula) (*Report, error) {
 	return c.CheckAllPropertyCtx(ctx, sys, core.FromFormula(f, nil))
 }
@@ -60,7 +60,7 @@ func (c *Checker) CheckAllPropertyCtx(ctx context.Context, sys *System, p Proper
 	if c.fbSet {
 		return c.checkAllWithFallback(ctx, sys, p)
 	}
-	return core.CheckAllCtx(ctx, c.rec, sys, p, c.par)
+	return core.CheckAllCtx(ctx, c.rec, sys, p)
 }
 
 // CheckRelativeLivenessCtx is the Checker's CheckRelativeLiveness with
@@ -102,11 +102,11 @@ func (c *Checker) CheckSatisfiesPropertyCtx(ctx context.Context, sys *System, p 
 // cancellation: running checks poll ctx and not-yet-started jobs are
 // abandoned once it expires.
 func (c *Checker) CheckPropertyPortfolioCtx(ctx context.Context, sys *System, props []Property) ([]*Report, error) {
-	return core.CheckPortfolioCtx(ctx, c.rec, sys, props, c.portfolioWorkers())
+	return core.CheckPortfolioCtx(ctx, c.rec, sys, props, runtime.GOMAXPROCS(0))
 }
 
 // CheckSystemsPortfolioCtx is CheckSystemsPortfolio with cooperative
 // cancellation.
 func (c *Checker) CheckSystemsPortfolioCtx(ctx context.Context, systems []*System, p Property) ([]*Report, error) {
-	return core.CheckSystemsPortfolioCtx(ctx, c.rec, systems, p, c.portfolioWorkers())
+	return core.CheckSystemsPortfolioCtx(ctx, c.rec, systems, p, runtime.GOMAXPROCS(0))
 }

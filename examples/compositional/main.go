@@ -11,16 +11,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 	"time"
 
 	"relive"
 )
 
 func main() {
-	parallel := flag.Bool("parallel", false,
-		"compose the farm with the frontier-parallel product and check every worker's response property as a portfolio")
+	withPortfolio := flag.Bool("parallel", false,
+		"also check every worker's response property as a portfolio on a GOMAXPROCS worker pool")
 	flag.Parse()
-	if err := run(*parallel); err != nil {
+	if err := run(*withPortfolio); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -34,7 +35,7 @@ done%[1]d res%[1]d idle%[1]d
 `, i))
 }
 
-func run(parallel bool) error {
+func run(withPortfolio bool) error {
 	fmt.Println("n  concrete  abstract  simple  abstract-verdict  conclusion            time")
 	for n := 1; n <= 5; n++ {
 		farm, err := worker(0)
@@ -46,12 +47,7 @@ func run(parallel bool) error {
 			if err != nil {
 				return err
 			}
-			if parallel {
-				farm, err = relive.ProductSystemParallel(farm, w, 0)
-			} else {
-				farm, err = relive.ProductSystem(farm, w)
-			}
-			if err != nil {
+			if farm, err = relive.ProductSystem(farm, w); err != nil {
 				return err
 			}
 		}
@@ -67,19 +63,18 @@ func run(parallel bool) error {
 			n, farm.NumStates(), report.Abstract.NumStates(),
 			report.Simple, report.AbstractHolds, report.Conclusion, elapsed.Round(time.Microsecond))
 
-		if parallel {
+		if withPortfolio {
 			// Check every worker's own response property against the
 			// concrete farm as one portfolio batch: the pool shares the
 			// trimmed farm and its behavior automaton across all n
 			// properties.
-			chk := relive.With(relive.WithParallelism(0))
 			var props []relive.Property
 			for i := 0; i < n; i++ {
 				f := relive.MustParseLTL(fmt.Sprintf("G (req%d -> F res%d)", i, i))
 				props = append(props, relive.PropertyFromLTL(f, nil))
 			}
 			pstart := time.Now()
-			reports, err := chk.CheckPropertyPortfolio(farm, props)
+			reports, err := relive.With().CheckPropertyPortfolio(farm, props)
 			if err != nil {
 				return err
 			}
@@ -90,7 +85,7 @@ func run(parallel bool) error {
 				}
 			}
 			fmt.Printf("   portfolio: %d/%d per-worker response properties are relative liveness properties (%d workers, %v)\n",
-				holds, n, chk.Parallelism(), time.Since(pstart).Round(time.Microsecond))
+				holds, n, runtime.GOMAXPROCS(0), time.Since(pstart).Round(time.Microsecond))
 		}
 	}
 	fmt.Println()

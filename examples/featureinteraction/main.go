@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 
 	"relive"
 )
@@ -47,15 +48,15 @@ recording record idle
 `
 
 func main() {
-	parallel := flag.Bool("parallel", false,
-		"check the per-variant property portfolio on a GOMAXPROCS worker pool (relive.WithParallelism)")
+	withPortfolio := flag.Bool("parallel", false,
+		"also check the per-variant property portfolio on a GOMAXPROCS worker pool")
 	flag.Parse()
-	if err := run(*parallel); err != nil {
+	if err := run(*withPortfolio); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(parallel bool) error {
+func run(withPortfolio bool) error {
 	eta := relive.MustParseLTL("G (call -> F (answer | fwdanswer | record))")
 	for _, variant := range []struct {
 		name string
@@ -93,7 +94,7 @@ func run(parallel bool) error {
 		}
 		fmt.Println()
 
-		if parallel {
+		if withPortfolio {
 			// Check a portfolio of service guarantees in one batch: the
 			// worker pool shares the trimmed system and its behavior
 			// automaton across all properties, and each property's three
@@ -111,12 +112,11 @@ func run(parallel bool) error {
 			for _, entry := range portfolio[1:] {
 				props = append(props, relive.PropertyFromLTL(relive.MustParseLTL(entry.formula), nil))
 			}
-			chk := relive.With(relive.WithParallelism(0))
-			reports, err := chk.CheckPropertyPortfolio(sys, props)
+			reports, err := relive.With().CheckPropertyPortfolio(sys, props)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  portfolio (%d properties, %d workers):\n", len(props), chk.Parallelism())
+			fmt.Printf("  portfolio (%d properties, %d workers):\n", len(props), runtime.GOMAXPROCS(0))
 			for i, r := range reports {
 				fmt.Printf("    %-26s satisfied=%-5v rel-liveness=%-5v rel-safety=%v\n",
 					portfolio[i].name, r.Satisfied, r.RelativeLiveness, r.RelativeSafety)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"relive/internal/obs"
 	"relive/internal/ts"
@@ -69,75 +68,23 @@ func NewPipelineCellsSharing(sc *SystemCells, p Property) *PipelineCells {
 	}
 }
 
-// CheckAllCtx is CheckAll with cooperative cancellation and optional
-// parallelism: workers > 1 runs the three verdicts concurrently (as
-// CheckAllParRec), sharing one single-flight artifact set either way.
-// On cancellation the returned error wraps ctx.Err().
-func CheckAllCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property, workers int) (*Report, error) {
-	return CheckAllCellsCtx(ctx, rec, NewPipelineCells(sys, p), workers)
+// CheckAllCtx is CheckAll with cooperative cancellation: the three
+// verdicts run serially over one single-flight artifact set, and on
+// cancellation the returned error wraps ctx.Err().
+func CheckAllCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property) (*Report, error) {
+	return CheckAllCellsCtx(ctx, rec, NewPipelineCells(sys, p))
 }
 
 // CheckAllCellsCtx is CheckAllCtx over a pre-existing (possibly cached)
 // artifact set.
-func CheckAllCellsCtx(ctx context.Context, rec obs.Recorder, pc *PipelineCells, workers int) (*Report, error) {
+func CheckAllCellsCtx(ctx context.Context, rec obs.Recorder, pc *PipelineCells) (*Report, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, fmt.Errorf("core: check all: %w", err)
 	}
 	sp := obs.StartSpan(rec, "core.CheckAll").
 		Tag("paper", "Section 4 (cross-checked via Theorem 4.7)")
-	if workers > 1 {
-		sp.Tag("mode", "parallel")
-	}
 	defer sp.End()
-	pl := viewCells(ctx, rec, pc.sh, pc.p)
-	if workers <= 1 {
-		return checkAllPipe(pl)
-	}
-	return checkAllPar(pl, rec, sp)
-}
-
-// checkAllPar fans the three verdicts out onto one goroutine each over
-// pl's shared cells, attributing spans per worker. Shared by
-// CheckAllParRec (nil ctx) and CheckAllCellsCtx.
-func checkAllPar(pl *pipeline, rec obs.Recorder, sp obs.Span) (*Report, error) {
-	var (
-		wg   sync.WaitGroup
-		sat  SatisfactionResult
-		rl   LivenessResult
-		rs   SafetyResult
-		errs [3]error
-	)
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		view := pl.view(obs.ForkWorker(rec, "satisfies", sp.ID()))
-		sat, errs[0] = satisfiesPipe(view)
-	}()
-	go func() {
-		defer wg.Done()
-		view := pl.view(obs.ForkWorker(rec, "rel-liveness", sp.ID()))
-		rl, errs[1] = relativeLivenessPipe(view)
-	}()
-	go func() {
-		defer wg.Done()
-		view := pl.view(obs.ForkWorker(rec, "rel-safety", sp.ID()))
-		rs, errs[2] = relativeSafetyPipe(view)
-	}()
-	wg.Wait()
-	// A genuine verdict error outranks a cancellation: when one verdict
-	// fails deterministically while the cancellation tears the others
-	// down, report the deterministic failure.
-	for _, err := range errs {
-		if err != nil && !isContextError(err) {
-			return nil, err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return assembleReport(pl.sys, pl.p, sat, rl, rs)
+	return checkAllPipe(viewCells(ctx, rec, pc.sh, pc.p))
 }
 
 // SatisfiesCtx is Satisfies (Definition 3.2) with cooperative

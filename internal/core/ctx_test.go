@@ -82,11 +82,7 @@ func TestCtxEntryPointsDeadline(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"CheckAllCtx", func(ctx context.Context) error {
-			_, err := core.CheckAllCtx(ctx, nil, sys, p, 1)
-			return err
-		}},
-		{"CheckAllCtx/parallel", func(ctx context.Context) error {
-			_, err := core.CheckAllCtx(ctx, nil, sys, p, 3)
+			_, err := core.CheckAllCtx(ctx, nil, sys, p)
 			return err
 		}},
 		{"RelativeLivenessCtx", func(ctx context.Context) error {
@@ -129,7 +125,7 @@ func TestCtxEntryPointsPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := core.CheckAllCtx(ctx, nil, sys, p, 1); !errors.Is(err, context.Canceled) {
+	if _, err := core.CheckAllCtx(ctx, nil, sys, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CheckAllCtx err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -147,15 +143,13 @@ func TestCtxNilAndBackgroundMatchPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		got, err := core.CheckAllCtx(context.Background(), nil, sys, p, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Satisfied != want.Satisfied || got.RelativeLiveness != want.RelativeLiveness ||
-			got.RelativeSafety != want.RelativeSafety {
-			t.Fatalf("CheckAllCtx(workers=%d) verdicts = %+v, want %+v", workers, got, want)
-		}
+	got, err := core.CheckAllCtx(context.Background(), nil, sys, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Satisfied != want.Satisfied || got.RelativeLiveness != want.RelativeLiveness ||
+		got.RelativeSafety != want.RelativeSafety {
+		t.Fatalf("CheckAllCtx verdicts = %+v, want %+v", got, want)
 	}
 }
 
@@ -171,15 +165,15 @@ func TestCtxCancelledRunDoesNotPoisonCells(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := core.CheckAllCellsCtx(ctx, nil, pc, 1); !errors.Is(err, context.Canceled) {
+	if _, err := core.CheckAllCellsCtx(ctx, nil, pc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run err = %v, want context.Canceled", err)
 	}
 	// Also abort one mid-flight (deadline) to exercise builder abort.
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer dcancel()
-	_, _ = core.CheckAllCellsCtx(dctx, nil, pc, 1)
+	_, _ = core.CheckAllCellsCtx(dctx, nil, pc)
 
-	got, err := core.CheckAllCellsCtx(context.Background(), nil, pc, 1)
+	got, err := core.CheckAllCellsCtx(context.Background(), nil, pc)
 	if err != nil {
 		t.Fatalf("follow-up run on shared cells: %v", err)
 	}
@@ -244,7 +238,7 @@ func TestCtxSharedCellsCoalesce(t *testing.T) {
 	ch := make(chan out, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			rep, err := core.CheckAllCellsCtx(context.Background(), nil, pc, 1)
+			rep, err := core.CheckAllCellsCtx(context.Background(), nil, pc)
 			ch <- out{rep, err}
 		}()
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"relive/internal/gen"
@@ -11,80 +14,6 @@ import (
 	"relive/internal/paper"
 	"relive/internal/ts"
 )
-
-// figureCases returns the paper's Fig 2/3/4 systems with the property
-// the paper checks against them.
-func figureCases(t *testing.T) []struct {
-	name string
-	sys  *ts.System
-	p    Property
-} {
-	t.Helper()
-	fig2, err := paper.Fig2System()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig4, err := paper.Fig4System()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := FromFormula(paper.PropertyInfResults(), nil)
-	return []struct {
-		name string
-		sys  *ts.System
-		p    Property
-	}{
-		{"fig2", fig2, p},
-		{"fig3", paper.Fig3System(), p},
-		{"fig4", fig4, p},
-	}
-}
-
-func TestCheckAllParMatchesSerialOnFigures(t *testing.T) {
-	for _, tc := range figureCases(t) {
-		serial, err := CheckAll(tc.sys, tc.p)
-		if err != nil {
-			t.Fatalf("%s serial: %v", tc.name, err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			par, err := CheckAllPar(tc.sys, tc.p, workers)
-			if err != nil {
-				t.Fatalf("%s parallel(%d): %v", tc.name, workers, err)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("%s parallel(%d) report differs:\nserial:   %+v\nparallel: %+v",
-					tc.name, workers, serial, par)
-			}
-		}
-	}
-}
-
-func TestCheckAllParMatchesSerialRandomized(t *testing.T) {
-	formulas := []*ltl.Formula{
-		ltl.MustParse("G F a"),
-		ltl.MustParse("F G b"),
-		ltl.MustParse("G (a -> F b)"),
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		sys := randomSystem(rng, gen.Letters(2), 4+rng.Intn(10))
-		for _, f := range formulas {
-			p := FromFormula(f, nil)
-			serial, serr := CheckAll(sys, p)
-			par, perr := CheckAllPar(sys, p, 4)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("trial %d %s: error mismatch: serial=%v parallel=%v", trial, f, serr, perr)
-			}
-			if serr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("trial %d %s: reports differ:\nserial:   %+v\nparallel: %+v",
-					trial, f, serial, par)
-			}
-		}
-	}
-}
 
 func TestCheckPortfolioMatchesSerial(t *testing.T) {
 	sys, err := paper.Fig2System()
@@ -140,70 +69,110 @@ func TestCheckSystemsPortfolioMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelCheckAllSingleFlight pins the single-flight guarantee:
-// with all three verdicts racing, each shared artifact is still built
-// exactly once.
-func TestParallelCheckAllSingleFlight(t *testing.T) {
+// TestCheckAllCellsConcurrentSingleFlight runs the concurrency the
+// service has: several requests checking one cached artifact set at
+// once, each under its own trace. Every shared artifact is built by
+// exactly one of them, and all get the same report.
+func TestCheckAllCellsConcurrentSingleFlight(t *testing.T) {
 	sys, err := paper.Fig2System()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := FromFormula(paper.PropertyInfResults(), nil)
+	const callers = 4
 	for trial := 0; trial < 10; trial++ {
-		tr := obs.NewTrace()
-		if _, err := CheckAllParRec(tr, sys, p, 3); err != nil {
-			t.Fatal(err)
+		pc := NewPipelineCells(sys, p)
+		var (
+			wg      sync.WaitGroup
+			start   = make(chan struct{})
+			traces  [callers]*obs.Trace
+			reports [callers]*Report
+			errs    [callers]error
+		)
+		for i := range traces {
+			traces[i] = obs.NewTrace()
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				reports[i], errs[i] = CheckAllCellsCtx(context.Background(), traces[i], pc)
+			}(i)
 		}
+		close(start)
+		wg.Wait()
 		counts := map[string]int{}
-		for _, s := range tr.Spans() {
-			counts[s.Name]++
+		for i, tr := range traces {
+			if errs[i] != nil {
+				t.Fatalf("trial %d caller %d: %v", trial, i, errs[i])
+			}
+			if !reflect.DeepEqual(reports[0], reports[i]) {
+				t.Errorf("trial %d: caller %d report differs:\n%+v\n%+v", trial, i, reports[0], reports[i])
+			}
+			for _, s := range tr.Spans() {
+				counts[s.Name]++
+			}
 		}
 		for _, name := range []string{"trim(L)", "lim(L)", "P→Büchi", "¬P", "pre(L∩P)"} {
 			if counts[name] != 1 {
-				t.Errorf("trial %d: span %q recorded %d times, want exactly 1", trial, name, counts[name])
-			}
-		}
-		// The three verdict spans must each appear once, under their own
-		// worker attribution.
-		for _, name := range []string{"core.Satisfies", "core.RelativeLiveness", "core.RelativeSafety"} {
-			if counts[name] != 1 {
-				t.Errorf("trial %d: span %q recorded %d times, want exactly 1", trial, name, counts[name])
+				t.Errorf("trial %d: span %q recorded %d times across %d traces, want exactly 1",
+					trial, name, counts[name], callers)
 			}
 		}
 	}
 }
 
-// TestParallelSpanAttribution checks that per-goroutine spans parent
-// under the CheckAll root and carry worker tags.
-func TestParallelSpanAttribution(t *testing.T) {
+// TestPortfolioSpanAttribution checks the pool's span attribution: each
+// property's core.CheckAll span parents under the core.CheckPortfolio
+// root with its worker's tag, and the shared system artifacts are built
+// once for all properties.
+func TestPortfolioSpanAttribution(t *testing.T) {
 	sys, err := paper.Fig2System()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := FromFormula(paper.PropertyInfResults(), nil)
+	props := []Property{
+		FromFormula(paper.PropertyInfResults(), nil),
+		FromFormula(ltl.MustParse("G F request"), nil),
+		FromFormula(ltl.MustParse("G (request -> F (result | reject))"), nil),
+		FromFormula(ltl.MustParse("F G reject"), nil),
+	}
+	const workers = 3
 	tr := obs.NewTrace()
-	if _, err := CheckAllParRec(tr, sys, p, 3); err != nil {
+	if _, err := CheckPortfolioRec(tr, sys, props, workers); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()
 	var root obs.SpanID
+	counts := map[string]int{}
 	for _, s := range spans {
-		if s.Name == "core.CheckAll" {
+		counts[s.Name]++
+		if s.Name == "core.CheckPortfolio" {
 			root = s.ID
 		}
 	}
 	if root == 0 {
-		t.Fatal("no core.CheckAll root span")
+		t.Fatal("no core.CheckPortfolio root span")
 	}
-	workers := map[string]bool{}
+	if counts["core.CheckAll"] != len(props) {
+		t.Errorf("%d core.CheckAll spans, want %d", counts["core.CheckAll"], len(props))
+	}
 	for _, s := range spans {
-		if s.Parent == root && s.Tags["worker"] != "" {
-			workers[s.Tags["worker"]] = true
+		if s.Name != "core.CheckAll" {
+			continue
+		}
+		if s.Parent != root {
+			t.Errorf("core.CheckAll span %d (%s) parents under %d, want the portfolio root %d",
+				s.ID, s.Tags["property"], s.Parent, root)
+		}
+		var k int
+		if _, err := fmt.Sscanf(s.Tags["worker"], "worker-%d", &k); err != nil || k < 0 || k >= workers {
+			t.Errorf("core.CheckAll span %d (%s) has worker tag %q, want worker-k for k < %d",
+				s.ID, s.Tags["property"], s.Tags["worker"], workers)
 		}
 	}
-	for _, w := range []string{"satisfies", "rel-liveness", "rel-safety"} {
-		if !workers[w] {
-			t.Errorf("no top-level span attributed to worker %q (got %v)", w, workers)
+	for _, name := range []string{"trim(L)", "lim(L)"} {
+		if counts[name] != 1 {
+			t.Errorf("span %q recorded %d times, want exactly 1", name, counts[name])
 		}
 	}
 }

@@ -77,8 +77,8 @@ func (c *propCell) negation(ctx context.Context, rec obs.Recorder) (*buchi.Buchi
 	})
 }
 
-// shared holds the single-flight artifact cells one (system, property)
-// check fans out over: lim(L), P→Büchi, ¬P, and pre(L∩P). Each cell is
+// shared holds the single-flight artifact cells of one (system,
+// property) pair: lim(L), P→Büchi, ¬P, and pre(L∩P). Each cell is
 // built exactly once no matter which goroutine arrives first; the
 // instrumentation span for an artifact is emitted by (and attributed
 // to) whichever goroutine wins the race to build it. A builder whose
@@ -98,8 +98,8 @@ type shared struct {
 // (satisfaction, relative liveness, relative safety) each take a
 // pipeline; CheckAll hands all three the same shared cells so each
 // artifact — previously rebuilt by every procedure — is constructed
-// exactly once per check, even when the three verdicts run
-// concurrently. A nil ctx never cancels (the plain serial path).
+// exactly once per check, even when concurrent checks share the cells.
+// A nil ctx never cancels (the plain serial path).
 type pipeline struct {
 	ctx context.Context
 	rec obs.Recorder
@@ -135,13 +135,6 @@ func newPipelineSharing(ctx context.Context, rec obs.Recorder, sys *ts.System, p
 	}
 	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx},
 		sh: &shared{sys: sys, lim: lim, prop: prop}}
-}
-
-// view returns a pipeline over the same shared cells whose spans are
-// reported to rec instead. CheckAll's parallel mode gives each verdict
-// goroutine its own per-worker view.
-func (pl *pipeline) view(rec obs.Recorder) *pipeline {
-	return &pipeline{ctx: pl.ctx, rec: rec, sys: pl.sys, p: pl.p, ops: buchi.Ops{Rec: rec, Ctx: pl.ctx}, sh: pl.sh}
 }
 
 // viewCells returns a pipeline over an externally cached shared-cell

@@ -52,33 +52,6 @@ func CheckAllRec(rec obs.Recorder, sys *ts.System, p Property) (*Report, error) 
 	return checkAllPipe(newPipeline(rec, sys, p))
 }
 
-// CheckAllPar is CheckAllParRec with recording off.
-func CheckAllPar(sys *ts.System, p Property, workers int) (*Report, error) {
-	return CheckAllParRec(nil, sys, p, workers)
-}
-
-// CheckAllParRec runs the three Section 4 decision procedures
-// concurrently, one goroutine per verdict, over one shared
-// single-flight pipeline: whichever goroutine needs lim(L), P→Büchi,
-// ¬P, or pre(L∩P) first builds it, the others block on the sync.Once
-// and reuse it. Verdicts and witnesses are identical to CheckAllRec —
-// every artifact and every witness search is deterministic, and
-// single-flight construction makes the artifact values independent of
-// goroutine arrival order. Spans are attributed per goroutine:
-// each verdict runs under a forked per-worker recorder (obs.ForkWorker)
-// whose top-level spans carry a "worker" tag and parent under the
-// "core.CheckAll" root. workers <= 1 falls back to the serial path.
-func CheckAllParRec(rec obs.Recorder, sys *ts.System, p Property, workers int) (*Report, error) {
-	if workers <= 1 {
-		return CheckAllRec(rec, sys, p)
-	}
-	sp := obs.StartSpan(rec, "core.CheckAll").
-		Tag("paper", "Section 4 (cross-checked via Theorem 4.7)").
-		Tag("mode", "parallel")
-	defer sp.End()
-	return checkAllPar(newPipeline(rec, sys, p), rec, sp)
-}
-
 // checkAllPipe runs the three verdicts serially over pl and assembles
 // the report. CheckAllRec and the portfolio workers share it.
 func checkAllPipe(pl *pipeline) (*Report, error) {

@@ -69,13 +69,14 @@ func (w *workerRecorder) SpanEnd(id SpanID) {
 }
 
 // SpanStartAt makes workerRecorder a ParentedRecorder itself, so a
-// nested ForkWorker (a portfolio pool inside a parallel CheckAll, or a
-// request worker forking sub-workers) keeps **explicit** parenting all
-// the way down to the underlying trace. Before this, a nested fork saw
-// a plain Recorder and fell back to w.under.SpanStart — which parents
-// under the outer worker's local bracketing stack, i.e. under whatever
-// span a *sibling* worker happened to have open, and, once the parent
-// span had ended, could drift onto another request's subtree entirely.
+// nested ForkWorker (a worker forking sub-workers of its own, such as a
+// portfolio pool run on a worker's recorder) keeps **explicit**
+// parenting all the way down to the underlying trace. Before this, a
+// nested fork saw a plain Recorder and fell back to w.under.SpanStart —
+// which parents under the outer worker's local bracketing stack, i.e.
+// under whatever span a *sibling* worker happened to have open, and,
+// once the parent span had ended, could drift onto another request's
+// subtree entirely.
 // Explicitly parented spans bypass the local stack by design.
 func (w *workerRecorder) SpanStartAt(name string, parent SpanID) SpanID {
 	if pr, ok := w.under.(ParentedRecorder); ok {

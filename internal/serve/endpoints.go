@@ -32,7 +32,7 @@ import (
 var endpoints = []endpoint{
 	entry("all", DecodeCheckRequest, propertyCheck(
 		func(s *Server, ctx context.Context, rec obs.Recorder, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			return core.CheckAllCellsCtx(ctx, rec, pc, s.cfg.Parallelism)
+			return core.CheckAllCellsCtx(ctx, rec, pc)
 		})),
 	entry("liveness", DecodeCheckRequest, propertyCheck(
 		func(s *Server, ctx context.Context, rec obs.Recorder, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
@@ -256,7 +256,7 @@ func portfolioCheck(_ string, c *call, req *PortfolioRequest) error {
 			sp.Int("properties", int64(len(pcs)))
 			resp := &PortfolioResponse{Reports: make([]*core.Report, len(pcs))}
 			for i, pc := range pcs {
-				rep, err := core.CheckAllCellsCtx(ctx, rec, pc, s.cfg.Parallelism)
+				rep, err := core.CheckAllCellsCtx(ctx, rec, pc)
 				if err != nil {
 					return nil, err
 				}
@@ -343,6 +343,12 @@ func fairAbstractCheck(_ string, c *call, req *FairAbstractRequest) error {
 	return nil
 }
 
+// statWalkers is the number of random-walk workers one statistical
+// check samples on. It is one because the admission pool already runs
+// one check per core (Config.Workers); wider sampling would only make
+// concurrent checks contend for the same cores.
+const statWalkers = 1
+
 // statisticalCheck runs the sampling engine (internal/mc). The report is
 // a deterministic function of (system, property, seed, samples, steps,
 // confidence), so replays under a fixed seed are byte-identical; only
@@ -368,7 +374,7 @@ func statisticalCheck(_ string, c *call, req *StatisticalRequest) error {
 				Samples:    req.Samples,
 				Steps:      req.Steps,
 				Confidence: req.Confidence,
-				Workers:    s.cfg.Parallelism,
+				Workers:    statWalkers,
 			})
 		}, nil
 	}

@@ -34,9 +34,6 @@ type Config struct {
 	// worker slot beyond the running ones; past it the server sheds load
 	// with 429 + Retry-After. <= 0 means 64.
 	QueueDepth int
-	// Parallelism is the per-check verdict fan-out passed to CheckAll
-	// (three verdicts over one shared pipeline); <= 0 means 1 (serial).
-	Parallelism int
 	// DefaultTimeout caps a check's wall time when the request does not
 	// set timeout_ms; 0 means 60s.
 	DefaultTimeout time.Duration
@@ -103,7 +100,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	orDefault(&cfg.Workers, runtime.GOMAXPROCS(0))
 	orDefault(&cfg.QueueDepth, 64)
-	orDefault(&cfg.Parallelism, 1)
 	orDefault(&cfg.DefaultTimeout, 60*time.Second)
 	orDefault(&cfg.SystemEntries, 256)
 	orDefault(&cfg.PipelineEntries, 1024)

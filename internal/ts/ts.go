@@ -295,64 +295,73 @@ func (s *System) AcceptsWord(w word.Word) bool {
 // alphabets synchronize, private actions interleave. The result's
 // alphabet is the union; only states reachable from the joint initial
 // state are materialized. State names are "x|y".
+//
+// States are numbered in breadth-first discovery order from the initial
+// pair. Each pair's moves are taken by a's actions in a's interning
+// order (a shared action pairs every a-successor with every
+// b-successor), then by b's private actions in b's interning order, so
+// equal operands always give an identical system.
 func Product(a, b *System) (*System, error) {
 	if a.initial < 0 || b.initial < 0 {
 		return nil, fmt.Errorf("ts: product of systems without initial states")
 	}
 	ab := a.ab.Clone()
 	mapB := ab.Extend(b.ab)
-	sharedByName := map[alphabet.Symbol]alphabet.Symbol{} // product symbol -> b's symbol
-	for _, symB := range b.ab.Symbols() {
-		sharedByName[mapB[symB]] = symB
+
+	// Resolve each action's product symbol once, not once per state.
+	// a's actions keep their symbols, since ab extends a's alphabet.
+	type move struct {
+		sym    alphabet.Symbol // product symbol
+		symB   alphabet.Symbol // b's symbol, for shared and b-private moves
+		shared bool
 	}
-	isShared := func(sym alphabet.Symbol) bool {
-		_, inB := sharedByName[sym]
-		_, inA := a.ab.Lookup(ab.Name(sym))
-		return inB && inA
+	aMoves := make([]move, 0, a.ab.Size())
+	for _, symA := range a.ab.Symbols() {
+		symB, shared := b.ab.Lookup(a.ab.Name(symA))
+		aMoves = append(aMoves, move{sym: symA, symB: symB, shared: shared})
+	}
+	var bMoves []move // b's private actions
+	for _, symB := range b.ab.Symbols() {
+		if _, shared := a.ab.Lookup(b.ab.Name(symB)); !shared {
+			bMoves = append(bMoves, move{sym: mapB[symB], symB: symB})
+		}
 	}
 
 	out := New(ab)
 	type pair struct{ x, y State }
-	index := map[pair]State{}
-	var queue []pair
+	type item struct {
+		p  pair
+		st State
+	}
+	index := map[uint64]State{} // packed pair; faster than a struct key
+	var queue []item
 	intern := func(p pair) State {
-		if st, ok := index[p]; ok {
+		key := uint64(uint32(p.x))<<32 | uint64(uint32(p.y))
+		if st, ok := index[key]; ok {
 			return st
 		}
 		st := out.AddState(a.names[p.x] + "|" + b.names[p.y])
-		index[p] = st
-		queue = append(queue, p)
+		index[key] = st
+		queue = append(queue, item{p, st})
 		return st
 	}
-	init := intern(pair{a.initial, b.initial})
-	out.SetInitial(init)
+	out.SetInitial(intern(pair{a.initial, b.initial}))
 	for qi := 0; qi < len(queue); qi++ {
-		p := queue[qi]
-		from := index[p]
-		// Moves of a: private actions of a, or shared with b able to match.
-		for symA, ts := range a.trans[p.x] {
-			sym := ab.Symbol(a.ab.Name(symA)) // same value: ab extends a's alphabet
-			if isShared(sym) {
-				symB := sharedByName[sym]
-				for _, tx := range ts {
-					for _, ty := range b.trans[p.y][symB] {
-						out.AddTransition(from, sym, intern(pair{tx, ty}))
-					}
+		p, from := queue[qi].p, queue[qi].st
+		for _, m := range aMoves {
+			for _, tx := range a.trans[p.x][m.sym] {
+				if !m.shared {
+					out.AddTransition(from, m.sym, intern(pair{tx, p.y}))
+					continue
 				}
-			} else {
-				for _, tx := range ts {
-					out.AddTransition(from, sym, intern(pair{tx, p.y}))
+				for _, ty := range b.trans[p.y][m.symB] {
+					out.AddTransition(from, m.sym, intern(pair{tx, ty}))
 				}
 			}
 		}
-		// Private moves of b.
-		for symB, ts := range b.trans[p.y] {
-			sym := mapB[symB]
-			if isShared(sym) {
-				continue // handled above
-			}
-			for _, ty := range ts {
-				out.AddTransition(from, sym, intern(pair{p.x, ty}))
+		for _, m := range bMoves {
+			for _, ty := range b.trans[p.y][m.symB] {
+				out.AddTransition(from, m.sym, intern(pair{p.x, ty}))
 			}
 		}
 	}

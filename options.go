@@ -37,12 +37,13 @@ func NewTrace() *Trace { return obs.NewTrace() }
 func ReadTraceJSON(r io.Reader) (TraceDump, error) { return obs.ReadJSON(r) }
 
 // Checker runs the decision procedures with options attached — a
-// Recorder, a parallelism degree, and the statistical engine's
-// settings; the zero value (or With() with no options) behaves exactly
-// like the package-level functions.
+// Recorder and the statistical engine's settings; the zero value (or
+// With() with no options) behaves exactly like the package-level
+// functions. Its portfolio methods run on a runtime.GOMAXPROCS(0)
+// worker pool and the statistical engine samples on as many walkers;
+// every other check runs serially on the calling goroutine.
 type Checker struct {
 	rec Recorder
-	par int
 
 	// Statistical engine options (see statistical.go).
 	statSeed    int64
@@ -63,23 +64,6 @@ func WithRecorder(rec Recorder) Option {
 	return func(c *Checker) { c.rec = rec }
 }
 
-// WithParallelism makes the Checker run its decision procedures on up
-// to n goroutines: CheckAll/CheckAllProperty run the three Section 4
-// verdicts concurrently over one single-flight artifact pipeline, and
-// the portfolio entry points use n as their worker-pool size. n <= 0
-// means runtime.GOMAXPROCS(0). Verdicts and witnesses are identical to
-// the serial path — every artifact is deterministic and built exactly
-// once regardless of goroutine arrival order; see docs/PERFORMANCE.md
-// ("Parallelism"). Without this option checks stay serial.
-func WithParallelism(n int) Option {
-	return func(c *Checker) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		c.par = n
-	}
-}
-
 // With returns a Checker carrying the given options. Existing
 // package-level entry points are unchanged; this is the additive way to
 // attach observability:
@@ -97,9 +81,6 @@ func With(opts ...Option) *Checker {
 
 // Recorder returns the attached recorder (nil when none).
 func (c *Checker) Recorder() Recorder { return c.rec }
-
-// Parallelism returns the configured parallelism degree (0 = serial).
-func (c *Checker) Parallelism() int { return c.par }
 
 // CheckRelativeLiveness is the package-level CheckRelativeLiveness with
 // the Checker's options applied.
@@ -135,8 +116,8 @@ func (c *Checker) CheckSatisfiesProperty(sys *System, p Property) (SatisfactionR
 }
 
 // CheckAll is the package-level CheckAll with the Checker's options
-// applied. Under WithParallelism the three verdicts run concurrently;
-// the report is identical to the serial one.
+// applied. The three verdicts run serially over one shared artifact
+// pipeline.
 func (c *Checker) CheckAll(sys *System, f *Formula) (*Report, error) {
 	return c.CheckAllProperty(sys, core.FromFormula(f, nil))
 }
@@ -149,32 +130,20 @@ func (c *Checker) CheckAllProperty(sys *System, p Property) (*Report, error) {
 }
 
 // CheckPropertyPortfolio runs CheckAll for every property against sys
-// on a worker pool of the Checker's parallelism degree (serial without
-// WithParallelism). All properties share the trimmed system and its
-// behavior automaton, built once by whichever worker needs them first;
-// reports come back in props order with verdicts and witnesses
-// identical to checking each property serially.
+// on a pool of runtime.GOMAXPROCS(0) workers. All properties share the
+// trimmed system and its behavior automaton, built once by whichever
+// worker needs them first; reports come back in props order with
+// verdicts and witnesses identical to checking each property serially.
 func (c *Checker) CheckPropertyPortfolio(sys *System, props []Property) ([]*Report, error) {
-	return core.CheckPortfolioRec(c.rec, sys, props, c.portfolioWorkers())
+	return core.CheckPortfolioRec(c.rec, sys, props, runtime.GOMAXPROCS(0))
 }
 
 // CheckSystemsPortfolio runs CheckAll for one property against every
-// system on a worker pool of the Checker's parallelism degree. Systems
-// sharing an alphabet share the property automaton and its negation.
-// Reports come back in systems order, identical to the serial results.
+// system on a pool of runtime.GOMAXPROCS(0) workers. Systems sharing an
+// alphabet share the property automaton and its negation. Reports come
+// back in systems order, identical to the serial results.
 func (c *Checker) CheckSystemsPortfolio(systems []*System, p Property) ([]*Report, error) {
-	return core.CheckSystemsPortfolioRec(c.rec, systems, p, c.portfolioWorkers())
-}
-
-// portfolioWorkers maps the option to the pool size: without
-// WithParallelism the portfolio runs serially (core treats <= 1 as a
-// plain loop); core.CheckPortfolioRec treats 0 as one-per-job, which is
-// not what an unconfigured Checker should do.
-func (c *Checker) portfolioWorkers() int {
-	if c.par <= 0 {
-		return 1
-	}
-	return c.par
+	return core.CheckSystemsPortfolioRec(c.rec, systems, p, runtime.GOMAXPROCS(0))
 }
 
 // MachineClosed is the package-level MachineClosed with the Checker's

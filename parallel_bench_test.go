@@ -1,17 +1,23 @@
-// Benchmarks for the parallel decision procedures: concurrent CheckAll,
-// property-portfolio batching, and frontier-parallel graph
-// construction, each against its serial twin so `scripts/benchcmp` can
-// show the parallel/serial ratio directly. On a single-core runner
-// (GOMAXPROCS=1) the parallel variants measure coordination overhead
-// rather than speedup; see BENCH_03.json for the methodology notes.
+// Benchmarks for the parallel paths the library keeps, each beside its
+// serial twin so `scripts/benchcmp` shows the parallel/serial ratio
+// directly: the property portfolio on a worker pool, on the paper's
+// Fig 2 and on a generated 96-state system with eight properties. The
+// sampler's walker scaling is BenchmarkStatisticalWorkers
+// (mc_bench_test.go). CheckAll, reachability and the synchronous
+// product have only serial paths; their benchmarks stay as baselines.
+// BENCH_07.json records the two-core measurements behind these choices.
 package relive_test
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"relive"
+	"relive/internal/alphabet"
 	"relive/internal/core"
+	"relive/internal/gen"
 	"relive/internal/paper"
 	"relive/internal/petri"
 	"relive/internal/ts"
@@ -32,17 +38,6 @@ func BenchmarkCheckAllSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.CheckAll(sys, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCheckAllParallel(b *testing.B) {
-	sys, p := checkAllOperands(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckAllPar(sys, p, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,8 +80,64 @@ func BenchmarkPortfolioParallel(b *testing.B) {
 	}
 }
 
-// benchRing is a bounded token-ring net whose reachability graph is
-// large enough for the frontier phases to matter.
+// portfolioGenOperands is a generated 96-state system over a, b, c
+// with eight properties: the system filter, canonical-text round trip
+// and property menu of the rlperf exact workloads, at cold-exact's
+// largest size. The seeds are those of the BENCH_07 sweep.
+func portfolioGenOperands(b *testing.B) (*ts.System, []core.Property) {
+	b.Helper()
+	ab := gen.Letters(3)
+	var sys *ts.System
+	for seed := int64(2000); sys == nil; seed++ {
+		cand := gen.System(rand.New(rand.NewSource(seed)), ab, 96, 0.3)
+		used := map[alphabet.Symbol]bool{}
+		for _, e := range cand.Edges() {
+			used[e.Sym] = true
+		}
+		if _, err := cand.Trim(); err != nil || len(used) < ab.Size() {
+			continue
+		}
+		var err error
+		if sys, err = ts.ParseString(cand.FormatString()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var props []core.Property
+	for _, f := range []string{
+		"G F a", "G (a -> F b)", "F G c", "G F a & G F b",
+		"G (b -> X F c)", "(G F a) -> (G F b)", "G (a -> (b U c))", "F G (a | b)",
+	} {
+		props = append(props, core.FromFormula(relive.MustParseLTL(f), nil))
+	}
+	return sys, props
+}
+
+func BenchmarkPortfolioGenSerial(b *testing.B) {
+	sys, props := portfolioGenOperands(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CheckPortfolio(sys, props, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPortfolioGenParallel runs the pool at the width the Checker
+// uses, runtime.GOMAXPROCS(0); run with -cpu 1,2 to see the speedup.
+func BenchmarkPortfolioGenParallel(b *testing.B) {
+	sys, props := portfolioGenOperands(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CheckPortfolio(sys, props, runtime.GOMAXPROCS(0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchRing is a bounded token-ring net: its reachability graph holds
+// every distribution of the tokens over four places.
 func benchRing(tokens int) *petri.Net {
 	n := petri.New()
 	n.AddPlace("p0", tokens)
@@ -116,17 +167,6 @@ func BenchmarkReachabilitySerial(b *testing.B) {
 	}
 }
 
-func BenchmarkReachabilityParallel(b *testing.B) {
-	net := benchRing(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.ReachabilityGraphParallel(0, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func productOperand(b *testing.B, i int) *relive.System {
 	b.Helper()
 	sys, err := relive.ParseSystemString(fmt.Sprintf(`
@@ -151,21 +191,6 @@ func BenchmarkProductSerial(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := relive.ProductSystem(xy, z); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProductParallel(b *testing.B) {
-	x, y, z := productOperand(b, 0), productOperand(b, 1), productOperand(b, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xy, err := relive.ProductSystemParallel(x, y, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := relive.ProductSystemParallel(xy, z, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

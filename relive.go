@@ -267,16 +267,12 @@ func EvalLasso(f *Formula, l Lasso, lab *Labeling) (bool, error) {
 }
 
 // ProductSystem composes two systems synchronously on shared actions,
-// the compositional-analysis step of [22] in the paper.
+// the compositional-analysis step of [22] in the paper. States are
+// numbered in breadth-first discovery order from the initial pair,
+// expanding each pair's moves by a's actions in a's interning order and
+// then b's private actions in b's, so the same operands always give the
+// same system.
 func ProductSystem(a, b *System) (*System, error) { return ts.Product(a, b) }
-
-// ProductSystemParallel is ProductSystem with frontier-parallel
-// construction of the reachable pair space on the given number of
-// workers. Unlike ProductSystem, its state numbering is deterministic
-// across runs and worker counts; the composed behavior is the same.
-func ProductSystemParallel(a, b *System, workers int) (*System, error) {
-	return ts.ProductParallel(a, b, workers)
-}
 
 // NewFairScheduler returns a deterministic strongly fair scheduler for
 // simulating sys.

@@ -25,7 +25,7 @@ import (
 // StatisticalReport is the sampling engine's verdict: counts, the
 // Clopper–Pearson interval, and the sampled counterexample on "fails".
 // Deterministic in (system, property, seed, samples, steps,
-// confidence); replays byte-identically for any parallelism.
+// confidence); replays byte-identically for any number of walkers.
 type StatisticalReport = core.StatisticalReport
 
 // Statistical verdict labels carried in StatisticalReport.Verdict.
@@ -85,7 +85,6 @@ func (c *Checker) statOptions() core.StatOptions {
 		Samples:    c.statSamples,
 		Steps:      c.statSteps,
 		Confidence: c.statConf,
-		Workers:    c.par,
 	}
 }
 
@@ -96,8 +95,9 @@ func CheckStatistical(sys *System, f *Formula) (*StatisticalReport, error) {
 }
 
 // CheckStatistical runs the statistical engine with the Checker's
-// options (WithSeed, WithSampleBudget, WithConfidence; WithParallelism
-// bounds the sampling workers without changing the report).
+// options (WithSeed, WithSampleBudget, WithConfidence). It samples on
+// runtime.GOMAXPROCS(0) walkers; the report does not depend on how
+// many.
 func (c *Checker) CheckStatistical(sys *System, f *Formula) (*StatisticalReport, error) {
 	return c.CheckStatisticalProperty(sys, core.FromFormula(f, nil))
 }
@@ -133,7 +133,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 		exactCtx, cancel = context.WithTimeout(exactCtx, c.fbTimeout)
 		defer cancel()
 	}
-	rep, err := core.CheckAllCtx(exactCtx, c.rec, sys, p, c.par)
+	rep, err := core.CheckAllCtx(exactCtx, c.rec, sys, p)
 	if err == nil {
 		return rep, nil
 	}
