@@ -7,6 +7,7 @@
 package relive_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,7 +46,7 @@ func BenchmarkFig2RelativeLiveness(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil || !res.Holds {
 			b.Fatalf("unexpected verdict %v, %v", res.Holds, err)
 		}
@@ -60,7 +61,7 @@ func BenchmarkFig3NotRelativeLiveness(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil || res.Holds {
 			b.Fatalf("unexpected verdict %v, %v", res.Holds, err)
 		}
@@ -78,7 +79,7 @@ func BenchmarkFig4AbstractCheck(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil || !res.Holds {
 			b.Fatalf("unexpected verdict %v, %v", res.Holds, err)
 		}
@@ -139,7 +140,7 @@ func BenchmarkFairImplementation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fi, err := core.SynthesizeFairImplementation(sys, p)
+		fi, err := core.SynthesizeFairImplementation(context.Background(), sys, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func BenchmarkRelLivenessScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RelativeLiveness(sys, p); err != nil {
+				if _, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -180,7 +181,7 @@ func BenchmarkRelSafetyScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RelativeSafety(sys, p); err != nil {
+				if _, err := core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -198,7 +199,7 @@ func BenchmarkFormulaSizeScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", d), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RelativeLiveness(sys, p); err != nil {
+				if _, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -216,7 +217,7 @@ func BenchmarkConjunctionTheorem(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		direct, err := core.Satisfies(sys, p)
+		direct, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func BenchmarkCompositionalAbstraction(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				report, err := core.VerifyViaAbstraction(farm, h, eta)
+				report, err := core.VerifyViaAbstraction(context.Background(), farm, h, eta)
 				if err != nil || report.Conclusion != core.ConcreteHolds {
 					b.Fatalf("unexpected outcome: %v, %v", report.Conclusion, err)
 				}
@@ -288,7 +289,7 @@ func BenchmarkFeatureInteraction(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				report, err := core.VerifyViaAbstraction(tc.sys, h, eta)
+				report, err := core.VerifyViaAbstraction(context.Background(), tc.sys, h, eta)
 				if err != nil || report.Conclusion != tc.want {
 					b.Fatalf("unexpected outcome: %v, %v", report.Conclusion, err)
 				}
@@ -310,7 +311,7 @@ func BenchmarkRLAblation(b *testing.B) {
 		run  func() (bool, error)
 	}{
 		{"lemma4.3", func() (bool, error) {
-			r, err := core.RelativeLiveness(sys, p)
+			r, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 			return r.Holds, err
 		}},
 		{"definition4.1", func() (bool, error) {

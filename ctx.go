@@ -21,29 +21,29 @@ import (
 
 // CheckAllCtx is CheckAll with cooperative cancellation.
 func CheckAllCtx(ctx context.Context, sys *System, f *Formula) (*Report, error) {
-	return core.CheckAllCtx(ctx, nil, sys, core.FromFormula(f, nil))
+	return core.CheckAll(ctx, core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckAllPropertyCtx is CheckAllProperty with cooperative cancellation.
 func CheckAllPropertyCtx(ctx context.Context, sys *System, p Property) (*Report, error) {
-	return core.CheckAllCtx(ctx, nil, sys, p)
+	return core.CheckAll(ctx, core.NewPipelineCells(sys, p))
 }
 
 // CheckRelativeLivenessCtx is CheckRelativeLiveness with cooperative
 // cancellation.
 func CheckRelativeLivenessCtx(ctx context.Context, sys *System, f *Formula) (LivenessResult, error) {
-	return core.RelativeLivenessCtx(ctx, nil, sys, core.FromFormula(f, nil))
+	return core.RelativeLiveness(ctx, core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckRelativeSafetyCtx is CheckRelativeSafety with cooperative
 // cancellation.
 func CheckRelativeSafetyCtx(ctx context.Context, sys *System, f *Formula) (SafetyResult, error) {
-	return core.RelativeSafetyCtx(ctx, nil, sys, core.FromFormula(f, nil))
+	return core.RelativeSafety(ctx, core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckSatisfiesCtx is CheckSatisfies with cooperative cancellation.
 func CheckSatisfiesCtx(ctx context.Context, sys *System, f *Formula) (SatisfactionResult, error) {
-	return core.SatisfiesCtx(ctx, nil, sys, core.FromFormula(f, nil))
+	return core.Satisfies(ctx, core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckAllCtx is the Checker's CheckAll with cooperative cancellation;
@@ -60,53 +60,53 @@ func (c *Checker) CheckAllPropertyCtx(ctx context.Context, sys *System, p Proper
 	if c.fbSet {
 		return c.checkAllWithFallback(ctx, sys, p)
 	}
-	return core.CheckAllCtx(ctx, c.rec, sys, p)
+	return core.CheckAll(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
 // CheckRelativeLivenessCtx is the Checker's CheckRelativeLiveness with
 // cooperative cancellation.
 func (c *Checker) CheckRelativeLivenessCtx(ctx context.Context, sys *System, f *Formula) (LivenessResult, error) {
-	return core.RelativeLivenessCtx(ctx, c.rec, sys, core.FromFormula(f, nil))
+	return core.RelativeLiveness(c.ctx(ctx), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckRelativeLivenessPropertyCtx is CheckRelativeLivenessCtx for a
 // Property.
 func (c *Checker) CheckRelativeLivenessPropertyCtx(ctx context.Context, sys *System, p Property) (LivenessResult, error) {
-	return core.RelativeLivenessCtx(ctx, c.rec, sys, p)
+	return core.RelativeLiveness(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
 // CheckRelativeSafetyCtx is the Checker's CheckRelativeSafety with
 // cooperative cancellation.
 func (c *Checker) CheckRelativeSafetyCtx(ctx context.Context, sys *System, f *Formula) (SafetyResult, error) {
-	return core.RelativeSafetyCtx(ctx, c.rec, sys, core.FromFormula(f, nil))
+	return core.RelativeSafety(c.ctx(ctx), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckRelativeSafetyPropertyCtx is CheckRelativeSafetyCtx for a
 // Property.
 func (c *Checker) CheckRelativeSafetyPropertyCtx(ctx context.Context, sys *System, p Property) (SafetyResult, error) {
-	return core.RelativeSafetyCtx(ctx, c.rec, sys, p)
+	return core.RelativeSafety(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
 // CheckSatisfiesCtx is the Checker's CheckSatisfies with cooperative
 // cancellation.
 func (c *Checker) CheckSatisfiesCtx(ctx context.Context, sys *System, f *Formula) (SatisfactionResult, error) {
-	return core.SatisfiesCtx(ctx, c.rec, sys, core.FromFormula(f, nil))
+	return core.Satisfies(c.ctx(ctx), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckSatisfiesPropertyCtx is CheckSatisfiesCtx for a Property.
 func (c *Checker) CheckSatisfiesPropertyCtx(ctx context.Context, sys *System, p Property) (SatisfactionResult, error) {
-	return core.SatisfiesCtx(ctx, c.rec, sys, p)
+	return core.Satisfies(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
 // CheckPropertyPortfolioCtx is CheckPropertyPortfolio with cooperative
 // cancellation: running checks poll ctx and not-yet-started jobs are
 // abandoned once it expires.
 func (c *Checker) CheckPropertyPortfolioCtx(ctx context.Context, sys *System, props []Property) ([]*Report, error) {
-	return core.CheckPortfolioCtx(ctx, c.rec, sys, props, runtime.GOMAXPROCS(0))
+	return core.CheckPortfolio(c.ctx(ctx), sys, props, runtime.GOMAXPROCS(0))
 }
 
 // CheckSystemsPortfolioCtx is CheckSystemsPortfolio with cooperative
 // cancellation.
 func (c *Checker) CheckSystemsPortfolioCtx(ctx context.Context, systems []*System, p Property) ([]*Report, error) {
-	return core.CheckSystemsPortfolioCtx(ctx, c.rec, systems, p, runtime.GOMAXPROCS(0))
+	return core.CheckSystemsPortfolio(c.ctx(ctx), systems, p, runtime.GOMAXPROCS(0))
 }

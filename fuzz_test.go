@@ -2,6 +2,7 @@ package relive_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -184,15 +185,15 @@ func FuzzCheckAll(f *testing.F) {
 
 		ab := sys.Alphabet()
 		op := oracle.FromFormula(fml, nil)
-		sat, err := core.Satisfies(sys, p)
+		sat, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := core.RelativeSafety(sys, p)
+		rs, err := core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"relive/internal/graph"
 	"relive/internal/interrupt"
 	"relive/internal/nfa"
+	"relive/internal/obs"
 	"relive/internal/word"
 )
 
@@ -404,15 +405,33 @@ func (b *Buchi) PrefixNFA() *nfa.NFA {
 // standard two-track product. When either operand has every state
 // accepting (a "safety" automaton), the plain product is used instead.
 func Intersect(a, c *Buchi) *Buchi {
-	out, _ := IntersectCtx(nil, a, c)
+	out, _ := intersect(nil, a, c)
 	return out
 }
 
 // IntersectCtx is Intersect with a cooperative cancellation checkpoint
 // inside the product-construction loop: the product of two automata is
 // quadratic in their sizes, and a context deadline must be able to stop
-// it mid-build. A nil ctx never cancels.
+// it mid-build. A nil ctx never cancels. When ctx carries a recorder
+// (obs.ContextWithRecorder), the product is reported as a
+// "buchi.Intersect" span.
 func IntersectCtx(ctx context.Context, a, c *Buchi) (*Buchi, error) {
+	rec := obs.RecorderFromContext(ctx)
+	sp := obs.StartSpan(rec, "buchi.Intersect").
+		Int("left_states", int64(a.NumStates())).
+		Int("right_states", int64(c.NumStates()))
+	out, err := intersect(ctx, a, c)
+	if err != nil {
+		sp.Tag("aborted", "context").End()
+		return nil, err
+	}
+	Record(rec, sp, "buchi.intersect", out)
+	return out, nil
+}
+
+// intersect is the product construction behind Intersect and
+// IntersectCtx.
+func intersect(ctx context.Context, a, c *Buchi) (*Buchi, error) {
 	if a.allAccepting() || c.allAccepting() {
 		return plainProductCtx(ctx, a, c)
 	}

@@ -1,6 +1,7 @@
 package buchi
 
 import (
+	"context"
 	"testing"
 
 	"relive/internal/alphabet"
@@ -46,57 +47,46 @@ func TestNumTransitions(t *testing.T) {
 	}
 }
 
-// TestOpsMatchesPlain checks the instrumented operations return the
-// same automata/answers as the plain ones, with and without a recorder.
-func TestOpsMatchesPlain(t *testing.T) {
+// TestIntersectCtxMatchesPlain checks the context forms return the
+// same automata and answers as the plain ones, with and without a
+// recorder on the context.
+func TestIntersectCtxMatchesPlain(t *testing.T) {
 	b := twoStateLoop(t)
 	c := twoStateLoop(t)
-	for _, ops := range []Ops{{}, {Rec: obs.NewTrace()}} {
-		name := "nil"
-		if ops.Rec != nil {
-			name = "trace"
+	for name, ctx := range map[string]context.Context{
+		"nil":        nil,
+		"background": context.Background(),
+		"trace":      obs.ContextWithRecorder(context.Background(), obs.NewTrace()),
+	} {
+		inter, err := IntersectCtx(ctx, b, c)
+		if err != nil {
+			t.Fatalf("%s: IntersectCtx: %v", name, err)
 		}
-		inter := ops.Intersect(b, c)
 		plain := Intersect(b, c)
 		if inter.NumStates() != plain.NumStates() || inter.NumTransitions() != plain.NumTransitions() {
-			t.Errorf("%s: Ops.Intersect size %d/%d, plain %d/%d", name,
+			t.Errorf("%s: IntersectCtx size %d/%d, plain %d/%d", name,
 				inter.NumStates(), inter.NumTransitions(), plain.NumStates(), plain.NumTransitions())
 		}
-		if got, want := ops.Reduce(b).NumStates(), b.Reduce().NumStates(); got != want {
-			t.Errorf("%s: Ops.Reduce states %d, want %d", name, got, want)
-		}
-		l, ok, err := ops.IntersectLassoCtx(b, c)
+		l, ok, err := IntersectLassoCtx(ctx, b, c)
 		if err != nil || !ok || !b.AcceptsLasso(l) {
-			t.Errorf("%s: Ops.IntersectLassoCtx witness invalid (ok=%v, err=%v)", name, ok, err)
+			t.Errorf("%s: IntersectLassoCtx witness invalid (ok=%v, err=%v)", name, ok, err)
 		}
-		comp, err := ops.Complement(b)
-		if err != nil {
-			t.Fatalf("%s: Ops.Complement: %v", name, err)
-		}
-		if comp.AcceptsLasso(l) {
-			t.Errorf("%s: complement accepts a word of the original", name)
-		}
-		pre := ops.PrefixNFA(b)
-		if got, want := pre.NumStates(), b.PrefixNFA().NumStates(); got != want {
-			t.Errorf("%s: Ops.PrefixNFA states %d, want %d", name, got, want)
-		}
-		lim, err := ops.LimitOfAllAccepting(pre)
-		if err != nil {
-			t.Fatalf("%s: Ops.LimitOfAllAccepting: %v", name, err)
-		}
-		if !lim.AcceptsLasso(l) {
-			t.Errorf("%s: limit of prefixes lost the original behavior", name)
+		if pl, pok := IntersectLasso(b, c); pok != ok || pl.String(b.Alphabet()) != l.String(b.Alphabet()) {
+			t.Errorf("%s: IntersectLassoCtx = %v, plain %v", name, l, pl)
 		}
 	}
 }
 
-// TestOpsRecordsSpans checks the recorder actually sees sizes, calls,
-// and the cumulative blowup counter.
-func TestOpsRecordsSpans(t *testing.T) {
+// TestIntersectCtxRecordsSpans checks the recorder on the context sees
+// sizes, calls, and the cumulative blowup counter.
+func TestIntersectCtxRecordsSpans(t *testing.T) {
 	tr := obs.NewTrace()
-	ops := Ops{Rec: tr}
+	ctx := obs.ContextWithRecorder(context.Background(), tr)
 	b := twoStateLoop(t)
-	out := ops.Intersect(b, twoStateLoop(t))
+	out, err := IntersectCtx(ctx, b, twoStateLoop(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sp, found := tr.Find("buchi.Intersect")
 	if !found {
 		t.Fatal("no buchi.Intersect span recorded")
@@ -107,29 +97,42 @@ func TestOpsRecordsSpans(t *testing.T) {
 	if sp.DurationNS < 0 {
 		t.Error("span not ended")
 	}
+	if _, _, err := IntersectLassoCtx(ctx, b, out); err != nil {
+		t.Fatal(err)
+	}
+	esp, found := tr.Find("buchi.IntersectEmpty")
+	if !found {
+		t.Fatal("no buchi.IntersectEmpty span recorded")
+	}
+	if esp.Ints["empty"] != 0 || esp.Ints["explored_states"] <= 0 {
+		t.Errorf("emptiness span attributes wrong: %v", esp.Ints)
+	}
 	counters := tr.Counters()
 	if counters["buchi.intersect.calls"] != 1 {
 		t.Errorf("intersect.calls = %d, want 1", counters["buchi.intersect.calls"])
+	}
+	if counters["buchi.emptiness.calls"] != 1 {
+		t.Errorf("emptiness.calls = %d, want 1", counters["buchi.emptiness.calls"])
 	}
 	if counters["buchi.states_built"] != int64(out.NumStates()) {
 		t.Errorf("states_built = %d, want %d", counters["buchi.states_built"], out.NumStates())
 	}
 }
 
-// TestOpsNilRecorderAllocationFree: the nil-Ops wrappers must not add
-// allocations beyond the wrapped operation itself (here the product
-// emptiness search over empty automata).
-func TestOpsNilRecorderAllocationFree(t *testing.T) {
+// TestIntersectLassoCtxNoRecorderAllocationFree: without a recorder on
+// the context, IntersectLassoCtx must not allocate beyond the
+// uninstrumented search itself (here over empty automata).
+func TestIntersectLassoCtxNoRecorderAllocationFree(t *testing.T) {
 	ab := alphabet.FromNames("a")
 	empty := New(ab)
-	ops := Ops{}
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		ops.IntersectLassoCtx(empty, empty)
+		IntersectLassoCtx(ctx, empty, empty)
 	})
 	base := testing.AllocsPerRun(1000, func() {
-		IntersectLassoCtx(nil, empty, empty)
+		intersectLasso(nil, empty, empty, nil, nil)
 	})
 	if allocs > base {
-		t.Errorf("nil-recorder Ops.IntersectLassoCtx allocates %v, plain %v", allocs, base)
+		t.Errorf("recorder-free IntersectLassoCtx allocates %v, uninstrumented %v", allocs, base)
 	}
 }

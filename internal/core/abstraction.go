@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/hom"
@@ -70,16 +71,6 @@ type AbstractionReport struct {
 	Conclusion Conclusion
 }
 
-// VerifyViaAbstraction runs the paper's verification method end to end:
-// build the abstract system lim(h(L)), restore the no-maximal-words
-// precondition by the {#}*-extension if needed, decide whether η is a
-// relative liveness property of the abstract behaviors, decide whether h
-// is simple on L, and combine the answers per Corollary 8.4. η must be
-// in Σ'-normal form (atoms are abstract action names).
-func VerifyViaAbstraction(sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
-	return VerifyViaAbstractionRec(nil, sys, h, eta)
-}
-
 // CheckSigmaNormalForm reports an error unless eta is in Σ'-normal form
 // over h's destination alphabet (Definition 7.2): positive normal form
 // whose atoms are abstract action names. The abstraction method and
@@ -95,18 +86,30 @@ func CheckSigmaNormalForm(h *hom.Hom, eta *ltl.Formula) error {
 	return nil
 }
 
-// VerifyViaAbstractionRec is VerifyViaAbstraction with every pipeline
-// step reported to rec: the h(L) image, the {#}*-extension, the
-// abstract-system construction, the abstract relative-liveness check,
-// the simplicity decision, and the R̄(η) transformation.
-func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
+// VerifyViaAbstraction runs the paper's verification method end to end:
+// build the abstract system lim(h(L)), restore the no-maximal-words
+// precondition by the {#}*-extension if needed, decide whether η is a
+// relative liveness property of the abstract behaviors, decide whether h
+// is simple on L, and combine the answers per Corollary 8.4. η must be
+// in Σ'-normal form (atoms are abstract action names). Every step
+// reports a span to ctx's recorder: the h(L) image, the
+// {#}*-extension, the abstract-system construction, the abstract
+// relative-liveness check, the simplicity decision, and the R̄(η)
+// transformation. The trim and the abstract check poll ctx, and ctx is
+// tested again before the simplicity check; the image, its
+// determinization and the simplicity check do not poll it yet.
+func VerifyViaAbstraction(ctx context.Context, sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, fmt.Errorf("abstraction: %w", err)
+	}
+	rec := obs.RecorderFromContext(ctx)
 	sp := obs.StartSpan(rec, "core.VerifyViaAbstraction").
 		Tag("paper", "Corollary 8.4")
 	defer sp.End()
 	if err := CheckSigmaNormalForm(h, eta); err != nil {
 		return nil, fmt.Errorf("abstraction: %w", err)
 	}
-	trimmed, err := sys.Trim()
+	trimmed, err := sys.TrimCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("abstraction: %w", err)
 	}
@@ -147,12 +150,15 @@ func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *
 
 	// Relative liveness of η on the abstract behaviors, under the
 	// canonical Σ'-labeling.
-	rl, err := RelativeLivenessRec(rec, abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet())))
+	rl, err := RelativeLiveness(ctx, NewPipelineCells(abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet()))))
 	if err != nil {
 		return nil, fmt.Errorf("abstraction: abstract check: %w", err)
 	}
 	report.AbstractHolds = rl.Holds
 	report.AbstractBadPrefix = rl.BadPrefix
+	if err := ctxErr(ctx); err != nil {
+		return nil, fmt.Errorf("abstraction: %w", err)
+	}
 
 	// Simplicity of h on L (Definition 6.3).
 	simsp := obs.StartSpan(rec, "simplicity of h").

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"relive/internal/hom"
 	"relive/internal/ltl"
 	"relive/internal/nfa"
+	"relive/internal/obs"
 	"relive/internal/paper"
 	"relive/internal/ts"
 )
@@ -26,7 +29,7 @@ func TestSection2AbstractionFig2(t *testing.T) {
 	h := paper.AbstractionHom(sys)
 	eta := paper.PropertyInfResults()
 
-	report, err := VerifyViaAbstraction(sys, h, eta)
+	report, err := VerifyViaAbstraction(context.Background(), sys, h, eta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestSection2AbstractionFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := RelativeLiveness(sys, concrete)
+	rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, concrete))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestSection2AbstractionFig3(t *testing.T) {
 	h := paper.AbstractionHom(sys)
 	eta := paper.PropertyInfResults()
 
-	report, err := VerifyViaAbstraction(sys, h, eta)
+	report, err := VerifyViaAbstraction(context.Background(), sys, h, eta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestSection2AbstractionFig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := RelativeLiveness(sys, concrete)
+	rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, concrete))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestVerifyViaAbstractionValidation(t *testing.T) {
 	}
 	h := paper.AbstractionHom(sys)
 	// "lock" is not an abstract letter.
-	if _, err := VerifyViaAbstraction(sys, h, ltl.MustParse("G F lock")); err == nil {
+	if _, err := VerifyViaAbstraction(context.Background(), sys, h, ltl.MustParse("G F lock")); err == nil {
 		t.Error("formula over hidden letters accepted")
 	}
 }
@@ -222,7 +225,7 @@ func TestQuickTheorems82And83(t *testing.T) {
 		if err != nil {
 			continue // empty abstraction
 		}
-		abs, err := RelativeLiveness(abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet())))
+		abs, err := RelativeLiveness(context.Background(), NewPipelineCells(abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet()))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +234,7 @@ func TestQuickTheorems82And83(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := RelativeLiveness(sys, concProp)
+		conc, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, concProp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,4 +295,43 @@ func randomSigmaFormulaOver(rng *rand.Rand, atoms []string) *ltl.Formula {
 // abstractSystem builds the abstract transition system for h(L).
 func abstractSystem(h *hom.Hom, concNFA *nfa.NFA) (*ts.System, error) {
 	return systemFromPrefixClosed(h.ImageNFA(concNFA))
+}
+
+// cancelOnSpan is a recorder that cancels a context as soon as a span
+// with the given name starts.
+type cancelOnSpan struct {
+	*obs.Trace
+	name   string
+	cancel context.CancelFunc
+}
+
+func (c cancelOnSpan) SpanStart(name string) obs.SpanID {
+	if name == c.name {
+		c.cancel()
+	}
+	return c.Trace.SpanStart(name)
+}
+
+// TestVerifyViaAbstractionHonoursContext cancels the check once the
+// h(L) image starts: the abstract relative-liveness check must notice
+// the cancellation, and the simplicity check must never start.
+func TestVerifyViaAbstractionHonoursContext(t *testing.T) {
+	sys, err := paper.Fig2System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := obs.NewTrace()
+	ctx = obs.ContextWithRecorder(ctx, cancelOnSpan{Trace: tr, name: "h(L)", cancel: cancel})
+	_, err = VerifyViaAbstraction(ctx, sys, paper.AbstractionHom(sys), paper.PropertyInfResults())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, ok := tr.Find("h(L)"); !ok {
+		t.Fatal("the h(L) span never started")
+	}
+	if _, ok := tr.Find("simplicity of h"); ok {
+		t.Error("simplicity check ran after cancellation")
+	}
 }

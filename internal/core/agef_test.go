@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -68,7 +69,7 @@ func TestQuickAGEFMatchesRLOnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := RelativeLiveness(sys, FromFormula(ltl.MustParse("G F a"), nil))
+		rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, FromFormula(ltl.MustParse("G F a"), nil)))
 		if err != nil {
 			t.Fatal(err)
 		}

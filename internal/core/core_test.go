@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestFig2NotSatisfiedButRelativeLiveness(t *testing.T) {
 	}
 	p := FromFormula(paper.PropertyInfResults(), nil)
 
-	sat, err := Satisfies(sys, p)
+	sat, err := Satisfies(context.Background(), NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestFig2NotSatisfiedButRelativeLiveness(t *testing.T) {
 		t.Errorf("counterexample %s satisfies the property", sat.Counterexample.String(sys.Alphabet()))
 	}
 
-	rl, err := RelativeLiveness(sys, p)
+	rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestFig2PaperCounterexampleIsABehavior(t *testing.T) {
 func TestFig3NotRelativeLiveness(t *testing.T) {
 	sys := paper.Fig3System()
 	p := FromFormula(paper.PropertyInfResults(), nil)
-	rl, err := RelativeLiveness(sys, p)
+	rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestQuickRLThreeAlgorithmsAgree(t *testing.T) {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
 
-		r1, err := RelativeLiveness(sys, p)
+		r1, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestQuickConjunctionTheorem(t *testing.T) {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
 
-		sat, err := Satisfies(sys, p)
+		sat, err := Satisfies(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,8 +203,8 @@ func TestQuickConjunctionTheorem(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sat.Holds != viaConj {
-			rl, _ := RelativeLiveness(sys, p)
-			rs, _ := RelativeSafety(sys, p)
+			rl, _ := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
+			rs, _ := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
 			t.Fatalf("trial %d: Theorem 4.7 violated: direct=%v, RL=%v, RS=%v (property %s)\n%s",
 				trial, sat.Holds, rl.Holds, rs.Holds, p, sys.FormatString())
 		}
@@ -222,7 +223,7 @@ func TestRelativeSafetyWitness(t *testing.T) {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		f := randomPropertyFormula(rng, atoms)
 		p := FromFormula(f, nil)
-		rs, err := RelativeSafety(sys, p)
+		rs, err := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,14 +321,14 @@ func TestRemark1ClassicalLivenessAndSafety(t *testing.T) {
 	}
 	for _, tc := range tests {
 		p := FromFormula(ltl.MustParse(tc.formula), nil)
-		rl, err := RelativeLiveness(full, p)
+		rl, err := RelativeLiveness(context.Background(), NewPipelineCells(full, p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rl.Holds != tc.liveness {
 			t.Errorf("liveness(%q) = %v, want %v", tc.formula, rl.Holds, tc.liveness)
 		}
-		rs, err := RelativeSafety(full, p)
+		rs, err := RelativeSafety(context.Background(), NewPipelineCells(full, p))
 		if err != nil {
 			t.Fatal(err)
 		}

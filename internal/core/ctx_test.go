@@ -13,10 +13,10 @@ import (
 	"relive/internal/ts"
 )
 
-// The cancellation suite for the ...Ctx decision-procedure entry
-// points. Contract under test, from every entry point:
+// The cancellation suite for the decision-procedure entry points.
+// Contract under test, from every entry point:
 //
-//   - a live context behaves exactly like the plain API (same verdicts);
+//   - a live context behaves exactly like a nil one (same verdicts);
 //   - an expired deadline or cancellation makes the check return
 //     promptly with an error wrapping context.DeadlineExceeded /
 //     context.Canceled (errors.Is holds);
@@ -71,9 +71,10 @@ func promptly(t *testing.T, name string, start time.Time, err error, want error)
 	}
 }
 
-// TestCtxEntryPointsDeadline drives every ...Ctx entry point against a
-// huge check with a deadline far shorter than the work and requires a
-// prompt DeadlineExceeded.
+// TestCtxEntryPointsDeadline drives every Section 4 entry point against
+// a huge check with a deadline far shorter than the work and requires a
+// prompt DeadlineExceeded. The subtests keep the names of the former
+// ...Ctx entry points.
 func TestCtxEntryPointsDeadline(t *testing.T) {
 	sys := hugeSystem(t, hugeStates)
 	p := hugeProperty(t)
@@ -82,27 +83,27 @@ func TestCtxEntryPointsDeadline(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"CheckAllCtx", func(ctx context.Context) error {
-			_, err := core.CheckAllCtx(ctx, nil, sys, p)
+			_, err := core.CheckAll(ctx, core.NewPipelineCells(sys, p))
 			return err
 		}},
 		{"RelativeLivenessCtx", func(ctx context.Context) error {
-			_, err := core.RelativeLivenessCtx(ctx, nil, sys, p)
+			_, err := core.RelativeLiveness(ctx, core.NewPipelineCells(sys, p))
 			return err
 		}},
 		{"RelativeSafetyCtx", func(ctx context.Context) error {
-			_, err := core.RelativeSafetyCtx(ctx, nil, sys, p)
+			_, err := core.RelativeSafety(ctx, core.NewPipelineCells(sys, p))
 			return err
 		}},
 		{"SatisfiesCtx", func(ctx context.Context) error {
-			_, err := core.SatisfiesCtx(ctx, nil, sys, p)
+			_, err := core.Satisfies(ctx, core.NewPipelineCells(sys, p))
 			return err
 		}},
 		{"CheckPortfolioCtx", func(ctx context.Context) error {
-			_, err := core.CheckPortfolioCtx(ctx, nil, sys, []core.Property{p, p}, 2)
+			_, err := core.CheckPortfolio(ctx, sys, []core.Property{p, p}, 2)
 			return err
 		}},
 		{"CheckSystemsPortfolioCtx", func(ctx context.Context) error {
-			_, err := core.CheckSystemsPortfolioCtx(ctx, nil, []*ts.System{sys, sys}, p, 2)
+			_, err := core.CheckSystemsPortfolio(ctx, []*ts.System{sys, sys}, p, 2)
 			return err
 		}},
 	}
@@ -125,31 +126,31 @@ func TestCtxEntryPointsPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := core.CheckAllCtx(ctx, nil, sys, p); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CheckAllCtx err = %v, want context.Canceled", err)
+	if _, err := core.CheckAll(ctx, core.NewPipelineCells(sys, p)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CheckAll err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("pre-cancelled check ran for %v", elapsed)
 	}
 }
 
-// TestCtxNilAndBackgroundMatchPlain: a nil-deadline context changes
-// nothing — verdicts and witnesses equal the plain API on a nontrivial
-// system.
+// TestCtxNilAndBackgroundMatchPlain: a context without a deadline
+// changes nothing — a background context gives the verdicts of a nil
+// one on a nontrivial system.
 func TestCtxNilAndBackgroundMatchPlain(t *testing.T) {
 	sys := hugeSystem(t, 40)
 	p := hugeProperty(t)
-	want, err := core.CheckAll(sys, p)
+	want, err := core.CheckAll(nil, core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.CheckAllCtx(context.Background(), nil, sys, p)
+	got, err := core.CheckAll(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Satisfied != want.Satisfied || got.RelativeLiveness != want.RelativeLiveness ||
 		got.RelativeSafety != want.RelativeSafety {
-		t.Fatalf("CheckAllCtx verdicts = %+v, want %+v", got, want)
+		t.Fatalf("CheckAll verdicts = %+v, want %+v", got, want)
 	}
 }
 
@@ -165,19 +166,19 @@ func TestCtxCancelledRunDoesNotPoisonCells(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := core.CheckAllCellsCtx(ctx, nil, pc); !errors.Is(err, context.Canceled) {
+	if _, err := core.CheckAll(ctx, pc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run err = %v, want context.Canceled", err)
 	}
 	// Also abort one mid-flight (deadline) to exercise builder abort.
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer dcancel()
-	_, _ = core.CheckAllCellsCtx(dctx, nil, pc)
+	_, _ = core.CheckAll(dctx, pc)
 
-	got, err := core.CheckAllCellsCtx(context.Background(), nil, pc)
+	got, err := core.CheckAll(context.Background(), pc)
 	if err != nil {
 		t.Fatalf("follow-up run on shared cells: %v", err)
 	}
-	want, err := core.CheckAll(sys, p)
+	want, err := core.CheckAll(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCtxErrorNotConflatedWithVerdict(t *testing.T) {
 	}
 	p := core.FromFormula(f, nil)
 
-	res, err := core.SatisfiesCtx(context.Background(), nil, sys, p)
+	res, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatalf("negative verdict returned error: %v", err)
 	}
@@ -215,7 +216,7 @@ func TestCtxErrorNotConflatedWithVerdict(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = core.SatisfiesCtx(ctx, nil, sys, p)
+	_, err = core.Satisfies(ctx, core.NewPipelineCells(sys, p))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled err = %v, want context.Canceled", err)
 	}
@@ -238,7 +239,7 @@ func TestCtxSharedCellsCoalesce(t *testing.T) {
 	ch := make(chan out, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			rep, err := core.CheckAllCellsCtx(context.Background(), nil, pc)
+			rep, err := core.CheckAll(context.Background(), pc)
 			ch <- out{rep, err}
 		}()
 	}

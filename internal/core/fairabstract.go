@@ -78,33 +78,16 @@ func ParseFairnessKind(s string) (fairness.Kind, error) {
 	return 0, fmt.Errorf("core: unknown fairness kind %q (want \"strong\" or \"weak\")", s)
 }
 
-// CheckFairAbstract decides whether all kind-fair runs of sys satisfy
-// eta through h. eta is a property over h's destination alphabet; when
-// formula-backed it must be in Σ'-normal form (atoms are abstract
-// action names).
-func CheckFairAbstract(sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
-	return CheckFairAbstractRec(nil, sys, h, kind, eta)
-}
-
-// CheckFairAbstractRec is CheckFairAbstract with every pipeline phase
-// reported to rec: the trim/behavior construction ("lim(L)"), the
-// negation automaton ("¬P"), the inverse image ("h⁻¹(¬P)"), the
-// fused pre-filter ("pre(L∩h⁻¹(¬P))"), and the fair
-// emptiness search ("fair(L∩h⁻¹(¬P))").
-func CheckFairAbstractRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
-	return CheckFairAbstractCells(nil, rec, NewSystemCells(sys), h, kind, eta)
-}
-
-// CheckFairAbstractCtx is CheckFairAbstract with cooperative
-// cancellation; the returned error wraps ctx.Err() when cancelled.
-func CheckFairAbstractCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
-	return CheckFairAbstractCells(ctx, rec, NewSystemCells(sys), h, kind, eta)
-}
-
-// CheckFairAbstractCells is CheckFairAbstractCtx over a pre-existing
-// (possibly cached) system artifact set, so a serving layer shares the
-// trimmed system and lim(L) with the other endpoints' checks.
-func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCells, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
+// CheckFairAbstract decides whether all kind-fair runs of sc's system
+// satisfy eta through h. eta is a property over h's destination
+// alphabet; when formula-backed it must be in Σ'-normal form (atoms are
+// abstract action names). The system's trimmed behaviors come from sc,
+// so a serving layer shares them with the other endpoints' checks.
+// Every phase reports a span to ctx's recorder: the trim/behavior
+// construction ("lim(L)"), the negation automaton ("¬P"), the inverse
+// image ("h⁻¹(¬P)"), the fused pre-filter ("pre(L∩h⁻¹(¬P))"), and the
+// fair emptiness search ("fair(L∩h⁻¹(¬P))").
+func CheckFairAbstract(ctx context.Context, sc *SystemCells, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, fmt.Errorf("fair abstract: %w", err)
 	}
@@ -121,6 +104,7 @@ func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCel
 		}
 	}
 
+	rec := obs.RecorderFromContext(ctx)
 	sp := obs.StartSpan(rec, "core.CheckFairAbstract").
 		Tag("paper", "fairness within behavior abstraction (successor to Thm 5.1 + Cor 8.4)").
 		Tag("fairness", FairnessKindName(kind))
@@ -133,7 +117,7 @@ func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCel
 		States:   sys.NumStates(),
 	}
 
-	trimmed, behaviors, err := sc.lim.get(ctx, rec)
+	trimmed, behaviors, err := sc.limits(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("fair abstract: %w", err)
 	}
@@ -145,7 +129,7 @@ func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCel
 		return report, nil
 	}
 
-	notEta, err := eta.NegationAutomatonRec(rec, h.Dest())
+	notEta, err := eta.negationFor(ctx, h.Dest())
 	if err != nil {
 		return nil, fmt.Errorf("fair abstract: %w", err)
 	}

@@ -33,7 +33,7 @@ func fairAbstractFixture(t *testing.T) (*ts.System, *hom.Hom) {
 func TestCheckFairAbstractHolds(t *testing.T) {
 	sys, h := fairAbstractFixture(t)
 	for _, kind := range []fairness.Kind{fairness.Strong, fairness.Weak} {
-		report, err := CheckFairAbstract(sys, h, kind, FromFormula(ltl.MustParse("G F x"), nil))
+		report, err := CheckFairAbstract(context.Background(), NewSystemCells(sys), h, kind, FromFormula(ltl.MustParse("G F x"), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestCheckFairAbstractFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []fairness.Kind{fairness.Strong, fairness.Weak} {
-		report, err := CheckFairAbstract(sys, h, kind, FromFormula(ltl.MustParse("G F x"), nil))
+		report, err := CheckFairAbstract(context.Background(), NewSystemCells(sys), h, kind, FromFormula(ltl.MustParse("G F x"), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestCheckFairAbstractVacuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := CheckFairAbstract(sys, h, fairness.Strong, FromFormula(ltl.MustParse("G F x"), nil))
+	report, err := CheckFairAbstract(context.Background(), NewSystemCells(sys), h, fairness.Strong, FromFormula(ltl.MustParse("G F x"), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +111,15 @@ func TestCheckFairAbstractVacuous(t *testing.T) {
 func TestCheckFairAbstractValidation(t *testing.T) {
 	sys, h := fairAbstractFixture(t)
 	eta := FromFormula(ltl.MustParse("G F x"), nil)
-	if _, err := CheckFairAbstract(sys, h, fairness.Kind(99), eta); err == nil {
+	if _, err := CheckFairAbstract(context.Background(), NewSystemCells(sys), h, fairness.Kind(99), eta); err == nil {
 		t.Error("unknown fairness kind accepted")
 	}
 	other := hom.Identity(alphabet.FromNames("a", "b"), "a", "b")
-	if _, err := CheckFairAbstract(sys, other, fairness.Strong, eta); err == nil {
+	if _, err := CheckFairAbstract(context.Background(), NewSystemCells(sys), other, fairness.Strong, eta); err == nil {
 		t.Error("hom over a foreign alphabet instance accepted")
 	}
 	// "a" is a concrete letter, not an abstract one.
-	if _, err := CheckFairAbstract(sys, h, fairness.Strong, FromFormula(ltl.MustParse("G F a"), nil)); err == nil {
+	if _, err := CheckFairAbstract(context.Background(), NewSystemCells(sys), h, fairness.Strong, FromFormula(ltl.MustParse("G F a"), nil)); err == nil {
 		t.Error("property over concrete letters accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestCheckFairAbstractTrimAgreement(t *testing.T) {
 	} {
 		for _, kind := range []fairness.Kind{fairness.Strong, fairness.Weak} {
 			eta := FromFormula(ltl.MustParse(tc.eta), ltl.Canonical(h.Dest()))
-			report, err := CheckFairAbstract(sys, h, kind, eta)
+			report, err := CheckFairAbstract(context.Background(), NewSystemCells(sys), h, kind, eta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestCheckFairAbstractCancellation(t *testing.T) {
 	sys, h := fairAbstractFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CheckFairAbstractCtx(ctx, nil, sys, h, fairness.Strong,
+	_, err := CheckFairAbstract(ctx, NewSystemCells(sys), h, fairness.Strong,
 		FromFormula(ltl.MustParse("G F x"), nil))
 	if err == nil {
 		t.Fatal("cancelled context produced a verdict")

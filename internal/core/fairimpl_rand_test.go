@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,12 +36,12 @@ func TestQuickTheorem51RandomWide(t *testing.T) {
 		} else {
 			p = FromFormula(gen.Formula(rng, atoms, 1+rng.Intn(3)), nil)
 		}
-		rl, err := RelativeLiveness(sys, p)
+		rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			continue
 		}
 		if !rl.Holds {
-			if _, err := SynthesizeFairImplementation(sys, p); err == nil {
+			if _, err := SynthesizeFairImplementation(context.Background(), sys, p); err == nil {
 				t.Fatalf("trial %d: synthesis accepted a non-relative-liveness property %s\nsystem:\n%s",
 					trial, p, sys.FormatString())
 			}
@@ -50,7 +51,7 @@ func TestQuickTheorem51RandomWide(t *testing.T) {
 		if _, err := sys.Trim(); err != nil {
 			continue // no behaviors; nothing to synthesize
 		}
-		fi, err := SynthesizeFairImplementation(sys, p)
+		fi, err := SynthesizeFairImplementation(context.Background(), sys, p)
 		if err != nil {
 			t.Fatalf("trial %d: synthesis failed for a relative liveness property: %v\nsystem:\n%s",
 				trial, err, sys.FormatString())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestSection5Example(t *testing.T) {
 	sys := paper.Section5System()
 	p := FromFormula(paper.Section5Property(), nil)
 
-	rl, err := RelativeLiveness(sys, p)
+	rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSection5Example(t *testing.T) {
 	}
 
 	// Theorem 5.1 synthesis.
-	fi, err := SynthesizeFairImplementation(sys, p)
+	fi, err := SynthesizeFairImplementation(context.Background(), sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestTheorem51OnFig2(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := FromFormula(paper.PropertyInfResults(), nil)
-	fi, err := SynthesizeFairImplementation(sys, p)
+	fi, err := SynthesizeFairImplementation(context.Background(), sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestTheorem51OnFig2(t *testing.T) {
 func TestTheorem51RejectsNonRelativeLiveness(t *testing.T) {
 	sys := paper.Fig3System()
 	p := FromFormula(paper.PropertyInfResults(), nil)
-	if _, err := SynthesizeFairImplementation(sys, p); err == nil {
+	if _, err := SynthesizeFairImplementation(context.Background(), sys, p); err == nil {
 		t.Error("synthesis accepted a non-relative-liveness property")
 	}
 }
@@ -124,7 +125,7 @@ func TestQuickTheorem51Random(t *testing.T) {
 	for trial := 0; trial < 80 && synthesized < 25; trial++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
-		rl, err := RelativeLiveness(sys, p)
+		rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestQuickTheorem51Random(t *testing.T) {
 		if _, err := sys.Trim(); err != nil {
 			continue // no behaviors; nothing to synthesize
 		}
-		fi, err := SynthesizeFairImplementation(sys, p)
+		fi, err := SynthesizeFairImplementation(context.Background(), sys, p)
 		if err != nil {
 			t.Fatalf("trial %d: synthesis failed for a relative liveness property: %v", trial, err)
 		}

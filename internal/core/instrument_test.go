@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"relive/internal/hom"
@@ -39,18 +40,18 @@ func TestRecordedChecksMatchPlain(t *testing.T) {
 	p := FromFormula(ltl.MustParse("G F result"), nil)
 	tr := obs.NewTrace()
 
-	rl, err := RelativeLivenessRec(tr, sys, p)
-	rlPlain, err2 := RelativeLiveness(sys, p)
+	rl, err := RelativeLiveness(obs.ContextWithRecorder(context.Background(), tr), NewPipelineCells(sys, p))
+	rlPlain, err2 := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 	if err != nil || err2 != nil || rl.Holds != rlPlain.Holds {
 		t.Errorf("RelativeLiveness diverges under recorder: %v/%v, %v/%v", rl, err, rlPlain, err2)
 	}
-	rs, err := RelativeSafetyRec(tr, sys, p)
-	rsPlain, err2 := RelativeSafety(sys, p)
+	rs, err := RelativeSafety(obs.ContextWithRecorder(context.Background(), tr), NewPipelineCells(sys, p))
+	rsPlain, err2 := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
 	if err != nil || err2 != nil || rs.Holds != rsPlain.Holds {
 		t.Errorf("RelativeSafety diverges under recorder: %v/%v, %v/%v", rs, err, rsPlain, err2)
 	}
-	sat, err := SatisfiesRec(tr, sys, p)
-	satPlain, err2 := Satisfies(sys, p)
+	sat, err := Satisfies(obs.ContextWithRecorder(context.Background(), tr), NewPipelineCells(sys, p))
+	satPlain, err2 := Satisfies(context.Background(), NewPipelineCells(sys, p))
 	if err != nil || err2 != nil || sat.Holds != satPlain.Holds {
 		t.Errorf("Satisfies diverges under recorder: %v/%v, %v/%v", sat, err, satPlain, err2)
 	}
@@ -62,7 +63,7 @@ func TestLemmaSpansRecorded(t *testing.T) {
 	sys := serverSystem(t)
 	p := FromFormula(ltl.MustParse("G F result"), nil)
 	tr := obs.NewTrace()
-	if _, err := CheckAllRec(tr, sys, p); err != nil {
+	if _, err := CheckAll(obs.ContextWithRecorder(context.Background(), tr), NewPipelineCells(sys, p)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,11 +118,11 @@ func TestAbstractionSpans(t *testing.T) {
 	sys := serverSystem(t)
 	h := mustIdentityHom(t, sys)
 	tr := obs.NewTrace()
-	rep, err := VerifyViaAbstractionRec(tr, sys, h, ltl.MustParse("G F result"))
+	rep, err := VerifyViaAbstraction(obs.ContextWithRecorder(context.Background(), tr), sys, h, ltl.MustParse("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := VerifyViaAbstraction(sys, h, ltl.MustParse("G F result"))
+	plain, err := VerifyViaAbstraction(context.Background(), sys, h, ltl.MustParse("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestSynthesisSpans(t *testing.T) {
 	sys := serverSystem(t)
 	p := FromFormula(ltl.MustParse("G F result"), nil)
 	tr := obs.NewTrace()
-	fi, err := SynthesizeFairImplementationRec(tr, sys, p)
+	fi, err := SynthesizeFairImplementation(obs.ContextWithRecorder(context.Background(), tr), sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SynthesizeFairImplementation(sys, p)
+	plain, err := SynthesizeFairImplementation(context.Background(), sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}

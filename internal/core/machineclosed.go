@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/buchi"
@@ -19,25 +20,24 @@ type MachineClosureResult struct {
 
 // MachineClosed decides whether (L_ω, Λ) is a machine closed live
 // structure (Definition 4.6): pre(L_ω) ⊆ pre(Λ). Both languages are
-// given as Büchi automata; Λ ⊆ L_ω is the caller's obligation.
-func MachineClosed(lomega, lambda *buchi.Buchi) (MachineClosureResult, error) {
-	return MachineClosedRec(nil, lomega, lambda)
-}
-
-// MachineClosedRec is MachineClosed with the two prefix constructions
-// and the inclusion check reported to rec.
-func MachineClosedRec(rec obs.Recorder, lomega, lambda *buchi.Buchi) (MachineClosureResult, error) {
+// given as Büchi automata; Λ ⊆ L_ω is the caller's obligation. The two
+// prefix constructions and the inclusion check report to ctx's
+// recorder, and the inclusion polls ctx.
+func MachineClosed(ctx context.Context, lomega, lambda *buchi.Buchi) (MachineClosureResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
+	}
+	rec := obs.RecorderFromContext(ctx)
 	sp := obs.StartSpan(rec, "core.MachineClosed").
 		Tag("paper", "Definition 4.6: pre(L_ω) ⊆ pre(Λ)")
 	defer sp.End()
-	ops := buchi.Ops{Rec: rec}
-	preL := ops.PrefixNFA(lomega)
-	preLambda := ops.PrefixNFA(lambda)
+	preL := prefixNFA(rec, lomega)
+	preLambda := prefixNFA(rec, lambda)
 	isp := obs.StartSpan(rec, "pre(L_ω) ⊆ pre(Λ)").
 		Tag("kernel", nfa.ResolveKernel(preLambda)).
 		Int("left_states", int64(preL.NumStates())).
 		Int("right_states", int64(preLambda.NumStates()))
-	ok, w, err := nfa.IncludedKernelCtx(nil, preL, preLambda)
+	ok, w, err := nfa.IncludedKernelCtx(ctx, preL, preLambda)
 	isp.End()
 	if err != nil {
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
@@ -54,8 +54,8 @@ func MachineClosedRec(rec obs.Recorder, lomega, lambda *buchi.Buchi) (MachineClo
 // closed. It is a third, independent route to the same answer, used for
 // cross-validation and ablation benchmarks.
 func RelativeLivenessViaMachineClosure(sys *ts.System, p Property) (MachineClosureResult, error) {
-	pl := newPipeline(nil, sys, p)
-	trimmed, behaviors, err := pl.limits()
+	pc := NewPipelineCells(sys, p)
+	trimmed, behaviors, err := pc.sc.limits(nil)
 	if err != nil {
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
 	}
@@ -63,7 +63,7 @@ func RelativeLivenessViaMachineClosure(sys *ts.System, p Property) (MachineClosu
 		return MachineClosureResult{Holds: true}, nil
 	}
 	// pre(Λ) for Λ = L_ω ∩ P is exactly the pipeline's pre(L∩P) product.
-	preLambda, err := pl.preProduct()
+	preLambda, err := pc.preProduct(nil)
 	if err != nil {
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
 	}

@@ -28,12 +28,12 @@ func TestCheckPortfolioMatchesSerial(t *testing.T) {
 	}
 	want := make([]*Report, len(props))
 	for i, p := range props {
-		if want[i], err = CheckAll(sys, p); err != nil {
+		if want[i], err = CheckAll(context.Background(), NewPipelineCells(sys, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, workers := range []int{0, 1, 2, 3, 16} {
-		got, err := CheckPortfolio(sys, props, workers)
+		got, err := CheckPortfolio(context.Background(), sys, props, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -54,12 +54,12 @@ func TestCheckSystemsPortfolioMatchesSerial(t *testing.T) {
 	want := make([]*Report, len(systems))
 	for i, sys := range systems {
 		var err error
-		if want[i], err = CheckAll(sys, p); err != nil {
+		if want[i], err = CheckAll(context.Background(), NewPipelineCells(sys, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, workers := range []int{1, 3, 8} {
-		got, err := CheckSystemsPortfolio(systems, p, workers)
+		got, err := CheckSystemsPortfolio(context.Background(), systems, p, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -95,7 +95,7 @@ func TestCheckAllCellsConcurrentSingleFlight(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				reports[i], errs[i] = CheckAllCellsCtx(context.Background(), traces[i], pc)
+				reports[i], errs[i] = CheckAll(obs.ContextWithRecorder(context.Background(), traces[i]), pc)
 			}(i)
 		}
 		close(start)
@@ -138,7 +138,7 @@ func TestPortfolioSpanAttribution(t *testing.T) {
 	}
 	const workers = 3
 	tr := obs.NewTrace()
-	if _, err := CheckPortfolioRec(tr, sys, props, workers); err != nil {
+	if _, err := CheckPortfolio(obs.ContextWithRecorder(context.Background(), tr), sys, props, workers); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()

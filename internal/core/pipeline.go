@@ -10,42 +10,65 @@ import (
 	"relive/internal/ts"
 )
 
-// limitsCell is the pair of single-flight memos for the system-only
-// artifacts: the trimmed system (span "trim(L)") and its behavior
-// automaton lim(L) (span "lim(L)"), built from the trimmed system on
-// first demand. It is shared by every pipeline checking the same
-// system, so a property portfolio trims the system and builds lim(L)
-// exactly once regardless of how many workers race into it; the serving
-// layer additionally keeps these cells in its LRU so the artifacts
-// survive across requests. The statistical check reads only the trimmed
-// system and never pays for lim(L).
-type limitsCell struct {
+// Every check takes a context.Context as its first argument. The
+// context is threaded into the pipeline's loops — reachability, Büchi
+// products, subset-construction inclusion, emptiness — which poll it
+// cooperatively (see internal/interrupt) and return context.Canceled /
+// context.DeadlineExceeded, wrapped so errors.Is applies, instead of
+// running the PSPACE-hard work to completion. The context also carries
+// the check's recorder (obs.ContextWithRecorder): each phase reports a
+// span to it, and a context without one runs uninstrumented.
+//
+// SystemCells and PipelineCells are opaque handles over the
+// single-flight artifact cells, so a serving layer can keep trimmed
+// systems, property automata, and pre(L∩P) products alive across
+// requests: concurrent identical requests coalesce onto one build, and
+// a cache hit skips the build entirely. Each artifact's span is emitted
+// by (and attributed to) whichever goroutine wins the race to build
+// it. A request cancelled mid-build never poisons a cell — the next
+// request simply rebuilds (see cell).
+
+// SystemCells caches the system-only artifacts of the pipeline: the
+// trimmed system (span "trim(L)") and its behavior automaton lim(L)
+// (span "lim(L)"), built from the trimmed system on first demand. One
+// SystemCells value may back many PipelineCells for different
+// properties against the same system, so a property portfolio trims
+// the system and builds lim(L) exactly once. The statistical check
+// reads only the trimmed system and never pays for lim(L). Safe for
+// concurrent use.
+type SystemCells struct {
 	sys  *ts.System
 	trim cell[*ts.System]
 	lim  cell[*buchi.Buchi]
 }
 
-func newLimitsCell(sys *ts.System) *limitsCell {
-	return &limitsCell{sys: sys}
+// NewSystemCells wraps sys in a reusable single-flight artifact handle.
+func NewSystemCells(sys *ts.System) *SystemCells {
+	return &SystemCells{sys: sys}
 }
+
+// System returns the underlying system. Serving layers that cache
+// SystemCells by structural hash parse properties against this system's
+// alphabet so all artifacts agree on symbol identity.
+func (sc *SystemCells) System() *ts.System { return sc.sys }
 
 // trimmed returns the trimmed system. A nil system (with nil error) is
 // the vacuous case — sys has no infinite behavior at all.
-func (c *limitsCell) trimmed(ctx context.Context, rec obs.Recorder) (*ts.System, error) {
-	return c.trim.get(ctx, func() (*ts.System, error) {
-		return trimSystem(ctx, rec, c.sys)
+func (sc *SystemCells) trimmed(ctx context.Context) (*ts.System, error) {
+	return sc.trim.get(ctx, func() (*ts.System, error) {
+		return trimSystem(ctx, sc.sys)
 	})
 }
 
-// get returns the trimmed system and its behavior automaton lim(L), or
-// two nils in the vacuous case.
-func (c *limitsCell) get(ctx context.Context, rec obs.Recorder) (*ts.System, *buchi.Buchi, error) {
-	trimmed, err := c.trimmed(ctx, rec)
+// limits returns the trimmed system and its behavior automaton lim(L),
+// or two nils in the vacuous case.
+func (sc *SystemCells) limits(ctx context.Context) (*ts.System, *buchi.Buchi, error) {
+	trimmed, err := sc.trimmed(ctx)
 	if err != nil || trimmed == nil {
 		return nil, nil, err
 	}
-	behaviors, err := c.lim.get(ctx, func() (*buchi.Buchi, error) {
-		return behaviorsOf(rec, trimmed)
+	behaviors, err := sc.lim.get(ctx, func() (*buchi.Buchi, error) {
+		return behaviorsOf(obs.RecorderFromContext(ctx), trimmed)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -65,99 +88,39 @@ type propCell struct {
 	notP cell[*buchi.Buchi]
 }
 
-func (c *propCell) automaton(ctx context.Context, rec obs.Recorder) (*buchi.Buchi, error) {
+func (c *propCell) automaton(ctx context.Context) (*buchi.Buchi, error) {
 	return c.pa.get(ctx, func() (*buchi.Buchi, error) {
-		return c.p.AutomatonRec(rec, c.ab)
+		return c.p.automatonFor(ctx, c.ab)
 	})
 }
 
-func (c *propCell) negation(ctx context.Context, rec obs.Recorder) (*buchi.Buchi, error) {
+func (c *propCell) negation(ctx context.Context) (*buchi.Buchi, error) {
 	return c.notP.get(ctx, func() (*buchi.Buchi, error) {
-		return c.p.NegationAutomatonRec(rec, c.ab)
+		return c.p.negationFor(ctx, c.ab)
 	})
 }
 
-// shared holds the single-flight artifact cells of one (system,
-// property) pair: lim(L), P→Büchi, ¬P, and pre(L∩P). Each cell is
-// built exactly once no matter which goroutine arrives first; the
-// instrumentation span for an artifact is emitted by (and attributed
-// to) whichever goroutine wins the race to build it. A builder whose
-// context is cancelled mid-build leaves the cell empty for the next
-// request (see cell).
-type shared struct {
-	sys  *ts.System
-	lim  *limitsCell
+// PipelineCells caches the full artifact set for one (system, property)
+// pair: lim(L), P→Büchi, ¬P, and pre(L∩P). The Section 4 decision
+// procedures each run over one; CheckAll hands all three the same
+// cells, so each artifact is constructed exactly once per check, even
+// when concurrent checks share the cells. Safe for concurrent use.
+type PipelineCells struct {
+	sc   *SystemCells
 	prop *propCell
-
 	prod cell[*nfa.NFA] // pre(L∩P): trim(PrefixNFA(behaviors ∩ P))
 }
 
-// pipeline is one goroutine's view of a shared artifact set: the
-// single-flight cells plus the recorder this goroutine's spans go to
-// and the context its loops poll. The Section 4 decision procedures
-// (satisfaction, relative liveness, relative safety) each take a
-// pipeline; CheckAll hands all three the same shared cells so each
-// artifact — previously rebuilt by every procedure — is constructed
-// exactly once per check, even when concurrent checks share the cells.
-// A nil ctx never cancels (the plain serial path).
-type pipeline struct {
-	ctx context.Context
-	rec obs.Recorder
-	sys *ts.System
-	p   Property
-	ops buchi.Ops
-	sh  *shared
+// NewPipelineCells builds a fresh artifact set for (sys, p).
+func NewPipelineCells(sys *ts.System, p Property) *PipelineCells {
+	return NewPipelineCellsSharing(NewSystemCells(sys), p)
 }
 
-func newPipeline(rec obs.Recorder, sys *ts.System, p Property) *pipeline {
-	return newPipelineCtx(nil, rec, sys, p)
-}
-
-func newPipelineCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property) *pipeline {
-	sh := &shared{
-		sys:  sys,
-		lim:  newLimitsCell(sys),
-		prop: &propCell{p: p, ab: sys.Alphabet()},
-	}
-	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx}, sh: sh}
-}
-
-// newPipelineSharing builds a pipeline over pre-existing cells. Portfolio
-// checks use it to share lim(L) across properties (lim non-nil) or the
-// property automata across systems (prop non-nil); nil cells are created
-// fresh.
-func newPipelineSharing(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property, lim *limitsCell, prop *propCell) *pipeline {
-	if lim == nil {
-		lim = newLimitsCell(sys)
-	}
-	if prop == nil {
-		prop = &propCell{p: p, ab: sys.Alphabet()}
-	}
-	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx},
-		sh: &shared{sys: sys, lim: lim, prop: prop}}
-}
-
-// viewCells returns a pipeline over an externally cached shared-cell
-// set (see PipelineCells), attributing spans to rec and polling ctx.
-func viewCells(ctx context.Context, rec obs.Recorder, sh *shared, p Property) *pipeline {
-	return &pipeline{ctx: ctx, rec: rec, sys: sh.sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx}, sh: sh}
-}
-
-// limits returns the trimmed system and its behavior automaton lim(L).
-// A nil trimmed system (with nil error) signals the vacuous case: sys
-// has no infinite behavior at all.
-func (pl *pipeline) limits() (*ts.System, *buchi.Buchi, error) {
-	return pl.sh.lim.get(pl.ctx, pl.rec)
-}
-
-// property returns the Büchi automaton for P.
-func (pl *pipeline) property() (*buchi.Buchi, error) {
-	return pl.sh.prop.automaton(pl.ctx, pl.rec)
-}
-
-// negation returns the Büchi automaton for ¬P.
-func (pl *pipeline) negation() (*buchi.Buchi, error) {
-	return pl.sh.prop.negation(pl.ctx, pl.rec)
+// NewPipelineCellsSharing builds an artifact set for property p that
+// shares sc's trimmed system and behavior automaton, so checking many
+// properties against one cached system trims it exactly once.
+func NewPipelineCellsSharing(sc *SystemCells, p Property) *PipelineCells {
+	return &PipelineCells{sc: sc, prop: &propCell{p: p, ab: sc.sys.Alphabet()}}
 }
 
 // preProduct returns pre(L∩P), the prefix language of the reduced
@@ -165,23 +128,22 @@ func (pl *pipeline) negation() (*buchi.Buchi, error) {
 // Lemma 4.3 and Lemma 4.4 checks. The result is trim; it has zero
 // states exactly when L_ω ∩ P = ∅. Must not be called in the vacuous
 // case (nil trimmed system).
-func (pl *pipeline) preProduct() (*nfa.NFA, error) {
-	return pl.sh.prod.get(pl.ctx, func() (*nfa.NFA, error) {
-		_, behaviors, err := pl.limits()
+func (pc *PipelineCells) preProduct(ctx context.Context) (*nfa.NFA, error) {
+	return pc.prod.get(ctx, func() (*nfa.NFA, error) {
+		_, behaviors, err := pc.sc.limits(ctx)
 		if err != nil {
 			return nil, err
 		}
-		pa, err := pl.property()
+		pa, err := pc.prop.automaton(ctx)
 		if err != nil {
 			return nil, err
 		}
-		psp := obs.StartSpan(pl.rec, "pre(L∩P)").
+		psp := obs.StartSpan(obs.RecorderFromContext(ctx), "pre(L∩P)").
 			Int("behavior_states", int64(behaviors.NumStates())).
 			Int("property_states", int64(pa.NumStates()))
-		preLP, explored, err := buchi.PreProductNFACtx(pl.ctx, behaviors, pa)
+		preLP, explored, err := buchi.PreProductNFACtx(ctx, behaviors, pa)
 		if err != nil {
-			psp.Tag("aborted", "context")
-			psp.End()
+			psp.Tag("aborted", "context").End()
 			return nil, err
 		}
 		psp.Int("product_states", int64(explored))
@@ -189,4 +151,31 @@ func (pl *pipeline) preProduct() (*nfa.NFA, error) {
 		psp.End()
 		return preLP, nil
 	})
+}
+
+// reduce is (*buchi.Buchi).Reduce reported as a "buchi.Reduce" span.
+func reduce(rec obs.Recorder, b *buchi.Buchi) *buchi.Buchi {
+	sp := obs.StartSpan(rec, "buchi.Reduce").
+		Int("in_states", int64(b.NumStates())).
+		Int("in_transitions", int64(b.NumTransitions()))
+	out := b.Reduce()
+	buchi.Record(rec, sp, "buchi.reduce", out)
+	return out
+}
+
+// prefixNFA is (*buchi.Buchi).PrefixNFA, the pre(L_ω) construction
+// (reduce, then accept every finite path), reported as a
+// "buchi.PrefixNFA" span around its reduction.
+func prefixNFA(rec obs.Recorder, b *buchi.Buchi) *nfa.NFA {
+	if rec == nil {
+		return b.PrefixNFA()
+	}
+	sp := obs.StartSpan(rec, "buchi.PrefixNFA").
+		Int("in_states", int64(b.NumStates()))
+	out := reduce(rec, b).ToNFA().MarkAllAccepting()
+	sp.Int("out_states", int64(out.NumStates()))
+	sp.Int("out_transitions", int64(out.NumTransitions()))
+	rec.Count("buchi.prefixnfa.calls", 1)
+	sp.End()
+	return out
 }

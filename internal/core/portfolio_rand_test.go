@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -42,7 +43,7 @@ func TestQuickPortfolioRandomBatches(t *testing.T) {
 		var want []*Report
 		for len(props) < 3+rng.Intn(5) {
 			p := randomBatchProperty(rng, ab)
-			rep, err := CheckAll(sys, p)
+			rep, err := CheckAll(context.Background(), NewPipelineCells(sys, p))
 			if err != nil {
 				continue
 			}
@@ -50,7 +51,7 @@ func TestQuickPortfolioRandomBatches(t *testing.T) {
 			want = append(want, rep)
 		}
 		for _, workers := range []int{0, 1, 2, 5} {
-			got, err := CheckPortfolio(sys, props, workers)
+			got, err := CheckPortfolio(context.Background(), sys, props, workers)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
@@ -84,7 +85,7 @@ func TestQuickSystemsPortfolioRandomBatches(t *testing.T) {
 				ab = ab2
 			}
 			sys := gen.System(rng, ab, 3+rng.Intn(5), 0.25+0.4*rng.Float64())
-			rep, err := CheckAll(sys, p)
+			rep, err := CheckAll(context.Background(), NewPipelineCells(sys, p))
 			if err != nil {
 				continue
 			}
@@ -92,7 +93,7 @@ func TestQuickSystemsPortfolioRandomBatches(t *testing.T) {
 			want = append(want, rep)
 		}
 		for _, workers := range []int{0, 1, 3} {
-			got, err := CheckSystemsPortfolio(systems, p, workers)
+			got, err := CheckSystemsPortfolio(context.Background(), systems, p, workers)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}

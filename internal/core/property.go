@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/alphabet"
@@ -71,13 +72,14 @@ func (p Property) Automaton(ab *alphabet.Alphabet) (*buchi.Buchi, error) {
 
 // NegationAutomaton returns a Büchi automaton for Σ^ω \ P over ab.
 func (p Property) NegationAutomaton(ab *alphabet.Alphabet) (*buchi.Buchi, error) {
-	return p.NegationAutomatonRec(nil, ab)
+	return p.negationFor(nil, ab)
 }
 
-// AutomatonRec is Automaton with the construction reported to rec: one
-// span named "P→Büchi" with the output size, tagged with the source
-// (formula translation vs. given automaton).
-func (p Property) AutomatonRec(rec obs.Recorder, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
+// automatonFor is Automaton with the construction reported to ctx's
+// recorder: one span named "P→Büchi" with the output size, tagged with
+// the source (formula translation vs. given automaton).
+func (p Property) automatonFor(ctx context.Context, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
+	rec := obs.RecorderFromContext(ctx)
 	if rec == nil {
 		return p.Automaton(ab)
 	}
@@ -97,19 +99,25 @@ func (p Property) AutomatonRec(rec obs.Recorder, ab *alphabet.Alphabet) (*buchi.
 	return out, nil
 }
 
-// NegationAutomatonRec is NegationAutomaton with the construction
-// reported to rec: a "¬P" span covering either the syntactic negation
+// negationFor is NegationAutomaton with the construction reported to
+// ctx's recorder: a "¬P" span covering either the syntactic negation
 // translation or the rank-based complement (which appears as a child
-// span with its own blowup figures).
-func (p Property) NegationAutomatonRec(rec obs.Recorder, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
+// "buchi.Complement" span with its own blowup figures).
+func (p Property) negationFor(ctx context.Context, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
+	rec := obs.RecorderFromContext(ctx)
 	switch {
 	case p.automaton != nil:
 		sp := obs.StartSpan(rec, "¬P")
 		defer sp.End()
-		c, err := buchi.Ops{Rec: rec}.Complement(p.automaton)
+		csp := obs.StartSpan(rec, "buchi.Complement").
+			Tag("algorithm", "rank-based").
+			Int("in_states", int64(p.automaton.NumStates()))
+		c, err := p.automaton.Complement()
 		if err != nil {
+			csp.End()
 			return nil, fmt.Errorf("core: complementing property automaton: %w", err)
 		}
+		buchi.Record(rec, csp, "buchi.complement", c)
 		sp.Int("out_states", int64(c.NumStates()))
 		return c, nil
 	case p.formula != nil:

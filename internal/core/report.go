@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/obs"
@@ -33,41 +34,38 @@ type Report struct {
 	Statistical *StatisticalReport `json:"statistical,omitempty"`
 }
 
-// CheckAll runs satisfaction, relative liveness and relative safety and
-// cross-checks Theorem 4.7 (satisfied ⟺ RL ∧ RS) as an internal
-// consistency assertion.
-func CheckAll(sys *ts.System, p Property) (*Report, error) {
-	return CheckAllRec(nil, sys, p)
-}
-
-// CheckAllRec is CheckAll with all three decision procedures reported
-// to rec under one "core.CheckAll" root span. The three procedures run
-// over one shared pipeline, so the behavior automaton, the property
-// automaton and its negation, and the pre(L∩P) product are each built
-// once instead of once per procedure.
-func CheckAllRec(rec obs.Recorder, sys *ts.System, p Property) (*Report, error) {
-	sp := obs.StartSpan(rec, "core.CheckAll").
+// CheckAll runs satisfaction, relative liveness and relative safety
+// serially over pc's shared artifacts and cross-checks Theorem 4.7
+// (satisfied ⟺ RL ∧ RS) as an internal consistency assertion. The
+// behavior automaton, the property automaton and its negation, and the
+// pre(L∩P) product are each built once for the three procedures, whose
+// spans nest under one "core.CheckAll" span on ctx's recorder.
+func CheckAll(ctx context.Context, pc *PipelineCells) (*Report, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, fmt.Errorf("core: check all: %w", err)
+	}
+	sp := obs.StartSpan(obs.RecorderFromContext(ctx), "core.CheckAll").
 		Tag("paper", "Section 4 (cross-checked via Theorem 4.7)")
 	defer sp.End()
-	return checkAllPipe(newPipeline(rec, sys, p))
+	return checkAll(ctx, pc)
 }
 
-// checkAllPipe runs the three verdicts serially over pl and assembles
-// the report. CheckAllRec and the portfolio workers share it.
-func checkAllPipe(pl *pipeline) (*Report, error) {
-	sat, err := satisfiesPipe(pl)
+// checkAll runs the three verdicts over pc and assembles the report.
+// CheckAll and the portfolio workers share it.
+func checkAll(ctx context.Context, pc *PipelineCells) (*Report, error) {
+	sat, err := Satisfies(ctx, pc)
 	if err != nil {
 		return nil, err
 	}
-	rl, err := relativeLivenessPipe(pl)
+	rl, err := RelativeLiveness(ctx, pc)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := relativeSafetyPipe(pl)
+	rs, err := RelativeSafety(ctx, pc)
 	if err != nil {
 		return nil, err
 	}
-	return assembleReport(pl.sys, pl.p, sat, rl, rs)
+	return assembleReport(pc.sc.sys, pc.prop.p, sat, rl, rs)
 }
 
 // assembleReport cross-checks Theorem 4.7 and renders the three results

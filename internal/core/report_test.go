@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestCheckAllOnFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := CheckAll(sys, FromFormula(paper.PropertyInfResults(), nil))
+	r, err := CheckAll(context.Background(), NewPipelineCells(sys, FromFormula(paper.PropertyInfResults(), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestCheckAllOnFig2(t *testing.T) {
 }
 
 func TestCheckAllBadPrefixOnFig3(t *testing.T) {
-	r, err := CheckAll(paper.Fig3System(), FromFormula(paper.PropertyInfResults(), nil))
+	r, err := CheckAll(context.Background(), NewPipelineCells(paper.Fig3System(), FromFormula(paper.PropertyInfResults(), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ type LivenessResult struct {
 	BadPrefix word.Word
 }
 
-// RelativeLiveness decides whether p is a relative liveness property of
-// the system's behaviors lim(L) (Definition 4.1), via the
-// characterization of Lemma 4.3:
+// RelativeLiveness decides whether pc's property is a relative
+// liveness property of its system's behaviors lim(L) (Definition 4.1),
+// via the characterization of Lemma 4.3:
 //
 //	pre(L_ω) = pre(L_ω ∩ P).
 //
@@ -31,27 +31,18 @@ type LivenessResult struct {
 // pre(L_ω ∩ P) is the finite-path language of the reduced Büchi product
 // of the behaviors with the property automaton. The inclusion
 // pre(L_ω ∩ P) ⊆ pre(L_ω) always holds, so only the converse is
-// checked, and a failure yields the BadPrefix witness.
-func RelativeLiveness(sys *ts.System, p Property) (LivenessResult, error) {
-	return RelativeLivenessRec(nil, sys, p)
-}
-
-// RelativeLivenessRec is RelativeLiveness with every phase reported to
-// rec: the behavior construction, the property translation, the
-// pre(L∩P) product, and the Lemma 4.3 inclusion check, each with
-// automaton sizes and durations. A nil rec is the uninstrumented path.
-func RelativeLivenessRec(rec obs.Recorder, sys *ts.System, p Property) (LivenessResult, error) {
-	return relativeLivenessPipe(newPipeline(rec, sys, p))
-}
-
-// relativeLivenessPipe is the Lemma 4.3 check over a (possibly shared)
-// pipeline, so CheckAll reuses the behaviors, property automaton and
-// pre(L∩P) product across procedures.
-func relativeLivenessPipe(pl *pipeline) (LivenessResult, error) {
-	sp := obs.StartSpan(pl.rec, "core.RelativeLiveness").
+// checked, and a failure yields the BadPrefix witness. Each phase — the
+// behavior construction, the property translation, the pre(L∩P)
+// product, and the inclusion check — reports a span to ctx's recorder.
+func RelativeLiveness(ctx context.Context, pc *PipelineCells) (LivenessResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return LivenessResult{}, fmt.Errorf("relative liveness: %w", err)
+	}
+	rec := obs.RecorderFromContext(ctx)
+	sp := obs.StartSpan(rec, "core.RelativeLiveness").
 		Tag("paper", "Definition 4.1 via Lemma 4.3")
 	defer sp.End()
-	trimmed, _, err := pl.limits()
+	trimmed, _, err := pc.sc.limits(ctx)
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness: %w", err)
 	}
@@ -64,19 +55,18 @@ func relativeLivenessPipe(pl *pipeline) (LivenessResult, error) {
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness: %w", err)
 	}
-	preLP, err := pl.preProduct()
+	preLP, err := pc.preProduct(ctx)
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness: %w", err)
 	}
-	isp := obs.StartSpan(pl.rec, "pre(L) ⊆ pre(L∩P)").
+	isp := obs.StartSpan(rec, "pre(L) ⊆ pre(L∩P)").
 		Tag("paper", "Lemma 4.3: pre(L) = pre(L∩P)").
 		Tag("kernel", nfa.ResolveKernel(preLP)).
 		Int("left_states", int64(preL.NumStates())).
 		Int("right_states", int64(preLP.NumStates()))
-	ok, w, err := nfa.IncludedKernelCtx(pl.ctx, preL, preLP)
+	ok, w, err := nfa.IncludedKernelCtx(ctx, preL, preLP)
 	if err != nil {
-		isp.Tag("aborted", "context")
-		isp.End()
+		isp.Tag("aborted", "context").End()
 		return LivenessResult{}, fmt.Errorf("relative liveness: %w", err)
 	}
 	isp.End()
@@ -91,8 +81,8 @@ func relativeLivenessPipe(pl *pipeline) (LivenessResult, error) {
 // behavior at all, the vacuous case of the Section 4 checks. A context
 // error from the trim fixpoint is propagated, never folded into the
 // vacuous case.
-func trimSystem(ctx context.Context, rec obs.Recorder, sys *ts.System) (*ts.System, error) {
-	sp := obs.StartSpan(rec, "trim(L)").
+func trimSystem(ctx context.Context, sys *ts.System) (*ts.System, error) {
+	sp := obs.StartSpan(obs.RecorderFromContext(ctx), "trim(L)").
 		Tag("paper", "Section 3: states with an infinite continuation").
 		Int("in_states", int64(sys.NumStates()))
 	defer sp.End()

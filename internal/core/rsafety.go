@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
+	"relive/internal/buchi"
 	"relive/internal/obs"
 	"relive/internal/ts"
 	"relive/internal/word"
@@ -18,36 +20,28 @@ type SafetyResult struct {
 	Violation word.Lasso
 }
 
-// RelativeSafety decides whether p is a relative safety property of the
-// system's behaviors (Definition 4.2), via the characterization of
-// Lemma 4.4:
+// RelativeSafety decides whether pc's property is a relative safety
+// property of its system's behaviors (Definition 4.2), via the
+// characterization of Lemma 4.4:
 //
 //	L_ω ∩ lim(pre(L_ω ∩ P)) ⊆ P.
 //
 // The left-hand side is the Büchi product of the behaviors with the
-// limit of the prefix language of L_ω ∩ P; inclusion in P is checked by
-// intersecting with ¬P (for formulas, the translated negation; for
-// automata, the rank-based complement).
-func RelativeSafety(sys *ts.System, p Property) (SafetyResult, error) {
-	return RelativeSafetyRec(nil, sys, p)
-}
-
-// RelativeSafetyRec is RelativeSafety with every phase reported to rec:
-// the pre(L∩P) product, its limit closure, the negation automaton, and
-// the final emptiness check of Lemma 4.4. A nil rec is the
-// uninstrumented path.
-func RelativeSafetyRec(rec obs.Recorder, sys *ts.System, p Property) (SafetyResult, error) {
-	return relativeSafetyPipe(newPipeline(rec, sys, p))
-}
-
-// relativeSafetyPipe is the Lemma 4.4 check over a (possibly shared)
-// pipeline. The final inclusion is decided by on-the-fly emptiness of
-// (L ∩ lim(pre(L∩P))) ∩ ¬P instead of materializing that product.
-func relativeSafetyPipe(pl *pipeline) (SafetyResult, error) {
-	sp := obs.StartSpan(pl.rec, "core.RelativeSafety").
+// limit of the prefix language of L_ω ∩ P; inclusion in P is decided by
+// on-the-fly emptiness of its intersection with ¬P (for formulas, the
+// translated negation; for automata, the rank-based complement). Each
+// phase — the pre(L∩P) product, its limit closure, the negation
+// automaton, and the final emptiness check — reports a span to ctx's
+// recorder.
+func RelativeSafety(ctx context.Context, pc *PipelineCells) (SafetyResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
+	}
+	rec := obs.RecorderFromContext(ctx)
+	sp := obs.StartSpan(rec, "core.RelativeSafety").
 		Tag("paper", "Definition 4.2 via Lemma 4.4")
 	defer sp.End()
-	trimmed, behaviors, err := pl.limits()
+	trimmed, behaviors, err := pc.sc.limits(ctx)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
 	}
@@ -56,7 +50,7 @@ func relativeSafetyPipe(pl *pipeline) (SafetyResult, error) {
 		// Definition 4.2.
 		return SafetyResult{Holds: true}, nil
 	}
-	preLP, err := pl.preProduct()
+	preLP, err := pc.preProduct(ctx)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
 	}
@@ -64,27 +58,30 @@ func relativeSafetyPipe(pl *pipeline) (SafetyResult, error) {
 		// L_ω ∩ P = ∅: its prefix limit is empty and inclusion is trivial.
 		return SafetyResult{Holds: true}, nil
 	}
-	ops := pl.ops
-	limPre, err := ops.LimitOfAllAccepting(preLP)
+	lsp := obs.StartSpan(rec, "buchi.LimitOfAllAccepting").
+		Int("in_states", int64(preLP.NumStates())).
+		Int("in_transitions", int64(preLP.NumTransitions()))
+	limPre, err := buchi.LimitOfAllAccepting(preLP)
+	if err != nil {
+		lsp.End()
+		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
+	}
+	buchi.Record(rec, lsp, "buchi.limit", limPre)
+	lhs, err := buchi.IntersectCtx(ctx, behaviors, limPre)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
 	}
-	lhs, err := ops.IntersectCtx(behaviors, limPre)
+	notP, err := pc.prop.negation(ctx)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
 	}
-	notP, err := pl.negation()
-	if err != nil {
-		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
-	}
-	isp := obs.StartSpan(pl.rec, "L ∩ lim(pre(L∩P)) ⊆ P").
+	isp := obs.StartSpan(rec, "L ∩ lim(pre(L∩P)) ⊆ P").
 		Tag("paper", "Lemma 4.4: L ∩ lim(pre(L∩P)) ⊆ P").
 		Int("lhs_states", int64(lhs.NumStates())).
 		Int("negation_states", int64(notP.NumStates()))
-	l, found, err := ops.IntersectLassoCtx(lhs, notP)
+	l, found, err := buchi.IntersectLassoCtx(ctx, lhs, notP)
 	if err != nil {
-		isp.Tag("aborted", "context")
-		isp.End()
+		isp.Tag("aborted", "context").End()
 		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
 	}
 	isp.End()
@@ -101,44 +98,36 @@ type SatisfactionResult struct {
 	Counterexample word.Lasso
 }
 
-// Satisfies decides L_ω ⊆ P (Definition 3.2) directly, by emptiness of
-// behaviors ∩ ¬P. Theorem 4.7 states this is equivalent to p being both
-// a relative liveness and a relative safety property; the equivalence is
-// exercised by the test suite.
-func Satisfies(sys *ts.System, p Property) (SatisfactionResult, error) {
-	return SatisfiesRec(nil, sys, p)
-}
-
-// SatisfiesRec is Satisfies with the negation construction and the
-// emptiness check of L ∩ ¬P reported to rec.
-func SatisfiesRec(rec obs.Recorder, sys *ts.System, p Property) (SatisfactionResult, error) {
-	return satisfiesPipe(newPipeline(rec, sys, p))
-}
-
-// satisfiesPipe is the Definition 3.2 check over a (possibly shared)
-// pipeline, deciding emptiness of L ∩ ¬P on the fly.
-func satisfiesPipe(pl *pipeline) (SatisfactionResult, error) {
-	sp := obs.StartSpan(pl.rec, "core.Satisfies").
+// Satisfies decides L_ω ⊆ P (Definition 3.2) directly, by on-the-fly
+// emptiness of behaviors ∩ ¬P, reporting the negation construction and
+// the emptiness check to ctx's recorder. Theorem 4.7 states this is
+// equivalent to P being both a relative liveness and a relative safety
+// property; the equivalence is exercised by the test suite.
+func Satisfies(ctx context.Context, pc *PipelineCells) (SatisfactionResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return SatisfactionResult{}, fmt.Errorf("satisfaction: %w", err)
+	}
+	rec := obs.RecorderFromContext(ctx)
+	sp := obs.StartSpan(rec, "core.Satisfies").
 		Tag("paper", "Definition 3.2: L ⊆ P")
 	defer sp.End()
-	trimmed, behaviors, err := pl.limits()
+	trimmed, behaviors, err := pc.sc.limits(ctx)
 	if err != nil {
 		return SatisfactionResult{}, fmt.Errorf("satisfaction: %w", err)
 	}
 	if trimmed == nil {
 		return SatisfactionResult{Holds: true}, nil
 	}
-	notP, err := pl.negation()
+	notP, err := pc.prop.negation(ctx)
 	if err != nil {
 		return SatisfactionResult{}, fmt.Errorf("satisfaction: %w", err)
 	}
-	isp := obs.StartSpan(pl.rec, "L ∩ ¬P = ∅").
+	isp := obs.StartSpan(rec, "L ∩ ¬P = ∅").
 		Int("behavior_states", int64(behaviors.NumStates())).
 		Int("negation_states", int64(notP.NumStates()))
-	l, found, err := pl.ops.IntersectLassoCtx(behaviors, notP)
+	l, found, err := buchi.IntersectLassoCtx(ctx, behaviors, notP)
 	if err != nil {
-		isp.Tag("aborted", "context")
-		isp.End()
+		isp.Tag("aborted", "context").End()
 		return SatisfactionResult{}, fmt.Errorf("satisfaction: %w", err)
 	}
 	isp.End()
@@ -153,14 +142,14 @@ func satisfiesPipe(pl *pipeline) (SatisfactionResult, error) {
 // safety property. Exposed as an alternative algorithm for
 // cross-validation and ablation benchmarks.
 func SatisfiesViaConjunction(sys *ts.System, p Property) (bool, error) {
-	rl, err := RelativeLiveness(sys, p)
+	rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 	if err != nil {
 		return false, err
 	}
 	if !rl.Holds {
 		return false, nil
 	}
-	rs, err := RelativeSafety(sys, p)
+	rs, err := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
 	if err != nil {
 		return false, err
 	}

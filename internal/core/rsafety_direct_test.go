@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestQuickRSThreeRoutesAgree(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
-		r1, err := RelativeSafety(sys, p)
+		r1, err := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,33 +98,15 @@ func (r *StatisticalReport) Witness() (word.Lasso, bool) {
 	return r.lasso, r.Verdict == StatVerdictFails
 }
 
-// CheckStatistical estimates whether almost all runs of sys satisfy p
-// by uniform random-walk sampling; see StatisticalReport for the
-// verdict semantics.
-func CheckStatistical(sys *ts.System, p Property, o StatOptions) (*StatisticalReport, error) {
-	return CheckStatisticalRec(nil, sys, p, o)
-}
-
-// CheckStatisticalRec is CheckStatistical with the trim phase and the
-// sampling sweep reported to rec ("trim(L)" and "mc.sample" spans,
-// mc.samples/mc.settled/mc.hits/mc.steps counters).
-func CheckStatisticalRec(rec obs.Recorder, sys *ts.System, p Property, o StatOptions) (*StatisticalReport, error) {
-	return CheckStatisticalCells(nil, rec, NewSystemCells(sys), p, o)
-}
-
-// CheckStatisticalCtx is CheckStatistical with cooperative
-// cancellation; the returned error wraps ctx.Err() when cancelled.
-func CheckStatisticalCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property, o StatOptions) (*StatisticalReport, error) {
-	return CheckStatisticalCells(ctx, rec, NewSystemCells(sys), p, o)
-}
-
-// CheckStatisticalCells is CheckStatisticalCtx over a pre-existing
-// (possibly cached) system artifact set, so a serving layer shares the
-// trimmed system with the other endpoints' checks. Sampling walks the
-// *trimmed* system: dead ends are impossible there, and trimming
-// preserves behaviors, so sampled counterexamples are behaviors of the
-// original system.
-func CheckStatisticalCells(ctx context.Context, rec obs.Recorder, sc *SystemCells, p Property, o StatOptions) (*StatisticalReport, error) {
+// CheckStatistical estimates whether almost all runs of sc's system
+// satisfy p by uniform random-walk sampling; see StatisticalReport for
+// the verdict semantics. Sampling walks the *trimmed* system from sc:
+// dead ends are impossible there, and trimming preserves behaviors, so
+// sampled counterexamples are behaviors of the original system. The
+// trim phase and the sampling sweep report to ctx's recorder
+// ("trim(L)" and "mc.sample" spans, mc.samples/mc.settled/mc.hits/
+// mc.steps counters).
+func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOptions) (*StatisticalReport, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, fmt.Errorf("statistical: %w", err)
 	}
@@ -135,6 +117,7 @@ func CheckStatisticalCells(ctx context.Context, rec obs.Recorder, sc *SystemCell
 		return nil, fmt.Errorf("statistical: %w", err)
 	}
 
+	rec := obs.RecorderFromContext(ctx)
 	sp := obs.StartSpan(rec, "core.CheckStatistical").
 		Tag("paper", "Section 9 outlook: almost all computations satisfy the property").
 		Int("samples", int64(cfg.Samples)).
@@ -152,7 +135,7 @@ func CheckStatisticalCells(ctx context.Context, rec obs.Recorder, sc *SystemCell
 		Method:      "clopper-pearson",
 	}
 
-	trimmed, err := sc.lim.trimmed(ctx, rec)
+	trimmed, err := sc.trimmed(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("statistical: %w", err)
 	}

@@ -35,7 +35,7 @@ func statSys(t *testing.T, text string) *ts.System {
 func TestCheckStatisticalVerdicts(t *testing.T) {
 	p := FromFormula(ltl.MustParse("G F result"), nil)
 
-	rep, err := CheckStatistical(statSys(t, statServerText), p, StatOptions{Seed: 5})
+	rep, err := CheckStatistical(context.Background(), NewSystemCells(statSys(t, statServerText)), p, StatOptions{Seed: 5})
 	if err != nil {
 		t.Fatalf("CheckStatistical(correct): %v", err)
 	}
@@ -49,7 +49,7 @@ func TestCheckStatisticalVerdicts(t *testing.T) {
 		t.Fatalf("method = %q", rep.Method)
 	}
 
-	rep, err = CheckStatistical(statSys(t, statBrokenText), p, StatOptions{Seed: 5})
+	rep, err = CheckStatistical(context.Background(), NewSystemCells(statSys(t, statBrokenText)), p, StatOptions{Seed: 5})
 	if err != nil {
 		t.Fatalf("CheckStatistical(broken): %v", err)
 	}
@@ -73,7 +73,7 @@ func TestCheckStatisticalVerdicts(t *testing.T) {
 // vacuously — there is nothing to sample.
 func TestCheckStatisticalVacuous(t *testing.T) {
 	sys := statSys(t, "init a\na step b\n")
-	rep, err := CheckStatistical(sys, FromFormula(ltl.MustParse("G F step"), nil), StatOptions{})
+	rep, err := CheckStatistical(context.Background(), NewSystemCells(sys), FromFormula(ltl.MustParse("G F step"), nil), StatOptions{})
 	if err != nil {
 		t.Fatalf("CheckStatistical: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestCheckStatisticalDeterministicJSON(t *testing.T) {
 	for _, text := range []string{statServerText, statBrokenText} {
 		var base []byte
 		for _, workers := range []int{1, 2, 8} {
-			rep, err := CheckStatistical(statSys(t, text), p,
+			rep, err := CheckStatistical(context.Background(), NewSystemCells(statSys(t, text)), p,
 				StatOptions{Seed: 11, Samples: 150, Steps: 96, Workers: workers})
 			if err != nil {
 				t.Fatalf("CheckStatistical(workers=%d): %v", workers, err)
@@ -112,7 +112,7 @@ func TestCheckStatisticalDeterministicJSON(t *testing.T) {
 func TestCheckStatisticalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CheckStatisticalCtx(ctx, nil, statSys(t, statServerText),
+	_, err := CheckStatistical(ctx, NewSystemCells(statSys(t, statServerText)),
 		FromFormula(ltl.MustParse("G F result"), nil), StatOptions{Samples: 50000, Steps: 4096})
 	if err == nil {
 		t.Fatalf("want error from cancelled context")
@@ -150,7 +150,7 @@ func TestCheckStatisticalSpans(t *testing.T) {
 	for _, text := range []string{statServerText, statBrokenText} {
 		tr := obs.NewTrace()
 		o := StatOptions{Seed: 3, Samples: 120, Steps: 64, Workers: 2}
-		if _, err := CheckStatisticalRec(tr, statSys(t, text), p, o); err != nil {
+		if _, err := CheckStatistical(obs.ContextWithRecorder(context.Background(), tr), NewSystemCells(statSys(t, text)), p, o); err != nil {
 			t.Fatal(err)
 		}
 		var walked int64 = -1

@@ -23,7 +23,7 @@ import (
 // witness is a prefix of sup with no extension in sub.
 func DenseIn(sub, sup *buchi.Buchi) (bool, word.Word) {
 	// Density ⟺ pre(sup) ⊆ pre(sub).
-	res, _ := MachineClosed(sup, sub)
+	res, _ := MachineClosed(nil, sup, sub)
 	return res.Holds, res.BadPrefix
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestQuickTopologicalRoutesAgree(t *testing.T) {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
 
-		rl, err := RelativeLiveness(sys, p)
+		rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +34,7 @@ func TestQuickTopologicalRoutesAgree(t *testing.T) {
 				trial, rl.Holds, rlTop.Holds, p, sys.FormatString())
 		}
 
-		rs, err := RelativeSafety(sys, p)
+		rs, err := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestQuickBadPrefixIsShortest(t *testing.T) {
 	for trial := 0; trial < 120 && checked < 20; trial++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
-		rl, err := RelativeLiveness(sys, p)
+		rl, err := RelativeLiveness(context.Background(), NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}

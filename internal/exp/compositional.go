@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -78,7 +79,7 @@ func E11Compositional(n int) (Result, error) {
 	// Verify the observable property on the abstraction and conclude for
 	// the concrete product via simplicity.
 	eta := ltl.MustParse("G (req0 -> F res0)")
-	report, err := core.VerifyViaAbstraction(concrete, h, eta)
+	report, err := core.VerifyViaAbstraction(context.Background(), concrete, h, eta)
 	if err != nil {
 		return Result{}, err
 	}
@@ -109,7 +110,7 @@ func E12FeatureInteraction() (Result, error) {
 	bad := telecom.Misintegrated()
 	eta := telecom.HandledProperty()
 
-	goodReport, err := core.VerifyViaAbstraction(good, telecom.Abstraction(good), eta)
+	goodReport, err := core.VerifyViaAbstraction(context.Background(), good, telecom.Abstraction(good), eta)
 	if err != nil {
 		return Result{}, err
 	}
@@ -117,7 +118,7 @@ func E12FeatureInteraction() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	badDirect, err := core.RelativeLiveness(bad, badConcrete)
+	badDirect, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(bad, badConcrete))
 	if err != nil {
 		return Result{}, err
 	}
@@ -129,8 +130,8 @@ func E12FeatureInteraction() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	goodSat, err := core.Satisfies(good, core.FromFormula(ltl.MustParse(
-		"G (call -> F (answer | fwdanswer | record))"), nil))
+	goodSat, err := core.Satisfies(context.Background(), core.NewPipelineCells(good, core.FromFormula(ltl.MustParse(
+		"G (call -> F (answer | fwdanswer | record))"), nil)))
 	if err != nil {
 		return Result{}, err
 	}

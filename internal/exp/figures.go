@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/core"
@@ -46,15 +47,15 @@ func E2Fig2RelativeLiveness() (Result, error) {
 		return Result{}, err
 	}
 	p := core.FromFormula(paper.PropertyInfResults(), nil)
-	sat, err := core.Satisfies(sys, p)
+	sat, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		return Result{}, err
 	}
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		return Result{}, err
 	}
-	rs, err := core.RelativeSafety(sys, p)
+	rs, err := core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		return Result{}, err
 	}
@@ -78,7 +79,7 @@ func E2Fig2RelativeLiveness() (Result, error) {
 func E3Fig3NotRelativeLiveness() (Result, error) {
 	sys := paper.Fig3System()
 	p := core.FromFormula(paper.PropertyInfResults(), nil)
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		return Result{}, err
 	}
@@ -129,7 +130,7 @@ func E4Fig4Abstraction() (Result, error) {
 	img3 := paper.AbstractionHom(fig3).ImageNFA(a3).Determinize().Minimize()
 	sameLang := img2.NumStates() == img3.NumStates() && nfa.EquivalentDFA(img2, renameDFA(img3, img2)) // see renameDFA
 
-	rl, err := core.RelativeLiveness(fig4, core.FromFormula(paper.PropertyInfResults(), nil))
+	rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(fig4, core.FromFormula(paper.PropertyInfResults(), nil)))
 	if err != nil {
 		return Result{}, err
 	}
@@ -201,11 +202,11 @@ func E5Simplicity() (Result, error) {
 		obs = append(obs, info("non-simplicity witness", s3.Witness.String(fig3.Alphabet())))
 	}
 	// Corollary 8.4 in action.
-	rep2, err := core.VerifyViaAbstraction(fig2, paper.AbstractionHom(fig2), paper.PropertyInfResults())
+	rep2, err := core.VerifyViaAbstraction(context.Background(), fig2, paper.AbstractionHom(fig2), paper.PropertyInfResults())
 	if err != nil {
 		return Result{}, err
 	}
-	rep3, err := core.VerifyViaAbstraction(fig3, paper.AbstractionHom(fig3), paper.PropertyInfResults())
+	rep3, err := core.VerifyViaAbstraction(context.Background(), fig3, paper.AbstractionHom(fig3), paper.PropertyInfResults())
 	if err != nil {
 		return Result{}, err
 	}
@@ -250,7 +251,7 @@ func E6RbarTransform() (Result, error) {
 func E7FairImplementation() (Result, error) {
 	sys := paper.Section5System()
 	p := core.FromFormula(paper.Section5Property(), nil)
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		return Result{}, err
 	}
@@ -258,7 +259,7 @@ func E7FairImplementation() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	fi, err := core.SynthesizeFairImplementation(sys, p)
+	fi, err := core.SynthesizeFairImplementation(context.Background(), sys, p)
 	if err != nil {
 		return Result{}, err
 	}

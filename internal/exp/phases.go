@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math/rand"
 
 	"relive/internal/core"
@@ -45,10 +46,10 @@ func PhaseDistributions(trials int) ([]PhaseQuantiles, error) {
 	for t := 0; t < trials; t++ {
 		sys := randomSystem(rng, ab, 4+rng.Intn(29))
 		tr := obs.NewTrace()
-		if _, err := core.CheckAllRec(tr, sys, props[t%len(props)]); err != nil {
+		if _, err := core.CheckAll(obs.ContextWithRecorder(context.Background(), tr), core.NewPipelineCells(sys, props[t%len(props)])); err != nil {
 			return nil, err
 		}
-		if _, err := core.CheckStatisticalRec(tr, sys, props[t%len(props)],
+		if _, err := core.CheckStatistical(obs.ContextWithRecorder(context.Background(), tr), core.NewSystemCells(sys), props[t%len(props)],
 			core.StatOptions{Seed: int64(t), Samples: 40, Steps: 64, Workers: 1}); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -138,7 +139,7 @@ func E9ConjunctionTheorem(samples int) (Result, error) {
 	for i := 0; i < samples; i++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := core.FromFormula(randomGeneralFormula(rng, atoms, 3), nil)
-		direct, err := core.Satisfies(sys, p)
+		direct, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			return Result{}, err
 		}
@@ -171,7 +172,7 @@ func E10MachineClosure(samples int) (Result, error) {
 	for i := 0; i < samples; i++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := core.FromFormula(randomGeneralFormula(rng, atoms, 3), nil)
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			return Result{}, err
 		}
@@ -196,7 +197,7 @@ func E10MachineClosure(samples int) (Result, error) {
 		if rl.Holds == topo.Holds {
 			agreeTopo++
 		}
-		rs, err := core.RelativeSafety(sys, p)
+		rs, err := core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			return Result{}, err
 		}

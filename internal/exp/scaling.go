@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -140,7 +141,7 @@ func scalePoint(rng *rand.Rand, ab *alphabet.Alphabet, n int, p core.Property, t
 	for t := 0; t < trials; t++ {
 		sys := randomSystem(rng, ab, n)
 		start := time.Now()
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			return ScalingPoint{}, err
 		}

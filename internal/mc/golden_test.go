@@ -116,7 +116,7 @@ func TestGoldenSampler(t *testing.T) {
 		}
 		p := core.FromFormula(ltl.MustParse("G F result"), nil)
 		for _, o := range []core.StatOptions{{Seed: 1}, {Seed: 42, Samples: 150, Steps: 96, Workers: 2}, {Seed: 7, Steps: 9}} {
-			rep, err := core.CheckStatistical(sys, p, o)
+			rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), p, o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -121,3 +121,28 @@ func TraceIDFromContext(ctx context.Context) string {
 	id, _ := ctx.Value(traceIDKey{}).(string)
 	return id
 }
+
+// recorderKey carries a check's Recorder through context.Context, so
+// every layer of the check (core's pipeline, the buchi operations it
+// calls, portfolio workers) reports to the recorder its caller chose.
+type recorderKey struct{}
+
+// ContextWithRecorder returns ctx carrying rec; checks run under the
+// returned context report their spans and counters to rec. A nil ctx
+// is treated as context.Background().
+func ContextWithRecorder(ctx context.Context, rec Recorder) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, recorderKey{}, rec)
+}
+
+// RecorderFromContext returns the recorder carried by ctx, or nil (off)
+// when ctx is nil or carries none.
+func RecorderFromContext(ctx context.Context) Recorder {
+	if ctx == nil {
+		return nil
+	}
+	rec, _ := ctx.Value(recorderKey{}).(Recorder)
+	return rec
+}

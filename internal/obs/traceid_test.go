@@ -93,6 +93,29 @@ func TestTraceIDContext(t *testing.T) {
 	}
 }
 
+func TestRecorderContext(t *testing.T) {
+	if rec := RecorderFromContext(nil); rec != nil {
+		t.Fatalf("nil context carries recorder %v", rec)
+	}
+	if rec := RecorderFromContext(context.Background()); rec != nil {
+		t.Fatalf("empty context carries recorder %v", rec)
+	}
+	tr := NewTrace()
+	ctx := ContextWithRecorder(ContextWithTraceID(context.Background(), "x"), tr)
+	if rec := RecorderFromContext(ctx); rec != Recorder(tr) {
+		t.Fatalf("recorder through context = %v, want the trace", rec)
+	}
+	if got := TraceIDFromContext(ctx); got != "x" {
+		t.Fatalf("recorder hid the trace id: got %q", got)
+	}
+	if rec := RecorderFromContext(ContextWithRecorder(ctx, nil)); rec != nil {
+		t.Fatalf("a nil recorder did not switch instrumentation off: %v", rec)
+	}
+	if rec := RecorderFromContext(ContextWithRecorder(nil, tr)); rec != Recorder(tr) {
+		t.Fatalf("nil parent lost the recorder: %v", rec)
+	}
+}
+
 func TestDumpCarriesTraceID(t *testing.T) {
 	tr := NewTrace()
 	id := NewTraceID()

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -107,20 +108,20 @@ func genPairCase(rng *rand.Rand, ab *alphabet.Alphabet, shape diffShape) (pairCa
 // agree. It is both the test body and the shrinking predicate.
 func diffFailure(sys *ts.System, c pairCase, words []word.Word, lassos []word.Lasso) string {
 	ab := sys.Alphabet()
-	rep, err := core.CheckAll(sys, c.coreP)
+	rep, err := core.CheckAll(context.Background(), core.NewPipelineCells(sys, c.coreP))
 	if err != nil {
 		return fmt.Sprintf("CheckAll: %v", err)
 	}
 	// Typed witnesses for the oracle's exact confirmations.
-	sat, err := core.Satisfies(sys, c.coreP)
+	sat, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, c.coreP))
 	if err != nil {
 		return fmt.Sprintf("Satisfies: %v", err)
 	}
-	rl, err := core.RelativeLiveness(sys, c.coreP)
+	rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, c.coreP))
 	if err != nil {
 		return fmt.Sprintf("RelativeLiveness: %v", err)
 	}
-	rs, err := core.RelativeSafety(sys, c.coreP)
+	rs, err := core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, c.coreP))
 	if err != nil {
 		return fmt.Sprintf("RelativeSafety: %v", err)
 	}
@@ -224,7 +225,7 @@ func TestDifferentialCoreVsOracle(t *testing.T) {
 				checked, *seedFlag, diffFailure(small, c, words, lassos), c.desc, small.FormatString())
 		}
 		checked++
-		rep, _ := core.CheckAll(c.sys, c.coreP)
+		rep, _ := core.CheckAll(context.Background(), core.NewPipelineCells(c.sys, c.coreP))
 		if rep != nil {
 			if rep.Satisfied {
 				stats["satisfied"]++

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -71,7 +72,7 @@ func genFairCase(rng *rand.Rand, src *alphabet.Alphabet) (fairCase, bool) {
 // system and reports the first disagreement, or "". It is both the test
 // body and the shrinking predicate.
 func diffFairFailure(sys *ts.System, c fairCase, bounds oracle.Bounds) string {
-	rep, err := core.CheckFairAbstract(sys, c.h, c.kind, c.coreP)
+	rep, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), c.h, c.kind, c.coreP)
 	if err != nil {
 		return fmt.Sprintf("CheckFairAbstract: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestDifferentialFairAbstract(t *testing.T) {
 		}
 		// Σ'-normal-form rejections depend only on the formula: skip them
 		// up front so the shrinker never sees an erroring case.
-		if _, err := core.CheckFairAbstract(c.sys, c.h, c.kind, c.coreP); err != nil {
+		if _, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(c.sys), c.h, c.kind, c.coreP); err != nil {
 			skipped++
 			continue
 		}
@@ -153,7 +154,7 @@ func TestDifferentialFairAbstract(t *testing.T) {
 				checked, *seedFlag, diffFairFailure(small, c, bounds), c.desc, small.FormatString())
 		}
 		checked++
-		rep, _ := core.CheckFairAbstract(c.sys, c.h, c.kind, c.coreP)
+		rep, _ := core.CheckFairAbstract(context.Background(), core.NewSystemCells(c.sys), c.h, c.kind, c.coreP)
 		switch {
 		case rep.Vacuous:
 			stats["vacuous"]++
@@ -182,7 +183,7 @@ func TestLawFairAbstractIdentityHom(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			kind = fairness.Weak
 		}
-		rep, err := core.CheckFairAbstract(sys, h, kind, core.FromFormula(eta, nil))
+		rep, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, kind, core.FromFormula(eta, nil))
 		if err != nil {
 			continue
 		}
@@ -217,7 +218,7 @@ func TestLawFairAbstractHideNothing(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			kind = fairness.Weak
 		}
-		rep, err := core.CheckFairAbstract(sys, h, kind, core.FromFormula(eta, nil))
+		rep, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, kind, core.FromFormula(eta, nil))
 		if err != nil {
 			continue
 		}
@@ -249,7 +250,7 @@ func TestLawFairAbstractTrivialFairness(t *testing.T) {
 		h := gen.Hom(rng, src, 0.4)
 		eta := gen.Formula(rng, h.Dest().Names(), 1+rng.Intn(2))
 		for _, kind := range []fairness.Kind{fairness.Strong, fairness.Weak} {
-			rep, err := core.CheckFairAbstract(sys, h, kind, core.FromFormula(eta, nil))
+			rep, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, kind, core.FromFormula(eta, nil))
 			if err != nil {
 				continue
 			}
@@ -295,11 +296,11 @@ func TestLawFairAbstractMonotoneFairness(t *testing.T) {
 			h = gen.Hom(rng, src, 0.4)
 		}
 		eta := gen.Formula(rng, h.Dest().Names(), 1+rng.Intn(2))
-		weak, err := core.CheckFairAbstract(sys, h, fairness.Weak, core.FromFormula(eta, nil))
+		weak, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, fairness.Weak, core.FromFormula(eta, nil))
 		if err != nil {
 			continue
 		}
-		strong, err := core.CheckFairAbstract(sys, h, fairness.Strong, core.FromFormula(eta, nil))
+		strong, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, fairness.Strong, core.FromFormula(eta, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -40,15 +41,15 @@ func TestLawTheorem47(t *testing.T) {
 	rng := newRng(101)
 	for trial := 0; trial < 200; trial++ {
 		sys, p, _, desc := lawPair(rng)
-		sat, err := core.Satisfies(sys, p)
+		sat, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rs, err := core.RelativeSafety(sys, p)
+		rs, err := core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -76,7 +77,7 @@ func TestLawLemma43Direct(t *testing.T) {
 	rng := newRng(102)
 	for trial := 0; trial < 150; trial++ {
 		sys, p, op, desc := lawPair(rng)
-		lemma, err := core.RelativeLiveness(sys, p)
+		lemma, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -112,7 +113,7 @@ func TestLawLemma44Direct(t *testing.T) {
 	rng := newRng(103)
 	for trial := 0; trial < 150; trial++ {
 		sys, p, op, desc := lawPair(rng)
-		lemma, err := core.RelativeSafety(sys, p)
+		lemma, err := core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -149,7 +150,7 @@ func TestLawDef46MachineClosure(t *testing.T) {
 	rng := newRng(104)
 	for trial := 0; trial < 120; trial++ {
 		sys, p, op, desc := lawPair(rng)
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -180,7 +181,7 @@ func TestLawDef46MachineClosure(t *testing.T) {
 		lomega := gen.Buchi(rng, gen.Config{States: 3, Density: 0.5, AcceptRatio: 0.5}, ab)
 		other := gen.Buchi(rng, gen.Config{States: 2, Density: 0.5, AcceptRatio: 0.5}, ab)
 		lambda := buchi.Intersect(lomega, other)
-		got, err := core.MachineClosed(lomega, lambda)
+		got, err := core.MachineClosed(context.Background(), lomega, lambda)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -281,7 +282,7 @@ func TestLawTheorem82_83Abstraction(t *testing.T) {
 			h = gen.Hom(rng, src, 0.4)
 		}
 		eta := gen.Formula(rng, h.Dest().Names(), 1+rng.Intn(2))
-		report, err := core.VerifyViaAbstraction(sys, h, eta)
+		report, err := core.VerifyViaAbstraction(context.Background(), sys, h, eta)
 		if err != nil {
 			continue // empty behaviors or non-Σ'-normal input: law not applicable
 		}
@@ -292,7 +293,7 @@ func TestLawTheorem82_83Abstraction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rl, err := core.RelativeLiveness(sys, concrete)
+		rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, concrete))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -78,7 +79,7 @@ func diffStatFailure(sys *ts.System, c statCase) string {
 	}
 	o := statBudget
 	o.Seed = c.seed
-	rep, err := core.CheckStatistical(sys, c.p, o)
+	rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), c.p, o)
 	if err != nil {
 		return fmt.Sprintf("CheckStatistical: %v", err)
 	}
@@ -154,7 +155,7 @@ func TestDifferentialStatistical(t *testing.T) {
 		}
 		o := statBudget
 		o.Seed = c.seed
-		rep, _ := core.CheckStatistical(c.sys, c.p, o)
+		rep, _ := core.CheckStatistical(context.Background(), core.NewSystemCells(c.sys), c.p, o)
 		switch {
 		case rep.Vacuous:
 			stats["vacuous"]++
@@ -185,7 +186,7 @@ func TestLawStatisticalSeedDeterminism(t *testing.T) {
 		var base []byte
 		for _, workers := range []int{1, 3, 8} {
 			o.Workers = workers
-			rep, err := core.CheckStatistical(sys, core.FromFormula(f, nil), o)
+			rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), core.FromFormula(f, nil), o)
 			if err != nil {
 				t.Fatalf("trial %d: CheckStatistical: %v", trial, err)
 			}
@@ -224,7 +225,7 @@ func TestLawStatisticalBudgetMonotonicity(t *testing.T) {
 		seed := rng.Int63()
 		prevSettled, prevLow := -1, -1.0
 		for _, samples := range []int{40, 120, 360} {
-			rep, err := core.CheckStatistical(sys, p,
+			rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), p,
 				core.StatOptions{Seed: seed, Samples: samples, Steps: 96, Confidence: 0.99})
 			if err != nil {
 				t.Fatalf("trial %d: CheckStatistical(%d): %v", trial, samples, err)
@@ -277,7 +278,7 @@ func TestLawStatisticalFunctional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.CheckStatistical(sys, p,
+		rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), p,
 			core.StatOptions{Seed: int64(trial), Samples: 50, Steps: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +328,7 @@ func TestLawStatisticalVacuous(t *testing.T) {
 	for trial := 0; trial < 200 && vacuous < 30; trial++ {
 		sys := gen.System(rng, ab, 2+rng.Intn(3), 0.15+0.2*rng.Float64())
 		f := gen.Formula(rng, []string{"a", "b"}, 1)
-		rep, err := core.CheckStatistical(sys, core.FromFormula(f, nil),
+		rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), core.FromFormula(f, nil),
 			core.StatOptions{Seed: int64(trial), Samples: 20, Steps: 32})
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -119,7 +120,7 @@ func fairAbstractDisagreement(t *testing.T, baseURL string, rng *rand.Rand, sys 
 	if rng.Intn(2) == 1 {
 		kind, okind = fairness.Weak, oracle.WeaklyFair
 	}
-	local, err := core.CheckFairAbstract(sys, h, kind,
+	local, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, kind,
 		core.FromFormula(eta, ltl.Canonical(h.Dest())))
 	if err != nil {
 		return "" // Σ'-normal-form rejection; the wire answers 500 consistently
@@ -186,7 +187,7 @@ func statisticalDisagreement(t *testing.T, baseURL string, seed int64, sys *ts.S
 		return fmt.Sprintf("reparse wire system: %v", err)
 	}
 	sys = wire
-	local, err := core.CheckStatistical(sys, core.FromFormula(f, nil),
+	local, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), core.FromFormula(f, nil),
 		core.StatOptions{Seed: seed, Samples: 80, Steps: 64})
 	if err != nil {
 		return fmt.Sprintf("CheckStatistical: %v", err)

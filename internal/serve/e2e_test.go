@@ -106,7 +106,7 @@ func TestCheckEndpointsVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.CheckAll(sys, core.FromFormula(f, nil))
+	want, err := core.CheckAll(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPortfolioEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.CheckAll(sys, core.FromFormula(f, nil))
+		want, err := core.CheckAll(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 		if err != nil {
 			t.Fatal(err)
 		}

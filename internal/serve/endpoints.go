@@ -31,20 +31,20 @@ import (
 // persistent store, so TestGoldenReportKeys pins them.
 var endpoints = []endpoint{
 	entry("all", DecodeCheckRequest, propertyCheck(
-		func(s *Server, ctx context.Context, rec obs.Recorder, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			return core.CheckAllCellsCtx(ctx, rec, pc)
+		func(s *Server, ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
+			return core.CheckAll(ctx, pc)
 		})),
 	entry("liveness", DecodeCheckRequest, propertyCheck(
-		func(s *Server, ctx context.Context, rec obs.Recorder, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			res, err := core.RelativeLivenessCellsCtx(ctx, rec, pc)
+		func(s *Server, ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
+			res, err := core.RelativeLiveness(ctx, pc)
 			if err != nil {
 				return nil, err
 			}
 			return &LivenessResponse{Holds: res.Holds, BadPrefix: names(sc.System().Alphabet(), res.BadPrefix)}, nil
 		})),
 	entry("safety", DecodeCheckRequest, propertyCheck(
-		func(s *Server, ctx context.Context, rec obs.Recorder, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			res, err := core.RelativeSafetyCellsCtx(ctx, rec, pc)
+		func(s *Server, ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
+			res, err := core.RelativeSafety(ctx, pc)
 			if err != nil {
 				return nil, err
 			}
@@ -56,8 +56,8 @@ var endpoints = []endpoint{
 			}, nil
 		})),
 	entry("satisfies", DecodeCheckRequest, propertyCheck(
-		func(s *Server, ctx context.Context, rec obs.Recorder, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			res, err := core.SatisfiesCellsCtx(ctx, rec, pc)
+		func(s *Server, ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
+			res, err := core.Satisfies(ctx, pc)
 			if err != nil {
 				return nil, err
 			}
@@ -157,9 +157,9 @@ type call struct {
 	bind func(s *Server, sc *core.SystemCells) (cachePath string, run runFunc, err error)
 }
 
-// runFunc runs an admitted check; sp is the endpoint's serve.<name>
-// span.
-type runFunc func(ctx context.Context, rec obs.Recorder, sp obs.Span) (any, error)
+// runFunc runs an admitted check under ctx, which carries the
+// request's recorder; sp is the endpoint's serve.<name> span.
+type runFunc func(ctx context.Context, sp obs.Span) (any, error)
 
 // property is a check's property after key. An LTL text is parsed here,
 // once, and keyed by the canonical rendering of its parse tree ("GF
@@ -202,7 +202,7 @@ func (p property) bind(sc *core.SystemCells) (core.Property, error) {
 // propertyCheck keys and binds the single-property endpoints, which
 // differ only in the verdict they run over the (system, property)
 // artifact set.
-func propertyCheck(run func(s *Server, ctx context.Context, rec obs.Recorder, sc *core.SystemCells, pc *core.PipelineCells) (any, error)) func(string, *call, *CheckRequest) error {
+func propertyCheck(run func(s *Server, ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error)) func(string, *call, *CheckRequest) error {
 	return func(name string, c *call, req *CheckRequest) error {
 		p, err := keyProperty(req.LTL, req.Omega)
 		if err != nil {
@@ -214,8 +214,8 @@ func propertyCheck(run func(s *Server, ctx context.Context, rec obs.Recorder, sc
 			if err != nil {
 				return "", nil, err
 			}
-			return pipePath(hit), func(ctx context.Context, rec obs.Recorder, _ obs.Span) (any, error) {
-				return run(s, ctx, rec, sc, pc)
+			return pipePath(hit), func(ctx context.Context, _ obs.Span) (any, error) {
+				return run(s, ctx, sc, pc)
 			}, nil
 		}
 		return nil
@@ -252,11 +252,11 @@ func portfolioCheck(_ string, c *call, req *PortfolioRequest) error {
 			}
 			pcs[i], allHit = pc, allHit && hit
 		}
-		return pipePath(allHit), func(ctx context.Context, rec obs.Recorder, sp obs.Span) (any, error) {
+		return pipePath(allHit), func(ctx context.Context, sp obs.Span) (any, error) {
 			sp.Int("properties", int64(len(pcs)))
 			resp := &PortfolioResponse{Reports: make([]*core.Report, len(pcs))}
 			for i, pc := range pcs {
-				rep, err := core.CheckAllCellsCtx(ctx, rec, pc)
+				rep, err := core.CheckAll(ctx, pc)
 				if err != nil {
 					return nil, err
 				}
@@ -279,9 +279,7 @@ func bindHom(sc *core.SystemCells, homText string, eta *ltl.Formula) (*hom.Hom, 
 }
 
 // abstractionCheck runs the paper's abstraction method (Sections 6–8).
-// It has no pipeline cells, and the procedure is not context-plumbed:
-// cancellation is honored up to the start of the check, and the worker
-// pool still bounds its concurrency.
+// It has no pipeline cells.
 func abstractionCheck(_ string, c *call, req *AbstractionRequest) error {
 	eta, err := ltl.Parse(req.Eta)
 	if err != nil {
@@ -293,11 +291,8 @@ func abstractionCheck(_ string, c *call, req *AbstractionRequest) error {
 		if err != nil {
 			return "", nil, err
 		}
-		return cachePathMiss, func(ctx context.Context, rec obs.Recorder, _ obs.Span) (any, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rep, err := core.VerifyViaAbstractionRec(rec, sc.System(), h, eta)
+		return cachePathMiss, func(ctx context.Context, _ obs.Span) (any, error) {
+			rep, err := core.VerifyViaAbstraction(ctx, sc.System(), h, eta)
 			if err != nil {
 				return nil, err
 			}
@@ -335,8 +330,8 @@ func fairAbstractCheck(_ string, c *call, req *FairAbstractRequest) error {
 			return "", nil, err
 		}
 		kind, _ := core.ParseFairnessKind(req.Fairness) // validated at decode
-		return cachePathMiss, func(ctx context.Context, rec obs.Recorder, _ obs.Span) (any, error) {
-			return core.CheckFairAbstractCells(ctx, rec, sc, h, kind,
+		return cachePathMiss, func(ctx context.Context, _ obs.Span) (any, error) {
+			return core.CheckFairAbstract(ctx, sc, h, kind,
 				core.FromFormula(eta, ltl.Canonical(h.Dest())))
 		}, nil
 	}
@@ -368,8 +363,8 @@ func statisticalCheck(_ string, c *call, req *StatisticalRequest) error {
 		if err != nil {
 			return "", nil, err
 		}
-		return cachePathMiss, func(ctx context.Context, rec obs.Recorder, _ obs.Span) (any, error) {
-			return core.CheckStatisticalCells(ctx, rec, sc, prop, core.StatOptions{
+		return cachePathMiss, func(ctx context.Context, _ obs.Span) (any, error) {
+			return core.CheckStatistical(ctx, sc, prop, core.StatOptions{
 				Seed:       req.Seed,
 				Samples:    req.Samples,
 				Steps:      req.Steps,

@@ -71,7 +71,7 @@ func TestFairAbstractEndpointVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.CheckFairAbstract(sys, h, kind, core.FromFormula(eta, ltl.Canonical(h.Dest())))
+		want, err := core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, kind, core.FromFormula(eta, ltl.Canonical(h.Dest())))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,7 +142,7 @@ func (s *Server) checkHandler(ep endpoint) http.HandlerFunc {
 		defer cancel()
 		rec := s.recorder(r.Context())
 		sp := obs.StartSpan(rec, span)
-		out, err := run(ctx, rec, sp)
+		out, err := run(obs.ContextWithRecorder(ctx, rec), sp)
 		sp.Tag("outcome", outcome(err)).End()
 		if err != nil {
 			s.writeCheckError(w, r, err)

@@ -84,7 +84,7 @@ func TestStatisticalEndpointVerdicts(t *testing.T) {
 		// The handler runs the decoder-normalized request; StatOptions{}
 		// defaults to the same budget, and Workers never changes the
 		// report.
-		want, err := core.CheckStatistical(sys, core.FromFormula(f, nil), core.StatOptions{Seed: 3})
+		want, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), core.FromFormula(f, nil), core.StatOptions{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package telecom
 
 import (
+	"context"
 	"testing"
 
 	"relive/internal/core"
@@ -16,7 +17,7 @@ func TestWellIntegratedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sat, err := core.Satisfies(sys, p)
+	sat, err := core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestWellIntegratedPipeline(t *testing.T) {
 		t.Error("service guarantee satisfied without fairness despite the bounce loop")
 	}
 	// But it is a relative liveness property.
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestWellIntegratedPipeline(t *testing.T) {
 			rl.BadPrefix.String(sys.Alphabet()))
 	}
 	// And the full abstraction pipeline concludes it.
-	report, err := core.VerifyViaAbstraction(sys, Abstraction(sys), eta)
+	report, err := core.VerifyViaAbstraction(context.Background(), sys, Abstraction(sys), eta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestMisintegratedBugDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package relive_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -58,7 +59,7 @@ func BenchmarkStatisticalVsExact(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/sampled", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := core.CheckStatistical(sys, p,
+				rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), p,
 					core.StatOptions{Seed: 1, Samples: 100, Steps: 128, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
@@ -93,7 +94,7 @@ func BenchmarkStatisticalBudget(b *testing.B) {
 		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := core.CheckStatistical(sys, p,
+				rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), p,
 					core.StatOptions{Seed: 1, Samples: samples, Steps: 128, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
@@ -119,7 +120,7 @@ func BenchmarkStatisticalWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := core.CheckStatistical(sys, p,
+				rep, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), p,
 					core.StatOptions{Seed: 1, Samples: 400, Steps: 256, Workers: workers})
 				if err != nil {
 					b.Fatal(err)

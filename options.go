@@ -82,6 +82,14 @@ func With(opts ...Option) *Checker {
 // Recorder returns the attached recorder (nil when none).
 func (c *Checker) Recorder() Recorder { return c.rec }
 
+// ctx returns ctx carrying the Checker's recorder, if it has one.
+func (c *Checker) ctx(ctx context.Context) context.Context {
+	if c.rec == nil {
+		return ctx
+	}
+	return obs.ContextWithRecorder(ctx, c.rec)
+}
+
 // CheckRelativeLiveness is the package-level CheckRelativeLiveness with
 // the Checker's options applied.
 func (c *Checker) CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult, error) {
@@ -90,7 +98,7 @@ func (c *Checker) CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult
 
 // CheckRelativeLivenessProperty is CheckRelativeLiveness for a Property.
 func (c *Checker) CheckRelativeLivenessProperty(sys *System, p Property) (LivenessResult, error) {
-	return core.RelativeLivenessRec(c.rec, sys, p)
+	return core.RelativeLiveness(c.ctx(context.Background()), core.NewPipelineCells(sys, p))
 }
 
 // CheckRelativeSafety is the package-level CheckRelativeSafety with the
@@ -101,7 +109,7 @@ func (c *Checker) CheckRelativeSafety(sys *System, f *Formula) (SafetyResult, er
 
 // CheckRelativeSafetyProperty is CheckRelativeSafety for a Property.
 func (c *Checker) CheckRelativeSafetyProperty(sys *System, p Property) (SafetyResult, error) {
-	return core.RelativeSafetyRec(c.rec, sys, p)
+	return core.RelativeSafety(c.ctx(context.Background()), core.NewPipelineCells(sys, p))
 }
 
 // CheckSatisfies is the package-level CheckSatisfies with the Checker's
@@ -112,7 +120,7 @@ func (c *Checker) CheckSatisfies(sys *System, f *Formula) (SatisfactionResult, e
 
 // CheckSatisfiesProperty is CheckSatisfies for a Property.
 func (c *Checker) CheckSatisfiesProperty(sys *System, p Property) (SatisfactionResult, error) {
-	return core.SatisfiesRec(c.rec, sys, p)
+	return core.Satisfies(c.ctx(context.Background()), core.NewPipelineCells(sys, p))
 }
 
 // CheckAll is the package-level CheckAll with the Checker's options
@@ -135,7 +143,7 @@ func (c *Checker) CheckAllProperty(sys *System, p Property) (*Report, error) {
 // worker needs them first; reports come back in props order with
 // verdicts and witnesses identical to checking each property serially.
 func (c *Checker) CheckPropertyPortfolio(sys *System, props []Property) ([]*Report, error) {
-	return core.CheckPortfolioRec(c.rec, sys, props, runtime.GOMAXPROCS(0))
+	return core.CheckPortfolio(c.ctx(context.Background()), sys, props, runtime.GOMAXPROCS(0))
 }
 
 // CheckSystemsPortfolio runs CheckAll for one property against every
@@ -143,30 +151,30 @@ func (c *Checker) CheckPropertyPortfolio(sys *System, props []Property) ([]*Repo
 // alphabet share the property automaton and its negation. Reports come
 // back in systems order, identical to the serial results.
 func (c *Checker) CheckSystemsPortfolio(systems []*System, p Property) ([]*Report, error) {
-	return core.CheckSystemsPortfolioRec(c.rec, systems, p, runtime.GOMAXPROCS(0))
+	return core.CheckSystemsPortfolio(c.ctx(context.Background()), systems, p, runtime.GOMAXPROCS(0))
 }
 
 // MachineClosed is the package-level MachineClosed with the Checker's
 // options applied.
 func (c *Checker) MachineClosed(lomega, lambda *Buchi) (MachineClosureResult, error) {
-	return core.MachineClosedRec(c.rec, lomega, lambda)
+	return core.MachineClosed(c.ctx(context.Background()), lomega, lambda)
 }
 
 // SynthesizeFairImplementation is the package-level
 // SynthesizeFairImplementation with the Checker's options applied.
 func (c *Checker) SynthesizeFairImplementation(sys *System, f *Formula) (*FairImplementation, error) {
-	return core.SynthesizeFairImplementationRec(c.rec, sys, core.FromFormula(f, nil))
+	return core.SynthesizeFairImplementation(c.ctx(context.Background()), sys, core.FromFormula(f, nil))
 }
 
 // VerifyViaAbstraction is the package-level VerifyViaAbstraction with
 // the Checker's options applied.
 func (c *Checker) VerifyViaAbstraction(sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
-	return core.VerifyViaAbstractionRec(c.rec, sys, h, eta)
+	return core.VerifyViaAbstraction(c.ctx(context.Background()), sys, h, eta)
 }
 
 // CheckFairAbstract is the package-level CheckFairAbstract with the
 // Checker's options applied.
 func (c *Checker) CheckFairAbstract(sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
 	p := core.FromFormula(eta, ltl.Canonical(h.Dest()))
-	return core.CheckFairAbstractRec(c.rec, sys, h, kind, p)
+	return core.CheckFairAbstract(c.ctx(context.Background()), core.NewSystemCells(sys), h, kind, p)
 }

@@ -9,6 +9,7 @@
 package relive_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -37,7 +38,7 @@ func BenchmarkCheckAllSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckAll(sys, p); err != nil {
+		if _, err := core.CheckAll(context.Background(), core.NewPipelineCells(sys, p)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +64,7 @@ func BenchmarkPortfolioSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckPortfolio(sys, props, 1); err != nil {
+		if _, err := core.CheckPortfolio(context.Background(), sys, props, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +75,7 @@ func BenchmarkPortfolioParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckPortfolio(sys, props, 4); err != nil {
+		if _, err := core.CheckPortfolio(context.Background(), sys, props, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +118,7 @@ func BenchmarkPortfolioGenSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckPortfolio(sys, props, 1); err != nil {
+		if _, err := core.CheckPortfolio(context.Background(), sys, props, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +131,7 @@ func BenchmarkPortfolioGenParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckPortfolio(sys, props, runtime.GOMAXPROCS(0)); err != nil {
+		if _, err := core.CheckPortfolio(context.Background(), sys, props, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package relive
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -155,35 +156,35 @@ func PropertyFromBuchi(b *Buchi) Property { return core.FromAutomaton(b) }
 // labeling) is a relative liveness property of sys (Definition 4.1,
 // via Lemma 4.3).
 func CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult, error) {
-	return core.RelativeLiveness(sys, core.FromFormula(f, nil))
+	return core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckRelativeLivenessProperty is CheckRelativeLiveness for a general
 // Property.
 func CheckRelativeLivenessProperty(sys *System, p Property) (LivenessResult, error) {
-	return core.RelativeLiveness(sys, p)
+	return core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
 }
 
 // CheckRelativeSafety decides whether f is a relative safety property
 // of sys (Definition 4.2, via Lemma 4.4).
 func CheckRelativeSafety(sys *System, f *Formula) (SafetyResult, error) {
-	return core.RelativeSafety(sys, core.FromFormula(f, nil))
+	return core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckRelativeSafetyProperty is CheckRelativeSafety for a Property.
 func CheckRelativeSafetyProperty(sys *System, p Property) (SafetyResult, error) {
-	return core.RelativeSafety(sys, p)
+	return core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p))
 }
 
 // CheckSatisfies decides plain satisfaction L_ω ⊆ P. By Theorem 4.7 it
 // agrees with the conjunction of the two relative checks.
 func CheckSatisfies(sys *System, f *Formula) (SatisfactionResult, error) {
-	return core.Satisfies(sys, core.FromFormula(f, nil))
+	return core.Satisfies(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckSatisfiesProperty is CheckSatisfies for a Property.
 func CheckSatisfiesProperty(sys *System, p Property) (SatisfactionResult, error) {
-	return core.Satisfies(sys, p)
+	return core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
 }
 
 // CheckRelativeLivenessOmega decides relative liveness for an arbitrary
@@ -208,14 +209,14 @@ func IsLimitClosed(lomega *Buchi) (bool, Lasso, error) {
 
 // MachineClosed decides Definition 4.6 for two Büchi automata.
 func MachineClosed(lomega, lambda *Buchi) (MachineClosureResult, error) {
-	return core.MachineClosed(lomega, lambda)
+	return core.MachineClosed(context.Background(), lomega, lambda)
 }
 
 // SynthesizeFairImplementation runs the Theorem 5.1 construction: a
 // system with the same behaviors whose strongly fair runs all satisfy
 // the relative liveness property f.
 func SynthesizeFairImplementation(sys *System, f *Formula) (*FairImplementation, error) {
-	return core.SynthesizeFairImplementation(sys, core.FromFormula(f, nil))
+	return core.SynthesizeFairImplementation(context.Background(), sys, core.FromFormula(f, nil))
 }
 
 // AllStronglyFairRunsSatisfy checks whether every strongly fair run of
@@ -236,7 +237,7 @@ func AllFairRunsSatisfy(sys *System, f *Formula, kind FairnessKind) (bool, *Run,
 // abstraction constructions. eta must be in Σ'-normal form over h's
 // destination alphabet.
 func CheckFairAbstract(sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
-	return core.CheckFairAbstract(sys, h, kind, core.FromFormula(eta, ltl.Canonical(h.Dest())))
+	return core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, kind, core.FromFormula(eta, ltl.Canonical(h.Dest())))
 }
 
 // ParseFairnessKind parses "strong" or "weak".
@@ -247,7 +248,7 @@ func ParseFairnessKind(s string) (FairnessKind, error) { return core.ParseFairne
 // destination alphabet) is a relative liveness property of the abstract
 // behaviors, decide simplicity of h, and conclude per Corollary 8.4.
 func VerifyViaAbstraction(sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
-	return core.VerifyViaAbstraction(sys, h, eta)
+	return core.VerifyViaAbstraction(context.Background(), sys, h, eta)
 }
 
 // Rbar transforms an abstract property η into R̄(η) for interpretation
@@ -294,12 +295,12 @@ type Report = core.Report
 // CheckAll runs all three checks of Section 4 and cross-validates
 // Theorem 4.7.
 func CheckAll(sys *System, f *Formula) (*Report, error) {
-	return core.CheckAll(sys, core.FromFormula(f, nil))
+	return core.CheckAll(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
 }
 
 // CheckAllProperty is CheckAll for a general Property.
 func CheckAllProperty(sys *System, p Property) (*Report, error) {
-	return core.CheckAll(sys, p)
+	return core.CheckAll(context.Background(), core.NewPipelineCells(sys, p))
 }
 
 // ReduceSystem returns the strong-bisimulation quotient of the system:

@@ -104,7 +104,7 @@ func (c *Checker) CheckStatistical(sys *System, f *Formula) (*StatisticalReport,
 
 // CheckStatisticalProperty is CheckStatistical for a Property.
 func (c *Checker) CheckStatisticalProperty(sys *System, p Property) (*StatisticalReport, error) {
-	return core.CheckStatisticalRec(c.rec, sys, p, c.statOptions())
+	return core.CheckStatistical(c.ctx(context.Background()), core.NewSystemCells(sys), p, c.statOptions())
 }
 
 // CheckStatisticalCtx is CheckStatistical with cooperative
@@ -115,7 +115,7 @@ func (c *Checker) CheckStatisticalCtx(ctx context.Context, sys *System, f *Formu
 
 // CheckStatisticalPropertyCtx is CheckStatisticalCtx for a Property.
 func (c *Checker) CheckStatisticalPropertyCtx(ctx context.Context, sys *System, p Property) (*StatisticalReport, error) {
-	return core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
+	return core.CheckStatistical(c.ctx(ctx), core.NewSystemCells(sys), p, c.statOptions())
 }
 
 // checkAllWithFallback is CheckAllPropertyCtx under
@@ -133,7 +133,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 		exactCtx, cancel = context.WithTimeout(exactCtx, c.fbTimeout)
 		defer cancel()
 	}
-	rep, err := core.CheckAllCtx(exactCtx, c.rec, sys, p)
+	rep, err := core.CheckAll(c.ctx(exactCtx), core.NewPipelineCells(sys, p))
 	if err == nil {
 		return rep, nil
 	}
@@ -151,7 +151,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 // carry the sampled answer and the Statistical field holds the full
 // sampled evidence, so the report can never be mistaken for exact.
 func (c *Checker) statFallbackReport(ctx context.Context, sys *System, p Property) (*Report, error) {
-	sr, err := core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
+	sr, err := core.CheckStatistical(c.ctx(ctx), core.NewSystemCells(sys), p, c.statOptions())
 	if err != nil {
 		return nil, err
 	}
