@@ -623,68 +623,135 @@ func LimitOfAllAccepting(a *nfa.NFA) (*Buchi, error) {
 }
 
 // limitOfPrefixClosedUnchecked is LimitOfPrefixClosed without the
-// (expensive) prefix-closure validation.
+// (expensive) prefix-closure validation. It reads an ε-free input's
+// cached CSR in place and writes the output in one pass: a state
+// survives when it is reachable, co-reachable to an accepting state,
+// and on an infinite path within those states. Survivors are numbered
+// in ascending input order, each row keeps its input order, and the
+// initial states keep theirs, so the result is the automaton that
+// trimming, removing dead ends and copying would build one after the
+// other.
 func limitOfPrefixClosedUnchecked(a *nfa.NFA) *Buchi {
-	// Trim copies, so an already ε-free automaton needs no RemoveEpsilon
-	// clone first.
 	e := a
 	if e.HasEpsilon() {
 		e = e.RemoveEpsilon()
 	}
-	e = e.Trim()
-	// Remove dead ends — states with no successors cannot lie on an
-	// infinite path — by an O(V+E) worklist on the compiled graph: track
-	// each state's count of edges into still-alive states, and when one
-	// drops to zero propagate through the reverse graph.
 	n := e.NumStates()
 	ce := e.Compiled()
 	g := ce.Graph()
 	rev := g.Reverse()
-	alive := make([]bool, n)
-	deg := make([]int32, n)
-	var queue []int32
+	inits := make([]int, len(e.Initial()))
+	for i, s := range e.Initial() {
+		inits[i] = int(s)
+	}
+	alive := graph.ReachableCSR(g, inits)
+
+	// Co-reachability to an accepting state, by a worklist on the
+	// reverse graph. (Every state is a target in the all-accepting
+	// shape of transition systems, so the worklist only seeds.)
+	coreach := make([]bool, n)
+	queue := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		alive[i] = true
-		deg[i] = int32(len(g.Succ(i)))
-		if deg[i] == 0 {
+		if e.Accepting(nfa.State(i)) {
+			coreach[i] = true
 			queue = append(queue, int32(i))
+		}
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		for _, u := range rev.Succ(int(queue[qi])) {
+			if !coreach[u] {
+				coreach[u] = true
+				queue = append(queue, u)
+			}
+		}
+	}
+
+	// Remove dead ends — states with no successors cannot lie on an
+	// infinite path — by an O(V+E) worklist restricted to the trimmed
+	// states: track each state's count of edges into still-alive states,
+	// and when one drops to zero propagate through the reverse graph.
+	deg := make([]int32, n)
+	queue = queue[:0]
+	for v := 0; v < n; v++ {
+		alive[v] = alive[v] && coreach[v]
+	}
+	for v := 0; v < n; v++ {
+		if !alive[v] {
+			continue
+		}
+		for _, t := range g.Succ(v) {
+			if alive[t] {
+				deg[v]++
+			}
+		}
+		if deg[v] == 0 {
+			queue = append(queue, int32(v))
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
 		alive[v] = false
 		for _, u := range rev.Succ(int(v)) {
-			deg[u]--
-			if deg[u] == 0 && alive[u] {
-				queue = append(queue, u)
-			}
-		}
-	}
-	b := New(a.Alphabet())
-	keep := make([]State, n)
-	for i := range keep {
-		keep[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if alive[i] {
-			keep[i] = b.AddState(true)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if keep[i] < 0 {
-			continue
-		}
-		for _, sym := range e.Alphabet().Symbols() {
-			for _, t := range ce.Row(nfa.State(i), sym) {
-				if keep[t] >= 0 {
-					b.AddTransition(keep[i], sym, keep[t])
+			if alive[u] {
+				deg[u]--
+				if deg[u] == 0 {
+					queue = append(queue, u)
 				}
 			}
 		}
 	}
+
+	// Number the survivors (reusing deg as the renumbering) and copy
+	// their rows straight into the output's CSR; the transition maps
+	// share one backing array with it.
+	keep := deg
+	m := 0
+	for i := 0; i < n; i++ {
+		keep[i] = -1
+		if alive[i] {
+			keep[i] = int32(m)
+			m++
+		}
+	}
+	syms := a.Alphabet().Size()
+	c := &compiled{n: m, syms: syms, off: make([]int32, m*syms+1), stateOff: make([]int32, m+1)}
+	for i := 0; i < n; i++ {
+		if keep[i] < 0 {
+			continue
+		}
+		v := int(keep[i])
+		for sym := 1; sym <= syms; sym++ {
+			for _, t := range ce.Row(nfa.State(i), alphabet.Symbol(sym)) {
+				if keep[t] >= 0 {
+					c.dst = append(c.dst, keep[t])
+				}
+			}
+			c.off[v*syms+sym] = int32(len(c.dst))
+		}
+		c.stateOff[v+1] = int32(len(c.dst))
+	}
+	b := &Buchi{ab: a.Alphabet(), accepting: make([]bool, m), trans: make([]map[alphabet.Symbol][]State, m)}
+	targets := make([]State, len(c.dst))
+	for k, t := range c.dst {
+		targets[k] = State(t)
+	}
+	for v := 0; v < m; v++ {
+		b.accepting[v] = true
+		for sym := 1; sym <= syms; sym++ {
+			lo, hi := c.off[v*syms+sym-1], c.off[v*syms+sym]
+			if lo == hi {
+				continue
+			}
+			if b.trans[v] == nil {
+				b.trans[v] = make(map[alphabet.Symbol][]State)
+			}
+			b.trans[v][alphabet.Symbol(sym)] = targets[lo:hi:hi]
+		}
+	}
+	b.csr.Store(c)
 	for _, s := range e.Initial() {
 		if keep[s] >= 0 {
-			b.SetInitial(keep[s])
+			b.initial = append(b.initial, State(keep[s]))
 		}
 	}
 	return b
