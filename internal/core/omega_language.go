@@ -12,8 +12,10 @@ import (
 // whose behaviors are limit-closed. Definitions 4.1 and 4.2, however,
 // are stated for arbitrary ω-languages, and Lemmas 4.3/4.4 hold in that
 // generality; these entry points accept any ω-regular L_ω as a Büchi
-// automaton. (Theorem 5.1 is the one result that genuinely needs limit
-// closure.)
+// automaton. Two things genuinely need limit closure: Theorem 5.1, and
+// RelativeSafety's shortcut for Lemma 4.4, which drops the intersection
+// with L_ω because lim(pre(L_ω ∩ P)) ⊆ L_ω holds only when L_ω is
+// limit-closed. RelativeSafetyOmega therefore keeps the product.
 
 // RelativeLivenessOmega decides whether P is a relative liveness
 // property of the arbitrary ω-regular language L_ω(lomega), via

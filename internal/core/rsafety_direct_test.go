@@ -8,57 +8,115 @@ import (
 	"relive/internal/gen"
 	"relive/internal/ltl"
 	"relive/internal/paper"
+	"relive/internal/ts"
 )
 
-// TestQuickRSThreeRoutesAgree cross-validates the three relative-safety
-// decision procedures: Lemma 4.4, the direct Definition 4.2
-// configuration route, and the Cantor-closedness route (Lemma 4.10).
+// TestQuickRSThreeRoutesAgree cross-validates the relative-safety
+// decision procedures: Lemma 4.4 over the limit-closed behaviors
+// (RelativeSafety), the general Lemma 4.4 route that keeps the
+// L_ω ∩ lim(pre(L_ω ∩ P)) product (RelativeSafetyOmega on lim(L)), the
+// direct Definition 4.2 configuration route, and the Cantor-closedness
+// route (Lemma 4.10). One leg draws tiny systems over two letters; the
+// other draws the nondeterministic shape the service benchmark sends
+// (three letters, up to 24 states, density 0.3), where lim(pre(L∩P))
+// and its product with L_ω differ most in size.
 func TestQuickRSThreeRoutesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
-	ab := gen.Letters(2)
-	atoms := ab.Names()
-	disagreements := 0
+	small := gen.Letters(2)
 	for trial := 0; trial < 80; trial++ {
-		sys := randomSystem(rng, ab, 1+rng.Intn(4))
-		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
-		r1, err := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
-		if err != nil {
-			t.Fatal(err)
+		sys := randomSystem(rng, small, 1+rng.Intn(4))
+		p := FromFormula(randomPropertyFormula(rng, small.Names()), nil)
+		checkRSRoutesAgree(t, trial, sys, p)
+	}
+	wide := gen.Letters(3)
+	nondet, violations := 0, 0
+	for trial := 0; trial < 160; trial++ {
+		sys := gen.System(rng, wide, 2+rng.Intn(23), 0.3)
+		if _, err := sys.Trim(); err != nil {
+			continue // no infinite behavior: every route holds vacuously
 		}
-		r2, err := RelativeSafetyDirect(sys, p)
-		if err != nil {
-			t.Fatal(err)
+		f := randomPropertyFormula(rng, wide.Names())
+		if trial%2 == 0 {
+			f = ltl.MustParse(coldExactFormulas[trial/2%len(coldExactFormulas)])
 		}
-		r3, err := RelativeSafetyTopological(sys, p)
-		if err != nil {
-			t.Fatal(err)
+		if !checkRSRoutesAgree(t, 1000+trial, sys, FromFormula(f, nil)) {
+			violations++
 		}
-		if r1.Holds != r2.Holds || r1.Holds != r3.Holds {
-			disagreements++
-			t.Errorf("trial %d: RS routes disagree: lemma4.4=%v direct=%v topo=%v (property %s)\n%s",
-				trial, r1.Holds, r2.Holds, r3.Holds, p, sys.FormatString())
-		}
-		// The direct route's violation witness must be validated too.
-		if !r2.Holds {
-			beh, err := sys.Behaviors()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !beh.AcceptsLasso(r2.Violation) {
-				t.Fatalf("trial %d: direct violation not a behavior", trial)
-			}
-			pa, err := p.Automaton(ab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pa.AcceptsLasso(r2.Violation) {
-				t.Fatalf("trial %d: direct violation satisfies the property", trial)
-			}
-		}
-		if disagreements > 3 {
-			t.Fatal("too many disagreements; aborting")
+		if !deterministic(sys) {
+			nondet++
 		}
 	}
+	t.Logf("generated leg: %d nondeterministic systems, %d violations", nondet, violations)
+	if nondet < 60 || violations < 15 {
+		t.Errorf("generated leg too tame: %d nondeterministic systems, %d violations", nondet, violations)
+	}
+}
+
+// coldExactFormulas are the properties the service benchmark's
+// cold-exact workload checks against its generated systems.
+var coldExactFormulas = []string{
+	"G F a", "G (a -> F b)", "F G c", "G F a & G F b",
+	"G (b -> X F c)", "(G F a) -> (G F b)", "G (a -> (b U c))", "F G (a | b)",
+}
+
+// checkRSRoutesAgree runs the four relative-safety routes on (sys, p),
+// fails the test when their verdicts differ or a violation is not a
+// behavior outside P, and returns the common verdict.
+func checkRSRoutesAgree(t *testing.T, trial int, sys *ts.System, p Property) bool {
+	t.Helper()
+	r1, err := RelativeSafety(context.Background(), NewPipelineCells(sys, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := RelativeSafetyDirect(sys, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3, err := RelativeSafetyTopological(sys, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beh, err := sys.Behaviors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r4, err := RelativeSafetyOmega(beh, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Holds != r2.Holds || r1.Holds != r3.Holds || r1.Holds != r4.Holds {
+		t.Fatalf("trial %d: RS routes disagree: lemma4.4=%v omega=%v direct=%v topo=%v (property %s)\n%s",
+			trial, r1.Holds, r4.Holds, r2.Holds, r3.Holds, p, sys.FormatString())
+	}
+	if r1.Holds {
+		return true
+	}
+	pa, err := p.Automaton(sys.Alphabet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for route, r := range map[string]SafetyResult{"lemma4.4": r1, "omega": r4, "direct": r2} {
+		if !beh.AcceptsLasso(r.Violation) {
+			t.Fatalf("trial %d: %s violation %s not a behavior", trial, route, r.Violation.String(sys.Alphabet()))
+		}
+		if pa.AcceptsLasso(r.Violation) {
+			t.Fatalf("trial %d: %s violation %s satisfies the property", trial, route, r.Violation.String(sys.Alphabet()))
+		}
+	}
+	return false
+}
+
+// deterministic reports whether no state of sys has two successors
+// under one action.
+func deterministic(sys *ts.System) bool {
+	for st := 0; st < sys.NumStates(); st++ {
+		for _, sym := range sys.Alphabet().Symbols() {
+			if len(sys.Succ(ts.State(st), sym)) > 1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestRSDirectOnPaperExamples(t *testing.T) {
