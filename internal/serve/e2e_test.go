@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,6 +167,56 @@ func TestOmegaPropertyEndpoint(t *testing.T) {
 	decodeInto(t, body, &rep)
 	if !rep.Satisfied || !rep.RelativeLiveness || !rep.RelativeSafety {
 		t.Fatalf("system must satisfy its own behavior language: %+v", rep)
+	}
+}
+
+// TestOmegaUnknownLetterSharedSystem: an ω-regex naming a letter the
+// system lacks is the client's error, and binding it must not write the
+// cached system's alphabet, which every request on that system shares.
+// Eight concurrent checks, each with its own unknown letter, all get 400
+// (and, under -race, race nothing); a following liveness check on the
+// same system answers exactly as on a fresh server.
+func TestOmegaUnknownLetterSharedSystem(t *testing.T) {
+	_, hs := newTestServer(t, serve.Config{})
+	if status, _, body := postJSON(t, hs.URL+"/v1/check/all", serve.CheckRequest{System: serverText, LTL: "G F result"}); status != http.StatusOK {
+		t.Fatalf("warm-up check: status %d: %s", status, body)
+	}
+	const n = 8
+	statuses := make([]int, n)
+	replies := make([]serve.ErrorResponse, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body, _ := json.Marshal(serve.CheckRequest{System: serverText, Omega: fmt.Sprintf("( request result | z%d ) ^w", i)})
+			resp, err := http.Post(hs.URL+"/v1/check/all", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			errs[i] = json.NewDecoder(resp.Body).Decode(&replies[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		letter := fmt.Sprintf("%q", fmt.Sprintf("z%d", i))
+		if statuses[i] != http.StatusBadRequest || replies[i].Kind != "bad_request" || !strings.Contains(replies[i].Error, letter) {
+			t.Errorf("request %d: status %d, %+v; want 400 bad_request naming %s", i, statuses[i], replies[i], letter)
+		}
+	}
+	live := serve.CheckRequest{System: serverText, LTL: "G F result"}
+	status, _, got := postJSON(t, hs.URL+"/v1/check/liveness", live)
+	_, fresh := newTestServer(t, serve.Config{})
+	freshStatus, _, want := postJSON(t, fresh.URL+"/v1/check/liveness", live)
+	if status != freshStatus || !bytes.Equal(got, want) {
+		t.Fatalf("liveness after the rejected ω-regexes: %d %s, fresh server: %d %s", status, got, freshStatus, want)
 	}
 }
 

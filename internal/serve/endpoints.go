@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 
@@ -184,13 +185,22 @@ func keyProperty(ltlText, omegaText string) (property, error) {
 	return property{part: "ltl\x00" + f.String(), ltl: f}, nil
 }
 
+// bind builds the property over sc's system. ParseOmega interns every
+// letter it reads, and the cached system's alphabet is shared by every
+// request on that system, so an ω-regex is parsed against a private
+// clone; a letter the system does not have is the client's error.
 func (p property) bind(sc *core.SystemCells) (core.Property, error) {
 	if p.ltl != nil {
 		return core.FromFormula(p.ltl, nil), nil
 	}
-	o, err := rex.ParseOmega(sc.System().Alphabet(), p.omega)
+	sysAB := sc.System().Alphabet()
+	ab := sysAB.Clone()
+	o, err := rex.ParseOmega(ab, p.omega)
 	if err != nil {
 		return core.Property{}, err
+	}
+	if ab.Size() > sysAB.Size() {
+		return core.Property{}, fmt.Errorf("omega: letter %q is not an action of the system", ab.Names()[sysAB.Size()])
 	}
 	b, err := o.Buchi()
 	if err != nil {
