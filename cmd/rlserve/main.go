@@ -125,6 +125,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "rlserve: %v\n", err)
 		return 2
 	}
+	// Catch the stop signals before announcing the address: a SIGTERM
+	// sent as soon as the server is up must drain it, not kill it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	fmt.Fprintf(stdout, "rlserve: listening on %s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -133,10 +138,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case sig := <-sigc:
@@ -179,6 +180,9 @@ func runRouter(backendList, addr string, drainTimeout time.Duration, logger *slo
 		fmt.Fprintf(stderr, "rlserve: %v\n", err)
 		return 2
 	}
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	fmt.Fprintf(stdout, "rlserve: routing %d backends on %s\n", len(backends), ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -187,10 +191,6 @@ func runRouter(backendList, addr string, drainTimeout time.Duration, logger *slo
 	hs := &http.Server{Handler: rt.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case sig := <-sigc:
