@@ -11,8 +11,8 @@ import (
 )
 
 // bigCycle builds an n-state single-cycle system; trimming it walks
-// every state in both the reachability pass and the liveness fixpoint,
-// far past the 1<<10-iteration context poll interval.
+// every state in both the reachability pass and the dead-end pass, far
+// past the 1<<10-iteration context poll interval.
 func bigCycle(tb testing.TB, n int) *System {
 	tb.Helper()
 	sys := New(alphabet.FromNames("a"))

@@ -193,78 +193,111 @@ func (s *System) Trim() (*System, error) {
 }
 
 // TrimCtx is Trim with cooperative cancellation checkpoints in the
-// reachability pass and the liveness fixpoint, so a context deadline
-// stops the trimming of a huge system. A nil ctx never cancels; a
-// context error is returned as-is (wrapped), never conflated with the
-// "no infinite behavior" verdict error.
+// reachability pass and the dead-end pass, so a context deadline stops
+// the trimming of a huge system. A nil ctx never cancels; a context
+// error is returned as-is (wrapped), never conflated with the "no
+// infinite behavior" verdict error. Survivors keep their relative
+// order, and each action keeps its targets' order.
 func (s *System) TrimCtx(ctx context.Context) (*System, error) {
 	if s.initial < 0 {
 		return nil, fmt.Errorf("ts: system has no initial state")
 	}
 	n := s.NumStates()
-	succ := func(v int) []int {
-		var out []int
-		for _, ts := range s.trans[v] {
+	g := graph.CSR{Off: make([]int32, n+1)}
+	for v, m := range s.trans {
+		for _, ts := range m {
 			for _, t := range ts {
-				out = append(out, int(t))
+				g.Dst = append(g.Dst, int32(t))
 			}
 		}
-		return out
+		g.Off[v+1] = int32(len(g.Dst))
 	}
-	reach, err := graph.ReachableCtx(ctx, n, []int{int(s.initial)}, succ)
+	alive, err := graph.ReachableCSRCtx(ctx, g, []int{int(s.initial)})
 	if err != nil {
 		return nil, fmt.Errorf("ts: trim: %w", err)
 	}
-	alive := make([]bool, n)
-	copy(alive, reach)
+
+	// Remove dead ends — states with no successors cannot lie on an
+	// infinite path — by an O(V+E) worklist: track each reachable
+	// state's count of edges into still-alive states, and when one
+	// drops to zero propagate through the reverse graph.
+	rev := g.Reverse()
+	deg := make([]int32, n)
+	queue := make([]int32, 0, n)
 	var tick interrupt.Tick
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < n; v++ {
-			if err := tick.Poll(ctx); err != nil {
-				return nil, fmt.Errorf("ts: trim: %w", err)
+	for v := 0; v < n; v++ {
+		if err := tick.Poll(ctx); err != nil {
+			return nil, fmt.Errorf("ts: trim: %w", err)
+		}
+		if !alive[v] {
+			continue
+		}
+		for _, t := range g.Succ(v) {
+			if alive[t] {
+				deg[v]++
 			}
-			if !alive[v] {
-				continue
-			}
-			hasSucc := false
-			for _, t := range succ(v) {
-				if alive[t] {
-					hasSucc = true
-					break
+		}
+		if deg[v] == 0 {
+			queue = append(queue, int32(v))
+		}
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		if err := tick.Poll(ctx); err != nil {
+			return nil, fmt.Errorf("ts: trim: %w", err)
+		}
+		v := queue[qi]
+		alive[v] = false
+		for _, u := range rev.Succ(int(v)) {
+			if alive[u] {
+				deg[u]--
+				if deg[u] == 0 {
+					queue = append(queue, u)
 				}
-			}
-			if !hasSucc {
-				alive[v] = false
-				changed = true
 			}
 		}
 	}
 	if !alive[s.initial] {
 		return nil, fmt.Errorf("ts: initial state has no infinite behavior")
 	}
-	out := New(s.ab)
-	for v := 0; v < n; v++ {
-		if alive[v] {
-			out.AddState(s.names[v])
-		}
-	}
+
+	// Number the survivors in input order (reusing deg as the
+	// renumbering) and copy their rows; the output's target lists share
+	// one backing array, capped so that appending to one never writes
+	// into the next.
+	keep := deg
+	out := &System{ab: s.ab, index: map[string]State{}}
+	edges := 0
 	for v := 0; v < n; v++ {
 		if !alive[v] {
+			keep[v] = -1
 			continue
 		}
-		from, _ := out.LookupState(s.names[v])
+		edges += int(deg[v]) // a survivor's edges into survivors
+		keep[v] = int32(len(out.names))
+		out.index[s.names[v]] = State(len(out.names))
+		out.names = append(out.names, s.names[v])
+	}
+	out.initial = State(keep[s.initial])
+	out.trans = make([]map[alphabet.Symbol][]State, len(out.names))
+	targets := make([]State, 0, edges)
+	for v := 0; v < n; v++ {
+		if keep[v] < 0 {
+			continue
+		}
+		row := make(map[alphabet.Symbol][]State, len(s.trans[v]))
 		for sym, ts := range s.trans[v] {
-			for _, to := range ts {
-				if alive[to] {
-					toSt, _ := out.LookupState(s.names[to])
-					out.AddTransition(from, sym, toSt)
+			lo := len(targets)
+			for _, t := range ts {
+				if keep[t] >= 0 {
+					targets = append(targets, State(keep[t]))
 				}
 			}
+			if hi := len(targets); hi > lo {
+				row[sym] = targets[lo:hi:hi]
+			}
 		}
+		out.trans[keep[v]] = row
 	}
-	init, _ := out.LookupState(s.names[s.initial])
-	out.SetInitial(init)
 	return out, nil
 }
 
