@@ -112,10 +112,6 @@ func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOp
 	}
 	cfg := o.config()
 	sys := sc.System()
-	eval, err := statEval(sys, p)
-	if err != nil {
-		return nil, fmt.Errorf("statistical: %w", err)
-	}
 
 	rec := obs.RecorderFromContext(ctx)
 	sp := obs.StartSpan(rec, "core.CheckStatistical").
@@ -151,6 +147,10 @@ func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOp
 		return report, nil
 	}
 
+	newEval, err := statEval(sys, p)
+	if err != nil {
+		return nil, fmt.Errorf("statistical: %w", err)
+	}
 	target, err := mc.NewSystemTarget(trimmed)
 	if err != nil {
 		return nil, fmt.Errorf("statistical: %w", err)
@@ -159,7 +159,7 @@ func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOp
 		Tag("paper", "Section 9 outlook: uniform-scheduler sampling").
 		Int("samples", int64(cfg.Samples)).
 		Int("steps", int64(cfg.Steps))
-	res, err := mc.Run(ctx, target, cfg, eval)
+	res, err := mc.Run(ctx, target, cfg, newEval)
 	if err != nil {
 		msp.Tag("aborted", "context")
 		msp.End()
@@ -201,22 +201,24 @@ func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOp
 	return report, nil
 }
 
-// statEval compiles p into the per-lasso evaluator the sampler calls:
-// formula-backed properties evaluate directly (ltl.EvalLasso),
-// automaton-backed ones via lasso membership in the automaton. Both
-// are pure and safe for concurrent use.
-func statEval(sys *ts.System, p Property) (func(word.Lasso) (bool, error), error) {
+// statEval compiles p into the evaluator constructor the sampler calls
+// once per worker. A formula-backed property is compiled once
+// (ltl.Compile), and each worker evaluates it in its own scratch; an
+// automaton-backed one is judged by lasso membership in the automaton,
+// which needs no scratch.
+func statEval(sys *ts.System, p Property) (func() func(word.Lasso) (bool, error), error) {
 	if f := p.Formula(); f != nil {
-		lab := p.labelingFor(sys.Alphabet())
-		return func(l word.Lasso) (bool, error) {
-			return ltl.EvalLasso(f, l, lab)
+		prog := ltl.Compile(f, p.labelingFor(sys.Alphabet()))
+		return func() func(word.Lasso) (bool, error) {
+			return prog.Evaluator().Eval
 		}, nil
 	}
 	aut, err := p.Automaton(sys.Alphabet())
 	if err != nil {
 		return nil, err
 	}
-	return func(l word.Lasso) (bool, error) {
+	accepts := func(l word.Lasso) (bool, error) {
 		return aut.AcceptsLasso(l), nil
-	}, nil
+	}
+	return func() func(word.Lasso) (bool, error) { return accepts }, nil
 }

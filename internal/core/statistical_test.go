@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"relive/internal/ltl"
@@ -106,6 +107,33 @@ func TestCheckStatisticalDeterministicJSON(t *testing.T) {
 				t.Fatalf("workers=%d: JSON diverged:\n got %s\nwant %s", workers, got, base)
 			}
 		}
+	}
+}
+
+// TestCheckStatisticalAllocationsIndependentOfSamples: on the correct
+// server every walk settles and satisfies G F result, and evaluating a
+// settled lasso allocates nothing once the worker's scratch has grown,
+// so a check allocates the same at 100 samples as at 2,000.
+func TestCheckStatisticalAllocationsIndependentOfSamples(t *testing.T) {
+	sys := statSys(t, statServerText)
+	p := FromFormula(ltl.MustParse("G F result"), nil)
+	// The least of five runs: a run also counts a new goroutine for its
+	// walker whenever the previous run's has not yet exited.
+	allocs := func(samples int) float64 {
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				rep, err := CheckStatistical(context.Background(), NewSystemCells(sys), p,
+					StatOptions{Seed: 1, Samples: samples, Workers: 1})
+				if err != nil || rep.Settled != samples || rep.Hits != samples {
+					t.Fatalf("CheckStatistical: %+v, %v; want every sample settled and satisfied", rep, err)
+				}
+			}))
+		}
+		return least
+	}
+	if few, many := allocs(100), allocs(2000); few != many {
+		t.Fatalf("CheckStatistical allocates %v times at 100 samples, %v at 2,000", few, many)
 	}
 }
 

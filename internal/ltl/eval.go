@@ -9,7 +9,7 @@ import (
 // EvalLasso evaluates the formula on the ultimately periodic ω-word l
 // under the labeling λ, implementing the PLTL semantics of Section 3
 // directly. It serves as the semantic oracle that the automata-theoretic
-// translation is tested against.
+// translation and Compile are tested against.
 //
 // The algorithm assigns a truth value to every subformula at every
 // position of the lasso (prefix positions plus one copy of the loop,

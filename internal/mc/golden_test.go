@@ -36,30 +36,23 @@ var goldenFormulas = []string{
 // byte TestGoldenSampler produces; see that test for what it covers.
 const goldenSamplerDigest = "e18da74c43a3c502fda0dee6533aefd6b224f9ace23e0f3d819104f15f702c8c"
 
-// TestGoldenSampler pins the sampler's output bit for bit: one digest
-// over the Result fields (counts, interval bounds, counterexample index
-// and lasso) of mc.Run on random systems — raw, with dead ends, and
-// trimmed — across sizes 4 to 512, densities 0.2 to 0.5, walk lengths
-// from the degenerate 1 to 256, one to three workers and the eight
-// rlperf formulas, plus the marshalled core.CheckStatistical reports of
-// the paper's correct and broken servers. A change to how walks are
-// taken, settled, swept or aggregated changes the digest.
-func TestGoldenSampler(t *testing.T) {
-	h := sha256.New()
-	put := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	putWord := func(w word.Word) {
-		put(uint64(len(w)))
-		for _, s := range w {
-			put(uint64(s))
-		}
-	}
+// goldenConfig is one mc.Run configuration of TestGoldenSampler.
+type goldenConfig struct {
+	desc string
+	tgt  *mc.SystemTarget
+	cfg  mc.Config
+	f    *ltl.Formula
+}
+
+// goldenConfigs lists TestGoldenSampler's mc.Run configurations: random
+// systems over a, b, c — raw, with dead ends, and trimmed — across
+// sizes 4 to 512, densities 0.2 to 0.5, walk lengths from the
+// degenerate 1 to 256, one to three workers and the eight rlperf
+// formulas.
+func goldenConfigs(t *testing.T) []goldenConfig {
+	t.Helper()
 	ab := gen.Letters(3)
-	lab := ltl.Canonical(ab)
-	var configs, settled, counterexamples int
+	var out []goldenConfig
 	for ni, n := range []int{4, 5, 7, 9, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512} {
 		for di := 0; di < 8; di++ {
 			density := []float64{0.2, 0.3, 0.4, 0.5}[di%4]
@@ -75,38 +68,79 @@ func TestGoldenSampler(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, steps := range []int{1, 2, 3, 17, 64, 256} {
-					f := ltl.MustParse(goldenFormulas[configs%len(goldenFormulas)])
-					cfg := mc.Config{
-						Seed:       int64(configs)*7919 - 3,
-						Samples:    40 + configs%97,
-						Steps:      steps,
-						Confidence: []float64{0.9, 0.95, 0.99}[configs%3],
-						Workers:    1 + configs%3,
-					}
-					res, err := mc.Run(context.Background(), tgt, cfg, func(l word.Lasso) (bool, error) {
-						return ltl.EvalLasso(f, l, lab)
+					i := len(out)
+					out = append(out, goldenConfig{
+						desc: fmt.Sprintf("n=%d density=%v steps=%d", n, density, steps),
+						tgt:  tgt,
+						cfg: mc.Config{
+							Seed:       int64(i)*7919 - 3,
+							Samples:    40 + i%97,
+							Steps:      steps,
+							Confidence: []float64{0.9, 0.95, 0.99}[i%3],
+							Workers:    1 + i%3,
+						},
+						f: ltl.MustParse(goldenFormulas[i%len(goldenFormulas)]),
 					})
-					if err != nil {
-						t.Fatalf("n=%d density=%v steps=%d: %v", n, density, steps, err)
-					}
-					configs++
-					settled += res.Settled
-					put(uint64(res.Samples))
-					put(uint64(res.Settled))
-					put(uint64(res.Hits))
-					put(math.Float64bits(res.Estimate))
-					put(math.Float64bits(res.Low))
-					put(math.Float64bits(res.High))
-					if cx := res.Counterexample; cx != nil {
-						counterexamples++
-						put(uint64(cx.Index))
-						putWord(cx.Lasso.Prefix)
-						putWord(cx.Lasso.Loop)
-					} else {
-						put(math.MaxUint64)
-					}
 				}
 			}
+		}
+	}
+	return out
+}
+
+// shared is the evaluator constructor for an evaluator without
+// scratch: every worker calls eval itself.
+func shared(eval func(word.Lasso) (bool, error)) func() func(word.Lasso) (bool, error) {
+	return func() func(word.Lasso) (bool, error) { return eval }
+}
+
+// evalLasso is the evaluator constructor over the reference semantics,
+// ltl.EvalLasso under the canonical labeling of a, b, c.
+func evalLasso(f *ltl.Formula) func() func(word.Lasso) (bool, error) {
+	lab := ltl.Canonical(gen.Letters(3))
+	return shared(func(l word.Lasso) (bool, error) { return ltl.EvalLasso(f, l, lab) })
+}
+
+// TestGoldenSampler pins the sampler's output bit for bit: one digest
+// over the Result fields (counts, interval bounds, counterexample index
+// and lasso) of mc.Run on goldenConfigs, evaluated by ltl.EvalLasso,
+// plus the marshalled core.CheckStatistical reports of the paper's
+// correct and broken servers. A change to how walks are taken,
+// settled, swept, evaluated or aggregated changes the digest.
+func TestGoldenSampler(t *testing.T) {
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	putWord := func(w word.Word) {
+		put(uint64(len(w)))
+		for _, s := range w {
+			put(uint64(s))
+		}
+	}
+	var configs, settled, counterexamples int
+	for _, c := range goldenConfigs(t) {
+		res, err := mc.Run(context.Background(), c.tgt, c.cfg, evalLasso(c.f))
+		if err != nil {
+			t.Fatalf("%s: %v", c.desc, err)
+		}
+		configs++
+		settled += res.Settled
+		put(uint64(res.Samples))
+		put(uint64(res.Settled))
+		put(uint64(res.Hits))
+		put(math.Float64bits(res.Estimate))
+		put(math.Float64bits(res.Low))
+		put(math.Float64bits(res.High))
+		if cx := res.Counterexample; cx != nil {
+			counterexamples++
+			put(uint64(cx.Index))
+			putWord(cx.Lasso.Prefix)
+			putWord(cx.Lasso.Loop)
+		} else {
+			put(math.MaxUint64)
 		}
 	}
 	for _, text := range []string{goldenServer, goldenBrokenServer} {
@@ -131,6 +165,34 @@ func TestGoldenSampler(t *testing.T) {
 	t.Logf("%d configurations, %d settled samples, %d counterexamples", configs, settled, counterexamples)
 	if got != goldenSamplerDigest {
 		t.Fatalf("sampler digest = %s, want %s", got, goldenSamplerDigest)
+	}
+}
+
+// TestGoldenSamplerCompiledEval reruns goldenConfigs with the compiled
+// evaluator core uses, one per worker, and checks it against
+// ltl.EvalLasso on every settled lasso, so the run's Result is the one
+// EvalLasso gives: the compiled law on the sampler's own lassos, whose
+// loops sweep whole bottom SCCs of up to 512 states.
+func TestGoldenSamplerCompiledEval(t *testing.T) {
+	lab := ltl.Canonical(gen.Letters(3))
+	for _, c := range goldenConfigs(t) {
+		prog := ltl.Compile(c.f, lab)
+		_, err := mc.Run(context.Background(), c.tgt, c.cfg, func() func(word.Lasso) (bool, error) {
+			e := prog.Evaluator()
+			return func(l word.Lasso) (bool, error) {
+				got, err := e.Eval(l)
+				if err != nil {
+					return false, err
+				}
+				if want, _ := ltl.EvalLasso(c.f, l, lab); got != want {
+					return false, fmt.Errorf("compiled %v, EvalLasso %v on %s", got, want, l.String(gen.Letters(3)))
+				}
+				return got, nil
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s, %s: %v", c.desc, c.f, err)
+		}
 	}
 }
 
@@ -164,7 +226,7 @@ func TestClosedTailThatIsNotStronglyConnectedNeverSettles(t *testing.T) {
 	}
 	b, c := sys.Alphabet().Symbol("b"), sys.Alphabet().Symbol("c")
 	res, err := mc.Run(context.Background(), tgt, mc.Config{Seed: 5, Samples: 4000, Steps: 4, Workers: 2},
-		func(l word.Lasso) (bool, error) {
+		shared(func(l word.Lasso) (bool, error) {
 			left := false
 			for _, s := range l.Prefix {
 				left = left || s == b
@@ -182,7 +244,7 @@ func TestClosedTailThatIsNotStronglyConnectedNeverSettles(t *testing.T) {
 				return false, fmt.Errorf("settled lasso %s has s0 in its tail", strings.Join(names, " "))
 			}
 			return true, nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,17 +95,19 @@ type Result struct {
 }
 
 // Run samples cfg.Samples random walks of the graph t, detects
-// bottom-SCC lassos, evaluates each settled lasso with eval, and
-// returns counts, the Clopper–Pearson interval, and the first violating
-// sample. Before sampling it visits every state of t once to index the
-// bottom SCCs, the only places a walk can settle. eval must be safe for
-// concurrent use (it is called from Workers goroutines) and
-// deterministic, and it must not retain the lasso it is handed: the
-// lasso's slices are reused by the next walk. Run's result is then a
-// deterministic function of (t, Seed, Samples, Steps, Confidence),
-// independent of Workers and scheduling. The context is polled
-// cooperatively inside every walk.
-func Run(ctx context.Context, t Target, cfg Config, eval func(word.Lasso) (bool, error)) (*Result, error) {
+// bottom-SCC lassos, evaluates each settled lasso, and returns counts,
+// the Clopper–Pearson interval, and the first violating sample. Before
+// sampling it visits every state of t once to index the bottom SCCs,
+// the only places a walk can settle. Run calls newEval once per worker,
+// before the workers start, and each worker evaluates its settled
+// lassos with the evaluator it got, so an evaluator may own scratch
+// that no other goroutine touches. Evaluators must be deterministic,
+// and must not retain the lasso they are handed: the lasso's slices are
+// reused by the next walk. Run's result is then a deterministic
+// function of (t, Seed, Samples, Steps, Confidence), independent of
+// Workers and scheduling. The context is polled cooperatively inside
+// every walk.
+func Run(ctx context.Context, t Target, cfg Config, newEval func() func(word.Lasso) (bool, error)) (*Result, error) {
 	cfg = cfg.Defaulted()
 	if t.NumStates() == 0 {
 		return nil, fmt.Errorf("mc: target has no states")
@@ -123,6 +125,7 @@ func Run(ctx context.Context, t Target, cfg Config, eval func(word.Lasso) (bool,
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := range tallies {
+		eval := newEval()
 		go func(tl *tally) {
 			defer wg.Done()
 			wk := newWalker(g, cfg.Steps)

@@ -65,6 +65,12 @@ func loopHas(sys *ts.System, name string) func(word.Lasso) (bool, error) {
 	}
 }
 
+// shared is the evaluator constructor for an evaluator without
+// scratch: every worker calls eval itself.
+func shared(eval func(word.Lasso) (bool, error)) func() func(word.Lasso) (bool, error) {
+	return func() func(word.Lasso) (bool, error) { return eval }
+}
+
 func TestSystemTargetMatchesEdges(t *testing.T) {
 	sys := mustSystem(t, brokenText)
 	tgt := mustTarget(t, sys)
@@ -125,7 +131,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		var base *Result
 		for _, workers := range []int{1, 2, 3, 8} {
 			cfg := Config{Seed: 7, Samples: 120, Steps: 64, Confidence: 0.95, Workers: workers}
-			res, err := Run(context.Background(), tgt, cfg, eval)
+			res, err := Run(context.Background(), tgt, cfg, shared(eval))
 			if err != nil {
 				t.Fatalf("Run(workers=%d): %v", workers, err)
 			}
@@ -143,7 +149,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 func TestRunVerdictsOnPaperServers(t *testing.T) {
 	correct := mustSystem(t, serverText)
 	res, err := Run(context.Background(), mustTarget(t, correct),
-		Config{Seed: 1, Samples: 200, Steps: 64}, loopHas(correct, "result"))
+		Config{Seed: 1, Samples: 200, Steps: 64}, shared(loopHas(correct, "result")))
 	if err != nil {
 		t.Fatalf("Run(correct): %v", err)
 	}
@@ -156,7 +162,7 @@ func TestRunVerdictsOnPaperServers(t *testing.T) {
 
 	broken := mustSystem(t, brokenText)
 	res, err = Run(context.Background(), mustTarget(t, broken),
-		Config{Seed: 1, Samples: 200, Steps: 64}, loopHas(broken, "result"))
+		Config{Seed: 1, Samples: 200, Steps: 64}, shared(loopHas(broken, "result")))
 	if err != nil {
 		t.Fatalf("Run(broken): %v", err)
 	}
@@ -265,7 +271,7 @@ func TestRunAllocationsIndependentOfSamples(t *testing.T) {
 	tgt := mustTarget(t, sys)
 	allocs := func(samples int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			res, err := Run(context.Background(), tgt, Config{Seed: 1, Samples: samples, Steps: 32, Workers: 2}, loopHas(sys, "a"))
+			res, err := Run(context.Background(), tgt, Config{Seed: 1, Samples: samples, Steps: 32, Workers: 2}, shared(loopHas(sys, "a")))
 			if err != nil || res.Settled != 0 {
 				t.Fatalf("Run: %+v, %v; want no settled walk", res, err)
 			}
@@ -281,7 +287,7 @@ func TestRunContextCancellation(t *testing.T) {
 	tgt := mustTarget(t, sys)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, tgt, Config{Seed: 1, Samples: 50000, Steps: 4096}, loopHas(sys, "result"))
+	_, err := Run(ctx, tgt, Config{Seed: 1, Samples: 50000, Steps: 4096}, shared(loopHas(sys, "result")))
 	if err == nil || !isCtxErr(err) {
 		t.Fatalf("want context error, got %v", err)
 	}
@@ -297,10 +303,10 @@ func TestRunEvalErrorOutranksCancellation(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
 		_, err := Run(ctx, tgt, Config{Seed: 3, Samples: 5000, Steps: 64, Workers: workers},
-			func(word.Lasso) (bool, error) {
+			shared(func(word.Lasso) (bool, error) {
 				cancel()
 				return false, boom
-			})
+			}))
 		cancel()
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want the eval error", workers, err)

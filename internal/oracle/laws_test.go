@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relive/internal/alphabet"
 	"relive/internal/buchi"
 	"relive/internal/core"
 	"relive/internal/gen"
@@ -222,6 +223,78 @@ func TestLawTranslationAgreesWithEval(t *testing.T) {
 				})
 				t.Fatalf("trial %d: translation of %s disagrees with EvalLasso on %s (Büchi %v, eval %v)\nshrunk formula: %s",
 					trial, f, l.String(ab), got, want, small)
+			}
+		}
+	}
+}
+
+// compiledLawLabeling draws the labeling for one compiled-evaluation
+// trial, by kind: the canonical labeling of two or three letters, the
+// canonical image of a random homomorphism that hides letters (ε), or
+// several propositions per letter. It returns the formula's atoms and
+// the lassos' alphabet, which has one more letter than the labeling
+// covers.
+func compiledLawLabeling(rng *rand.Rand, kind int) (*ltl.Labeling, []string, *alphabet.Alphabet) {
+	src := gen.Letters(2 + rng.Intn(2))
+	var lab *ltl.Labeling
+	var atoms []string
+	switch kind {
+	case 0:
+		lab, atoms = ltl.Canonical(src), src.Names()
+	case 1:
+		h := gen.Hom(rng, src, 0.4)
+		lab, atoms = h.Labeling(), append(h.Dest().Names(), alphabet.EpsilonName)
+	default:
+		lab, atoms = ltl.NewLabeling(src), []string{"p", "q", "r"}[:2+rng.Intn(2)]
+		for _, sym := range src.Symbols() {
+			var props []string
+			for _, p := range atoms {
+				if rng.Intn(2) == 0 {
+					props = append(props, p)
+				}
+			}
+			lab.SetLabel(sym, props...)
+		}
+	}
+	letters := src.Clone()
+	letters.Symbol("unlabeled")
+	return lab, atoms, letters
+}
+
+// TestLawCompiledEvalAgreesWithEval pins ltl.Compile, the evaluator the
+// statistical check runs, to the direct EvalLasso semantics: 2,100
+// random formulas of depth up to 4, with every derived operator, each
+// on 20 random lassos whose loops reach 64 letters, under three kinds
+// of labeling and with letters the labeling does not cover. One
+// evaluator serves all 20 lassos, so its reused scratch is covered too.
+func TestLawCompiledEvalAgreesWithEval(t *testing.T) {
+	rng := newRng(108)
+	for trial := 0; trial < 2100; trial++ {
+		lab, atoms, letters := compiledLawLabeling(rng, trial%3)
+		f := gen.Formula(rng, atoms, 1+rng.Intn(4))
+		eval := ltl.Compile(f, lab).Evaluator()
+		for i := 0; i < 20; i++ {
+			maxLoop := 4
+			if i%3 == 0 {
+				maxLoop = 64
+			}
+			l := gen.Lasso(rng, letters, 6, maxLoop)
+			want, err := ltl.EvalLasso(f, l, lab)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			got, err := eval.Eval(l)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if got != want {
+				small := gen.ShrinkFormula(f, func(g *ltl.Formula) bool {
+					w, err := ltl.EvalLasso(g, l, lab)
+					c, cerr := ltl.Compile(g, lab).Evaluator().Eval(l)
+					return err == nil && cerr == nil && c != w
+				})
+				t.Fatalf("trial %d: compiled %s disagrees with EvalLasso on %s (compiled %v, eval %v)\nshrunk formula: %s",
+					trial, f, l.String(letters), got, want, small)
 			}
 		}
 	}

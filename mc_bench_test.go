@@ -157,8 +157,59 @@ func BenchmarkMCRunRandomGraphs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mc.Run(nil, tgt, mc.Config{Seed: 1, Samples: 200, Steps: 128, Confidence: 0.99, Workers: 1},
-			func(l relive.Lasso) (bool, error) { return len(l.Loop) > 0, nil }); err != nil {
+			func() func(relive.Lasso) (bool, error) {
+				return func(l relive.Lasso) (bool, error) { return len(l.Loop) > 0, nil }
+			}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// statGenFormulas is rlperf's property menu.
+var statGenFormulas = []string{
+	"G F a",
+	"G (a -> F b)",
+	"F G c",
+	"G F a & G F b",
+	"G (b -> X F c)",
+	"(G F a) -> (G F b)",
+	"G (a -> (b U c))",
+	"F G (a | b)",
+}
+
+// BenchmarkStatisticalGen: one operation is the eight statistical checks
+// of rlperf's property menu on one generated system (a, b, c, density
+// 0.3, the first seed with a behavior) at the default budget on one
+// walker, each on fresh cells as a distinct request would be, so every
+// check pays its trim, its formula compilation and its sampling.
+func BenchmarkStatisticalGen(b *testing.B) {
+	ab := gen.Letters(3)
+	props := make([]core.Property, len(statGenFormulas))
+	for i, f := range statGenFormulas {
+		phi, err := relive.ParseLTL(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		props[i] = core.FromFormula(phi, nil)
+	}
+	for _, n := range []int{128, 256, 512} {
+		var sys *ts.System
+		for seed := int64(1); sys == nil; seed++ {
+			cand := gen.System(rand.New(rand.NewSource(seed)), ab, n, 0.3)
+			if _, err := cand.Trim(); err == nil {
+				sys = cand
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range props {
+					if _, err := core.CheckStatistical(context.Background(), core.NewSystemCells(sys), p,
+						core.StatOptions{Seed: 1, Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
