@@ -12,6 +12,7 @@ import (
 	"relive/internal/gen"
 	"relive/internal/ltl"
 	"relive/internal/nfa"
+	"relive/internal/obs"
 )
 
 // ScalingSizes configures the E8 sweep.
@@ -35,6 +36,7 @@ type ScalingPoint struct {
 	Label    string
 	Elapsed  time.Duration
 	Decided  int // checks performed
+	Explored int // pre(L∩P) product states explored per check, on average
 	MaxProd  int // largest Büchi product built
 	Verdicts int // how many were "holds"
 }
@@ -42,28 +44,35 @@ type ScalingPoint struct {
 // E8Scaling stands in for Theorem 4.5 (PSPACE-completeness): absolute
 // complexity cannot be measured, but the decision procedure's cost
 // growing with system size and property size — driven by the product
-// and subset constructions — is its observable face.
+// and subset constructions — is its observable face. The size claim
+// counts the product states each check explores, read from its own
+// spans, rather than timing it: a count repeats exactly from run to
+// run, where a millisecond-scale time does not.
 func E8Scaling(sizes ScalingSizes) (Result, error) {
 	rng := rand.New(rand.NewSource(4501))
 	ab := gen.Letters(2)
 	obs := []Observation{}
 	prop := core.FromFormula(ltl.MustParse("G F a"), nil)
 
-	var prev time.Duration
+	var first, prev int
 	monotoneish := true
-	for _, n := range sizes.SystemStates {
+	for i, n := range sizes.SystemStates {
 		pt, err := scalePoint(rng, ab, n, prop, sizes.Trials)
 		if err != nil {
 			return Result{}, err
 		}
 		obs = append(obs, info(
 			fmt.Sprintf("states=%d (G F a)", n),
-			fmt.Sprintf("%v per check, max product %d states", pt.Elapsed, pt.MaxProd)))
-		if pt.Elapsed < prev/4 {
+			fmt.Sprintf("%d product states explored per check (%v), max product %d states", pt.Explored, pt.Elapsed, pt.MaxProd)))
+		if pt.Explored < prev/4 {
 			monotoneish = false
 		}
-		prev = pt.Elapsed
+		if i == 0 {
+			first = pt.Explored
+		}
+		prev = pt.Explored
 	}
+	monotoneish = monotoneish && prev > first
 	for _, d := range sizes.FormulaDepth {
 		f := nestedUntil(d)
 		p := core.FromFormula(f, nil)
@@ -134,18 +143,27 @@ func determinizedSize(a *nfa.NFA) int {
 }
 
 // scalePoint averages the relative-liveness decision over trials random
-// systems of n states and records the largest intermediate product.
+// systems of n states, counting the pre(L∩P) product states each check
+// explores from its spans, and records the largest intermediate
+// product.
 func scalePoint(rng *rand.Rand, ab *alphabet.Alphabet, n int, p core.Property, trials int) (ScalingPoint, error) {
 	var total time.Duration
+	explored := 0
 	pt := ScalingPoint{Decided: trials}
 	for t := 0; t < trials; t++ {
 		sys := randomSystem(rng, ab, n)
+		tr := obs.NewTrace()
 		start := time.Now()
-		res, err := core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
+		res, err := core.RelativeLiveness(obs.ContextWithRecorder(context.Background(), tr), core.NewPipelineCells(sys, p))
 		if err != nil {
 			return ScalingPoint{}, err
 		}
 		total += time.Since(start)
+		for _, sp := range tr.Spans() {
+			if sp.Name == "pre(L∩P)" {
+				explored += int(sp.Ints["product_states"])
+			}
+		}
 		if res.Holds {
 			pt.Verdicts++
 		}
@@ -166,6 +184,7 @@ func scalePoint(rng *rand.Rand, ab *alphabet.Alphabet, n int, p core.Property, t
 		}
 	}
 	pt.Elapsed = total / time.Duration(trials)
+	pt.Explored = explored / trials
 	return pt, nil
 }
 
