@@ -13,13 +13,11 @@ import (
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
 	"relive/internal/core"
-	"relive/internal/fairness"
 	"relive/internal/gen"
 	"relive/internal/ltl"
 	"relive/internal/nfa"
 	"relive/internal/paper"
 	"relive/internal/ts"
-	"relive/internal/word"
 )
 
 func BenchmarkMinimizeAblation(b *testing.B) {
@@ -152,23 +150,6 @@ func BenchmarkStreettFairEmptiness(b *testing.B) {
 	_ = prop
 }
 
-func BenchmarkMonteCarloEstimate(b *testing.B) {
-	sys, err := benchPaperFig2()
-	if err != nil {
-		b.Fatal(err)
-	}
-	lab := ltl.Canonical(sys.Alphabet())
-	f := ltl.MustParse("G F result")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		freq, err := benchSatisfactionFrequency(sys, f, lab)
-		if err != nil || freq != 1.0 {
-			b.Fatalf("estimate: %v %v", freq, err)
-		}
-	}
-}
-
 func randomBenchBuchi(rng *rand.Rand, ab *alphabet.Alphabet, n int) *buchi.Buchi {
 	b := buchi.New(ab)
 	for i := 0; i < n; i++ {
@@ -188,9 +169,3 @@ func randomBenchBuchi(rng *rand.Rand, ab *alphabet.Alphabet, n int) *buchi.Buchi
 }
 
 func benchPaperFig2() (*ts.System, error) { return paper.Fig2System() }
-
-func benchSatisfactionFrequency(sys *ts.System, f *ltl.Formula, lab *ltl.Labeling) (float64, error) {
-	return fairness.SatisfactionFrequency(sys, 99, 40, 120, func(l word.Lasso) (bool, error) {
-		return ltl.EvalLasso(f, l, lab)
-	})
-}

@@ -1,8 +1,8 @@
 // Command rlsim simulates a transition system under a strongly fair or
 // uniformly random scheduler and, optionally, monitors a PLTL property:
-// with -ltl it estimates the probability that an execution satisfies
-// the property (the Section 9 probability-1 reading of relative
-// liveness).
+// with -ltl it estimates, with the statistical engine, the probability
+// that an execution satisfies the property (the Section 9
+// probability-1 reading of relative liveness).
 //
 // Usage:
 //
@@ -15,10 +15,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 
 	"relive"
-	"relive/internal/fairness"
 	"relive/internal/obs"
 )
 
@@ -43,6 +43,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *sysPath == "" {
 		fmt.Fprintln(stderr, "rlsim: -sys is required")
 		fs.Usage()
+		return 2
+	}
+	if *steps < 0 {
+		fmt.Fprintln(stderr, "rlsim: -steps must not be negative")
+		return 2
+	}
+	if *ltlText != "" && (*runs < 1 || *steps < 1) {
+		fmt.Fprintln(stderr, "rlsim: -ltl needs -runs and -steps of at least 1")
 		return 2
 	}
 	stopProf, err := obs.StartCPUProfile(*cpuprofile)
@@ -72,16 +80,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "rlsim: %v\n", err)
 			return 2
 		}
-		lab := relive.CanonicalLabeling(sys.Alphabet())
-		freq, err := fairness.SatisfactionFrequency(sys, *seed, *runs, *steps,
-			func(l relive.Lasso) (bool, error) {
-				return relive.EvalLasso(prop, l, lab)
-			})
+		rep, err := relive.With(relive.WithSeed(*seed), relive.WithSampleBudget(*runs, *steps)).CheckStatistical(sys, prop)
 		if err != nil {
 			fmt.Fprintf(stderr, "rlsim: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "P(%s) ≈ %.3f over %d runs × %d steps\n", prop, freq, *runs, *steps)
+		switch {
+		case rep.Vacuous:
+			fmt.Fprintln(stderr, "rlsim: the system has no infinite run to sample")
+			return 2
+		case rep.Verdict == relive.StatVerdictInconclusive:
+			fmt.Fprintf(stderr, "rlsim: no run settled into a bottom SCC within %d steps\n", *steps)
+			return 2
+		}
+		fmt.Fprintf(stdout, "P(%s) ≈ %.3f over %d runs × %d steps\n", prop, rep.Estimate, *runs, *steps)
 		return 0
 	}
 
@@ -94,21 +106,31 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		printTrace(stdout, sys, traceActions(sys, s.Trace(*steps)))
 	case "random":
-		w, err := relive.NewRandomWalker(sys, *seed)
-		if err != nil {
-			fmt.Fprintf(stderr, "rlsim: %v\n", err)
-			return 2
-		}
-		names := make([]string, 0, *steps)
-		for _, sym := range w.Walk(*steps) {
-			names = append(names, sys.Alphabet().Name(sym))
-		}
-		printTrace(stdout, sys, names)
+		printTrace(stdout, sys, randomTrace(sys, *seed, *steps))
 	default:
 		fmt.Fprintf(stderr, "rlsim: unknown scheduler %q\n", *sched)
 		return 2
 	}
 	return 0
+}
+
+// randomTrace returns the actions of a run of at most steps steps under
+// the uniform random scheduler: each step takes one of the current
+// state's transitions, in Edges order, with rng.Intn, and the run stops
+// early at a dead end.
+func randomTrace(sys *relive.System, seed int64, steps int) []string {
+	out := make([][]relive.Edge, sys.NumStates())
+	for _, e := range sys.Edges() {
+		out[e.From] = append(out[e.From], e)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	names := make([]string, 0, steps)
+	for cur := sys.Initial(); len(names) < steps && len(out[cur]) > 0; {
+		e := out[cur][rng.Intn(len(out[cur]))]
+		names = append(names, sys.Alphabet().Name(e.Sym))
+		cur = e.To
+	}
+	return names
 }
 
 func traceActions(sys *relive.System, edges []relive.Edge) []string {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"relive/internal/alphabet"
 	"relive/internal/graph"
 	"relive/internal/ts"
 )
@@ -36,27 +37,26 @@ func ForAllGloballyExistsEventually(sys *ts.System, actions ...string) (AGEFResu
 		// holds vacuously.
 		return AGEFResult{Holds: true}, nil
 	}
-	targets := map[string]bool{}
+	targets := map[alphabet.Symbol]bool{}
 	for _, a := range actions {
-		if _, ok := trimmed.Alphabet().Lookup(a); !ok {
+		sym, ok := trimmed.Alphabet().Lookup(a)
+		if !ok {
 			// The action cannot occur at all; only vacuously reachable if
 			// there are no states, which Trim excluded.
 			return AGEFResult{Holds: false, BadState: trimmed.StateName(trimmed.Initial())}, nil
 		}
-		targets[a] = true
+		targets[sym] = true
 	}
-	n := trimmed.NumStates()
-	adj := make([][]int, n)
+	g, syms := trimmed.CSR()
+	n := g.NumVertices()
 	canDo := make([]bool, n) // state has an outgoing target edge
-	for _, e := range trimmed.Edges() {
-		adj[e.From] = append(adj[e.From], int(e.To))
-		if targets[trimmed.Alphabet().Name(e.Sym)] {
-			canDo[e.From] = true
+	for v := 0; v < n; v++ {
+		for id := g.Off[v]; id < g.Off[v+1]; id++ {
+			canDo[v] = canDo[v] || targets[syms[id]]
 		}
 	}
-	succ := func(v int) []int { return adj[v] }
-	reach := graph.Reachable(n, []int{int(trimmed.Initial())}, succ)
-	canReach := graph.CoReachable(n, canDo, succ)
+	reach := graph.ReachableCSR(g, []int{int(trimmed.Initial())})
+	canReach := graph.CoReachableCSR(g, canDo)
 	for v := 0; v < n; v++ {
 		if reach[v] && !canReach[v] {
 			return AGEFResult{Holds: false, BadState: trimmed.StateName(ts.State(v))}, nil

@@ -195,13 +195,8 @@ func AllStronglyFairRunsSatisfy(sys *ts.System, p Property) (bool, *fairness.Run
 // to — and fairly exhausts — a bottom SCC hits marks infinitely often.
 func (fi *FairImplementation) BottomSCCsContainMarks() bool {
 	sys := fi.System
-	n := sys.NumStates()
-	adj := make([][]int, n)
-	for _, e := range sys.Edges() {
-		adj[e.From] = append(adj[e.From], int(e.To))
-	}
-	succ := func(v int) []int { return adj[v] }
-	for _, comp := range graph.BottomSCCs(n, []int{int(sys.Initial())}, succ) {
+	g, _ := sys.CSR()
+	for _, comp := range graph.BottomSCCsCSR(g, []int{int(sys.Initial())}) {
 		hasMark := false
 		for _, v := range comp {
 			if fi.Marked[ts.State(v)] {

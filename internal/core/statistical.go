@@ -151,15 +151,11 @@ func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOp
 	if err != nil {
 		return nil, fmt.Errorf("statistical: %w", err)
 	}
-	target, err := mc.NewSystemTarget(trimmed)
-	if err != nil {
-		return nil, fmt.Errorf("statistical: %w", err)
-	}
 	msp := obs.StartSpan(rec, "mc.sample").
 		Tag("paper", "Section 9 outlook: uniform-scheduler sampling").
 		Int("samples", int64(cfg.Samples)).
 		Int("steps", int64(cfg.Steps))
-	res, err := mc.Run(ctx, target, cfg, newEval)
+	res, err := mc.Run(ctx, trimmed, cfg, newEval)
 	if err != nil {
 		msp.Tag("aborted", "context")
 		msp.End()

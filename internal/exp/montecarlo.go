@@ -1,13 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
-	"relive/internal/fairness"
+	"relive/internal/core"
 	"relive/internal/ltl"
 	"relive/internal/paper"
 	"relive/internal/ts"
-	"relive/internal/word"
 )
 
 // E13MonteCarlo explores the paper's concluding remark (Section 9):
@@ -18,38 +18,27 @@ import (
 // relative liveness property holds with probability 1 — and a property
 // that is not relative liveness (Figure 3) fails almost surely once the
 // unrecoverable region absorbs the run. The experiment estimates both
-// probabilities by Monte Carlo sampling.
+// probabilities with the statistical engine (core.CheckStatistical);
+// each estimate is taken over the walks that settled into a bottom SCC.
 func E13MonteCarlo() (Result, error) {
-	const (
-		runs  = 200
-		steps = 160
-		seed  = 1337
-	)
-	evalOn := func(sys *ts.System, f *ltl.Formula) func(word.Lasso) (bool, error) {
-		lab := ltl.Canonical(sys.Alphabet())
-		return func(l word.Lasso) (bool, error) { return ltl.EvalLasso(f, l, lab) }
+	o := core.StatOptions{Seed: 1337, Samples: 200, Steps: 160}
+	estimate := func(sys *ts.System, f *ltl.Formula) (*core.StatisticalReport, error) {
+		return core.CheckStatistical(context.Background(), core.NewSystemCells(sys), core.FromFormula(f, nil), o)
 	}
 
 	fig2, err := paper.Fig2System()
 	if err != nil {
 		return Result{}, err
 	}
-	freq2, err := fairness.SatisfactionFrequency(fig2, seed, runs, steps,
-		evalOn(fig2, paper.PropertyInfResults()))
+	r2, err := estimate(fig2, paper.PropertyInfResults())
 	if err != nil {
 		return Result{}, err
 	}
-
-	fig3 := paper.Fig3System()
-	freq3, err := fairness.SatisfactionFrequency(fig3, seed, runs, steps,
-		evalOn(fig3, paper.PropertyInfResults()))
+	r3, err := estimate(paper.Fig3System(), paper.PropertyInfResults())
 	if err != nil {
 		return Result{}, err
 	}
-
-	sec5 := paper.Section5System()
-	freq5, err := fairness.SatisfactionFrequency(sec5, seed, runs, steps,
-		evalOn(sec5, paper.Section5Property()))
+	r5, err := estimate(paper.Section5System(), paper.Section5Property())
 	if err != nil {
 		return Result{}, err
 	}
@@ -57,13 +46,14 @@ func E13MonteCarlo() (Result, error) {
 	return Result{
 		ID: "E13", Artifact: "§9 outlook", Title: "relative liveness ≈ probability-1 satisfaction (Monte Carlo)",
 		Observations: []Observation{
-			claim("P(□◇result) on Figure 2", fmt.Sprintf("%.3f", freq2),
-				"relative liveness ⇒ almost all computations satisfy it", freq2 == 1.0),
-			claim("P(□◇result) on Figure 3", fmt.Sprintf("%.3f", freq3),
-				"not relative liveness ⇒ fails almost surely", freq3 == 0.0),
-			claim("P(◇(a ∧ ○a)) on {a,b}^ω", fmt.Sprintf("%.3f", freq5),
-				"relative liveness ⇒ probability ≈ 1", freq5 >= 0.95),
-			info("samples", fmt.Sprintf("%d runs × %d steps", runs, steps)),
+			claim("P(□◇result) on Figure 2", fmt.Sprintf("%.3f", r2.Estimate),
+				"relative liveness ⇒ almost all computations satisfy it", r2.Estimate == 1.0),
+			claim("P(□◇result) on Figure 3", fmt.Sprintf("%.3f", r3.Estimate),
+				"not relative liveness ⇒ fails almost surely", r3.Estimate == 0.0),
+			claim("P(◇(a ∧ ○a)) on {a,b}^ω", fmt.Sprintf("%.3f", r5.Estimate),
+				"relative liveness ⇒ probability ≈ 1", r5.Estimate >= 0.95),
+			info("samples", fmt.Sprintf("%d runs × %d steps; settled %d, %d, %d",
+				o.Samples, o.Steps, r2.Settled, r3.Settled, r5.Settled)),
 		},
 	}, nil
 }

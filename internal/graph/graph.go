@@ -322,8 +322,8 @@ func ReachableCSRCtx(ctx context.Context, g CSR, sources []int) ([]bool, error) 
 	return seen, nil
 }
 
-// CoReachableCSR is CoReachable over a CSR adjacency: one O(V+E) reverse
-// pass instead of per-vertex Succ calls.
+// CoReachableCSR returns the set of vertices from which some target
+// vertex is reachable: one O(V+E) pass over the reversed graph.
 func CoReachableCSR(g CSR, targets []bool) []bool {
 	rev := g.Reverse()
 	n := g.NumVertices()
@@ -346,53 +346,11 @@ func CoReachableCSR(g CSR, targets []bool) []bool {
 	return seen
 }
 
-// CoReachable returns the set of vertices from which some target vertex is
-// reachable, computed on the reversed graph.
-func CoReachable(n int, targets []bool, succ Succ) []bool {
-	// Build reverse adjacency once; succ may be expensive.
-	rev := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for _, w := range succ(v) {
-			rev[w] = append(rev[w], v)
-		}
-	}
-	seen := make([]bool, n)
-	var queue []int
-	for v := 0; v < n; v++ {
-		if targets[v] {
-			seen[v] = true
-			queue = append(queue, v)
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		for _, w := range rev[queue[qi]] {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return seen
-}
-
-// BottomSCCs returns the components (as produced by SCCs) out of which no
-// edge leaves, restricted to components reachable from sources. In a
-// finite system whose every state has a successor, the strongly fair runs
-// are exactly the runs whose infinity set is such a bottom component.
-func BottomSCCs(n int, sources []int, succ Succ) [][]int {
-	off := make([]int32, n+1)
-	var dst []int32
-	for v := 0; v < n; v++ {
-		for _, w := range succ(v) {
-			dst = append(dst, int32(w))
-		}
-		off[v+1] = int32(len(dst))
-	}
-	return BottomSCCsCSR(CSR{Off: off, Dst: dst}, sources)
-}
-
-// BottomSCCsCSR is BottomSCCs over a CSR adjacency; components come in
-// SCCsCSR order.
+// BottomSCCsCSR returns the components (in SCCsCSR order) out of which
+// no edge leaves, restricted to components reachable from sources. In a
+// finite system whose every state has a successor, the strongly fair
+// runs are exactly the runs whose infinity set is such a bottom
+// component.
 func BottomSCCsCSR(g CSR, sources []int) [][]int {
 	comps := SCCsCSR(g)
 	compOf := ComponentOf(g.NumVertices(), comps)

@@ -10,6 +10,18 @@ func adj(edges map[int][]int) Succ {
 	return func(v int) []int { return edges[v] }
 }
 
+// adjCSR is adj's graph on vertices 0..n-1 in CSR form.
+func adjCSR(n int, edges map[int][]int) CSR {
+	g := CSR{Off: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		for _, w := range edges[v] {
+			g.Dst = append(g.Dst, int32(w))
+		}
+		g.Off[v+1] = int32(len(g.Dst))
+	}
+	return g
+}
+
 func TestSCCsSimpleCycle(t *testing.T) {
 	succ := adj(map[int][]int{0: {1}, 1: {2}, 2: {0}})
 	comps := SCCs(3, succ)
@@ -64,15 +76,15 @@ func TestIsTrivialSCC(t *testing.T) {
 }
 
 func TestReachableAndCoReachable(t *testing.T) {
-	succ := adj(map[int][]int{0: {1}, 1: {2}, 3: {1}})
-	r := Reachable(4, []int{0}, succ)
+	edges := map[int][]int{0: {1}, 1: {2}, 3: {1}}
+	r := Reachable(4, []int{0}, adj(edges))
 	want := []bool{true, true, true, false}
 	for i := range want {
 		if r[i] != want[i] {
 			t.Errorf("Reachable[%d] = %v, want %v", i, r[i], want[i])
 		}
 	}
-	co := CoReachable(4, []bool{false, false, true, false}, succ)
+	co := CoReachableCSR(adjCSR(4, edges), []bool{false, false, true, false})
 	wantCo := []bool{true, true, true, true}
 	for i := range wantCo {
 		if co[i] != wantCo[i] {
@@ -83,8 +95,8 @@ func TestReachableAndCoReachable(t *testing.T) {
 
 func TestBottomSCCs(t *testing.T) {
 	// 0 -> {1<->2} (bottom), 0 -> 3 (bottom self-loop), 4 unreachable cycle.
-	succ := adj(map[int][]int{0: {1, 3}, 1: {2}, 2: {1}, 3: {3}, 4: {4}})
-	bottoms := BottomSCCs(5, []int{0}, succ)
+	g := adjCSR(5, map[int][]int{0: {1, 3}, 1: {2}, 2: {1}, 3: {3}, 4: {4}})
+	bottoms := BottomSCCsCSR(g, []int{0})
 	if len(bottoms) != 2 {
 		t.Fatalf("bottoms = %v, want 2 components", bottoms)
 	}

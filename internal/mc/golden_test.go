@@ -39,7 +39,7 @@ const goldenSamplerDigest = "e18da74c43a3c502fda0dee6533aefd6b224f9ace23e0f3d819
 // goldenConfig is one mc.Run configuration of TestGoldenSampler.
 type goldenConfig struct {
 	desc string
-	tgt  *mc.SystemTarget
+	sys  *ts.System
 	cfg  mc.Config
 	f    *ltl.Formula
 }
@@ -63,15 +63,11 @@ func goldenConfigs(t *testing.T) []goldenConfig {
 				systems = append(systems, trimmed)
 			}
 			for _, sys := range systems {
-				tgt, err := mc.NewSystemTarget(sys)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for _, steps := range []int{1, 2, 3, 17, 64, 256} {
 					i := len(out)
 					out = append(out, goldenConfig{
 						desc: fmt.Sprintf("n=%d density=%v steps=%d", n, density, steps),
-						tgt:  tgt,
+						sys:  sys,
 						cfg: mc.Config{
 							Seed:       int64(i)*7919 - 3,
 							Samples:    40 + i%97,
@@ -122,7 +118,7 @@ func TestGoldenSampler(t *testing.T) {
 	}
 	var configs, settled, counterexamples int
 	for _, c := range goldenConfigs(t) {
-		res, err := mc.Run(context.Background(), c.tgt, c.cfg, evalLasso(c.f))
+		res, err := mc.Run(context.Background(), c.sys, c.cfg, evalLasso(c.f))
 		if err != nil {
 			t.Fatalf("%s: %v", c.desc, err)
 		}
@@ -177,7 +173,7 @@ func TestGoldenSamplerCompiledEval(t *testing.T) {
 	lab := ltl.Canonical(gen.Letters(3))
 	for _, c := range goldenConfigs(t) {
 		prog := ltl.Compile(c.f, lab)
-		_, err := mc.Run(context.Background(), c.tgt, c.cfg, func() func(word.Lasso) (bool, error) {
+		_, err := mc.Run(context.Background(), c.sys, c.cfg, func() func(word.Lasso) (bool, error) {
 			e := prog.Evaluator()
 			return func(l word.Lasso) (bool, error) {
 				got, err := e.Eval(l)
@@ -220,12 +216,8 @@ func TestClosedTailThatIsNotStronglyConnectedNeverSettles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt, err := mc.NewSystemTarget(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, c := sys.Alphabet().Symbol("b"), sys.Alphabet().Symbol("c")
-	res, err := mc.Run(context.Background(), tgt, mc.Config{Seed: 5, Samples: 4000, Steps: 4, Workers: 2},
+	res, err := mc.Run(context.Background(), sys, mc.Config{Seed: 5, Samples: 4000, Steps: 4, Workers: 2},
 		shared(func(l word.Lasso) (bool, error) {
 			left := false
 			for _, s := range l.Prefix {

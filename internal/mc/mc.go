@@ -1,3 +1,20 @@
+// Package mc is the statistical relative-liveness engine: parallel
+// random-walk sampling of a transition system, bottom-SCC lasso
+// detection with on-the-fly property evaluation, and
+// confidence-interval verdicts (Wilson and Clopper–Pearson). Run first
+// visits every state once, to compile the system into flat successor
+// arrays and index its nontrivial bottom SCCs with internal/graph's
+// Tarjan; each walk then ends as soon as its outcome is fixed. It
+// realizes the paper's Section 9 outlook —
+// relative liveness "informally says: almost all computations satisfy
+// the property" — as a sampling engine: under the uniform random
+// scheduler a run of a finite-state system almost surely falls into a
+// bottom SCC and sweeps it strongly fairly, so the frequency with which
+// sampled runs satisfy P estimates the probability that a random run
+// does, whose exact counterpart is "all strongly fair runs satisfy P"
+// (core.AllFairRunsSatisfy). Verdicts are confidence intervals, never
+// claimed exact; sampled counterexamples are genuine behaviors of the
+// system and therefore sound.
 package mc
 
 import (
@@ -13,6 +30,7 @@ import (
 	"relive/internal/alphabet"
 	"relive/internal/graph"
 	"relive/internal/interrupt"
+	"relive/internal/ts"
 	"relive/internal/word"
 )
 
@@ -63,7 +81,7 @@ func (c Config) Defaulted() Config {
 }
 
 // Counterexample is a sampled run violating the property: a genuine
-// behavior of the target (the walk actually happened in the graph), so
+// behavior of the system (the walk actually happened in it), so
 // a "fails" verdict is sound, not statistical.
 type Counterexample struct {
 	// Index is the sample that produced the lasso — the lowest-index
@@ -94,25 +112,31 @@ type Result struct {
 	StepsWalked int64
 }
 
-// Run samples cfg.Samples random walks of the graph t, detects
-// bottom-SCC lassos, evaluates each settled lasso, and returns counts,
-// the Clopper–Pearson interval, and the first violating sample. Before
-// sampling it visits every state of t once to index the bottom SCCs,
-// the only places a walk can settle. Run calls newEval once per worker,
-// before the workers start, and each worker evaluates its settled
-// lassos with the evaluator it got, so an evaluator may own scratch
-// that no other goroutine touches. Evaluators must be deterministic,
-// and must not retain the lasso they are handed: the lasso's slices are
-// reused by the next walk. Run's result is then a deterministic
-// function of (t, Seed, Samples, Steps, Confidence), independent of
-// Workers and scheduling. The context is polled cooperatively inside
-// every walk.
-func Run(ctx context.Context, t Target, cfg Config, newEval func() func(word.Lasso) (bool, error)) (*Result, error) {
+// Run samples cfg.Samples random walks of sys, detects bottom-SCC
+// lassos, evaluates each settled lasso, and returns counts, the
+// Clopper–Pearson interval, and the first violating sample. Walk a
+// *trimmed* system (core trims before sampling): every state then has
+// a successor, so no walk dies at a dead end, and trimming preserves
+// behaviors, so every sampled lasso is a behavior of the original
+// system. Before sampling Run visits every state once, to compile sys
+// and index its bottom SCCs, the only places a walk can settle. Run
+// calls newEval once per worker, before the workers start, and each
+// worker evaluates its settled lassos with the evaluator it got, so an
+// evaluator may own scratch that no other goroutine touches.
+// Evaluators must be deterministic, and must not retain the lasso they
+// are handed: the lasso's slices are reused by the next walk. Run's
+// result is then a deterministic function of (sys, Seed, Samples,
+// Steps, Confidence), independent of Workers and scheduling. The
+// context is polled cooperatively inside every walk.
+func Run(ctx context.Context, sys *ts.System, cfg Config, newEval func() func(word.Lasso) (bool, error)) (*Result, error) {
 	cfg = cfg.Defaulted()
-	if t.NumStates() == 0 {
-		return nil, fmt.Errorf("mc: target has no states")
+	if sys.NumStates() == 0 {
+		return nil, fmt.Errorf("mc: system has no states")
 	}
-	g := compile(t)
+	if sys.Initial() < 0 {
+		return nil, fmt.Errorf("mc: system has no initial state")
+	}
+	g := compile(sys)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -211,11 +235,11 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// walkGraph is a target compiled for walking: its transitions in CSR
-// form (the i-th transition of s has the dense id Off[s]+i, target
-// Dst[id] and action sym[id]) and the index of its nontrivial bottom
-// SCCs, the only places a walk can settle. Run builds it once; the
-// workers only read it.
+// walkGraph is a system compiled for walking: its transitions in CSR
+// form, in sys.Edges() order (the i-th transition of s has the dense id
+// Off[s]+i, target Dst[id] and action sym[id]), and the index of its
+// nontrivial bottom SCCs, the only places a walk can settle. Run builds
+// it once; the workers only read it.
 type walkGraph struct {
 	graph.CSR
 	sym    []alphabet.Symbol
@@ -224,18 +248,12 @@ type walkGraph struct {
 	comps  [][]int
 }
 
-// compile visits every state of t once, copying its transitions and
-// finding the nontrivial bottom SCCs reachable from its start.
-func compile(t Target) *walkGraph {
-	n := t.NumStates()
-	g := &walkGraph{CSR: graph.CSR{Off: make([]int32, n+1)}, start: t.Start(), bottom: make([]int32, n)}
-	for s := 0; s < n; s++ {
-		for i, d := 0, t.Degree(s); i < d; i++ {
-			to, sym := t.Edge(s, i)
-			g.Dst = append(g.Dst, int32(to))
-			g.sym = append(g.sym, sym)
-		}
-		g.Off[s+1] = int32(len(g.Dst))
+// compile copies sys's transitions into CSR form and finds the
+// nontrivial bottom SCCs reachable from its initial state.
+func compile(sys *ts.System) *walkGraph {
+	g := &walkGraph{start: int(sys.Initial()), bottom: make([]int32, sys.NumStates())}
+	g.CSR, g.sym = sys.CSR()
+	for s := range g.bottom {
 		g.bottom[s] = -1
 	}
 	for _, c := range graph.BottomSCCsCSR(g.CSR, []int{g.start}) {

@@ -41,15 +41,6 @@ func mustSystem(t *testing.T, text string) *ts.System {
 	return sys
 }
 
-func mustTarget(t *testing.T, sys *ts.System) *SystemTarget {
-	t.Helper()
-	tgt, err := NewSystemTarget(sys)
-	if err != nil {
-		t.Fatalf("NewSystemTarget: %v", err)
-	}
-	return tgt
-}
-
 // loopHas reports whether the lasso's loop contains the named action —
 // the □◇ check specialized to the ultimately-periodic words the sampler
 // produces.
@@ -71,67 +62,33 @@ func shared(eval func(word.Lasso) (bool, error)) func() func(word.Lasso) (bool, 
 	return func() func(word.Lasso) (bool, error) { return eval }
 }
 
-func TestSystemTargetMatchesEdges(t *testing.T) {
-	sys := mustSystem(t, brokenText)
-	tgt := mustTarget(t, sys)
-	if tgt.NumStates() != sys.NumStates() {
-		t.Fatalf("NumStates = %d, want %d", tgt.NumStates(), sys.NumStates())
-	}
-	if tgt.Start() != int(sys.Initial()) {
-		t.Fatalf("Start = %d, want %d", tgt.Start(), sys.Initial())
-	}
-	// Every system edge appears exactly once, grouped by source in
-	// sys.Edges() order.
-	type edge struct {
-		from, to int
-		sym      int
-	}
-	var fromTarget []edge
-	total := 0
-	for s := 0; s < tgt.NumStates(); s++ {
-		d := tgt.Degree(s)
-		total += d
-		for i := 0; i < d; i++ {
-			to, sym := tgt.Edge(s, i)
-			fromTarget = append(fromTarget, edge{from: s, to: to, sym: int(sym)})
+// TestRunRejectsSystemsWithoutStart: a system needs states and an
+// initial state to be walked.
+func TestRunRejectsSystemsWithoutStart(t *testing.T) {
+	ab := mustSystem(t, serverText).Alphabet()
+	noInitial := ts.New(ab)
+	noInitial.AddState("idle")
+	noStates := ts.New(ab)
+	noStates.SetInitial(0)
+	for name, sys := range map[string]*ts.System{"no initial state": noInitial, "no states": noStates} {
+		if _, err := Run(context.Background(), sys, Config{Seed: 1}, shared(loopHas(sys, "result"))); err == nil {
+			t.Errorf("%s: want an error", name)
 		}
-	}
-	edges := sys.Edges()
-	if total != len(edges) {
-		t.Fatalf("target has %d edges, system %d", total, len(edges))
-	}
-	want := map[edge]int{}
-	for _, e := range edges {
-		want[edge{from: int(e.From), to: int(e.To), sym: int(e.Sym)}]++
-	}
-	for _, e := range fromTarget {
-		if want[e] == 0 {
-			t.Fatalf("target edge %+v not in system", e)
-		}
-		want[e]--
-	}
-}
-
-func TestNewSystemTargetRejectsNoInitial(t *testing.T) {
-	sys := ts.New(mustSystem(t, serverText).Alphabet())
-	if _, err := NewSystemTarget(sys); err == nil {
-		t.Fatalf("want error for system without initial state")
 	}
 }
 
 // TestRunDeterministicAcrossWorkers is the engine's core contract: the
 // result — counts, interval, and chosen counterexample — is a function
-// of (target, Seed, Samples, Steps, Confidence) alone, bit-identical
+// of (system, Seed, Samples, Steps, Confidence) alone, bit-identical
 // for every worker count.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, text := range []string{serverText, brokenText} {
 		sys := mustSystem(t, text)
-		tgt := mustTarget(t, sys)
 		eval := loopHas(sys, "result")
 		var base *Result
 		for _, workers := range []int{1, 2, 3, 8} {
 			cfg := Config{Seed: 7, Samples: 120, Steps: 64, Confidence: 0.95, Workers: workers}
-			res, err := Run(context.Background(), tgt, cfg, shared(eval))
+			res, err := Run(context.Background(), sys, cfg, shared(eval))
 			if err != nil {
 				t.Fatalf("Run(workers=%d): %v", workers, err)
 			}
@@ -148,7 +105,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRunVerdictsOnPaperServers(t *testing.T) {
 	correct := mustSystem(t, serverText)
-	res, err := Run(context.Background(), mustTarget(t, correct),
+	res, err := Run(context.Background(), correct,
 		Config{Seed: 1, Samples: 200, Steps: 64}, shared(loopHas(correct, "result")))
 	if err != nil {
 		t.Fatalf("Run(correct): %v", err)
@@ -161,7 +118,7 @@ func TestRunVerdictsOnPaperServers(t *testing.T) {
 	}
 
 	broken := mustSystem(t, brokenText)
-	res, err = Run(context.Background(), mustTarget(t, broken),
+	res, err = Run(context.Background(), broken,
 		Config{Seed: 1, Samples: 200, Steps: 64}, shared(loopHas(broken, "result")))
 	if err != nil {
 		t.Fatalf("Run(broken): %v", err)
@@ -186,9 +143,8 @@ func TestRunVerdictsOnPaperServers(t *testing.T) {
 // sweep).
 func TestSampledLassosAreBehaviors(t *testing.T) {
 	sys := mustSystem(t, brokenText)
-	tgt := mustTarget(t, sys)
 	settled := 0
-	w := newWalker(compile(tgt), 64)
+	w := newWalker(compile(sys), 64)
 	for i := 0; i < 200; i++ {
 		rng := newSplitMix(99, i)
 		l, ok, err := w.walk(context.Background(), &rng)
@@ -209,11 +165,9 @@ func TestSampledLassosAreBehaviors(t *testing.T) {
 }
 
 func TestCoveringCycleSweepsEveryTransition(t *testing.T) {
-	sys := mustSystem(t, serverText)
-	tgt := mustTarget(t, sys)
+	g := compile(mustSystem(t, serverText))
 	// The whole system is one bottom SCC; sweep from every state.
-	n := tgt.NumStates()
-	g := compile(tgt)
+	n := g.NumVertices()
 	if len(g.comps) != 1 || len(g.comps[0]) != n {
 		t.Fatalf("bottom SCCs = %v, want one of all %d states", g.comps, n)
 	}
@@ -223,42 +177,34 @@ func TestCoveringCycleSweepsEveryTransition(t *testing.T) {
 		if !ok {
 			t.Fatalf("coveringCycle from %d failed", start)
 		}
-		// Replay the loop as edge choices: at each state pick the first
-		// untraversed outgoing edge with the emitted symbol; it must
-		// exist, visit every edge, and return to start.
+		// Replay the loop as transition choices: at each state take the
+		// transition with the emitted symbol (the system is
+		// deterministic); it must exist, and the replay must traverse
+		// every transition and return to start.
 		cur := start
-		traversed := map[int]bool{}
+		traversed := map[int32]bool{}
 		for _, sym := range loop {
-			found := false
-			d := tgt.Degree(cur)
-			for i := 0; i < d; i++ {
-				to, s := tgt.Edge(cur, i)
-				if s == sym && !found {
-					// Deterministic systems: symbol determines the edge.
-					traversed[int(g.Off[cur])+i] = true
-					cur = to
-					found = true
-				}
+			e := g.Off[cur]
+			for e < g.Off[cur+1] && g.sym[e] != sym {
+				e++
 			}
-			if !found {
+			if e == g.Off[cur+1] {
 				t.Fatalf("loop symbol %v not enabled at state %d", sym, cur)
 			}
+			traversed[e] = true
+			cur = int(g.Dst[e])
 		}
 		if cur != start {
 			t.Fatalf("covering cycle from %d ends at %d", start, cur)
 		}
-		total := 0
-		for s := 0; s < n; s++ {
-			total += tgt.Degree(s)
-		}
-		if len(traversed) != total {
-			t.Fatalf("cycle from %d traversed %d/%d transitions", start, len(traversed), total)
+		if len(traversed) != len(g.Dst) {
+			t.Fatalf("cycle from %d traversed %d/%d transitions", start, len(traversed), len(g.Dst))
 		}
 	}
 }
 
 // TestRunAllocationsIndependentOfSamples: a walk that does not settle
-// allocates nothing, so on a target where no walk settles (32-step
+// allocates nothing, so on a system where no walk settles (32-step
 // walks cannot visit a 64-state bottom SCC) Run allocates the same for
 // 100 samples as for 10,000.
 func TestRunAllocationsIndependentOfSamples(t *testing.T) {
@@ -268,10 +214,9 @@ func TestRunAllocationsIndependentOfSamples(t *testing.T) {
 		fmt.Fprintf(&b, "s%d a s%d\ns%d b s%d\n", i, (i+1)%64, i, (3*i+1)%64)
 	}
 	sys := mustSystem(t, b.String())
-	tgt := mustTarget(t, sys)
 	allocs := func(samples int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			res, err := Run(context.Background(), tgt, Config{Seed: 1, Samples: samples, Steps: 32, Workers: 2}, shared(loopHas(sys, "a")))
+			res, err := Run(context.Background(), sys, Config{Seed: 1, Samples: samples, Steps: 32, Workers: 2}, shared(loopHas(sys, "a")))
 			if err != nil || res.Settled != 0 {
 				t.Fatalf("Run: %+v, %v; want no settled walk", res, err)
 			}
@@ -284,10 +229,9 @@ func TestRunAllocationsIndependentOfSamples(t *testing.T) {
 
 func TestRunContextCancellation(t *testing.T) {
 	sys := mustSystem(t, serverText)
-	tgt := mustTarget(t, sys)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, tgt, Config{Seed: 1, Samples: 50000, Steps: 4096}, shared(loopHas(sys, "result")))
+	_, err := Run(ctx, sys, Config{Seed: 1, Samples: 50000, Steps: 4096}, shared(loopHas(sys, "result")))
 	if err == nil || !isCtxErr(err) {
 		t.Fatalf("want context error, got %v", err)
 	}
@@ -298,11 +242,10 @@ func TestRunContextCancellation(t *testing.T) {
 // workers with context errors.
 func TestRunEvalErrorOutranksCancellation(t *testing.T) {
 	sys := mustSystem(t, serverText)
-	tgt := mustTarget(t, sys)
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 2, 3, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := Run(ctx, tgt, Config{Seed: 3, Samples: 5000, Steps: 64, Workers: workers},
+		_, err := Run(ctx, sys, Config{Seed: 3, Samples: 5000, Steps: 64, Workers: workers},
 			shared(func(word.Lasso) (bool, error) {
 				cancel()
 				return false, boom

@@ -117,7 +117,9 @@ type Edge struct {
 	To   State
 }
 
-// Edges returns all transitions in deterministic order.
+// Edges returns all transitions in deterministic order: grouped by
+// source in state order, then by action symbol, each action's targets
+// in insertion order.
 func (s *System) Edges() []Edge {
 	var out []Edge
 	for from := range s.trans {
@@ -133,6 +135,24 @@ func (s *System) Edges() []Edge {
 		}
 	}
 	return out
+}
+
+// CSR returns the transitions in compressed-sparse-row form, in Edges
+// order: the i-th transition of state v is the edge with dense id
+// g.Off[v]+i, leading to g.Dst[id] under syms[id].
+func (s *System) CSR() (g graph.CSR, syms []alphabet.Symbol) {
+	edges := s.Edges()
+	g = graph.CSR{Off: make([]int32, s.NumStates()+1), Dst: make([]int32, len(edges))}
+	syms = make([]alphabet.Symbol, len(edges))
+	for i, e := range edges {
+		g.Off[e.From+1]++
+		g.Dst[i] = int32(e.To)
+		syms[i] = e.Sym
+	}
+	for v := 1; v < len(g.Off); v++ {
+		g.Off[v] += g.Off[v-1]
+	}
+	return g, syms
 }
 
 // Clone returns a deep copy sharing the alphabet.

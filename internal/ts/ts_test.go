@@ -1,6 +1,7 @@
 package ts
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,6 +39,28 @@ func TestBasics(t *testing.T) {
 	// Duplicate AddState returns the same state.
 	if st := s.AddState("s0"); st != s0 {
 		t.Error("AddState not idempotent on names")
+	}
+}
+
+// TestCSRFollowsEdges: the CSR form lists each state's transitions in
+// Edges order, states without transitions included.
+func TestCSRFollowsEdges(t *testing.T) {
+	s, err := ParseString("init x\nx b x\nx a y\ny a dead\nx a z\nz c x\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, syms := s.CSR()
+	if g.NumVertices() != s.NumStates() {
+		t.Fatalf("CSR has %d vertices, want %d", g.NumVertices(), s.NumStates())
+	}
+	var got []Edge
+	for v := 0; v < g.NumVertices(); v++ {
+		for id := g.Off[v]; id < g.Off[v+1]; id++ {
+			got = append(got, Edge{From: State(v), Sym: syms[id], To: State(g.Dst[id])})
+		}
+	}
+	if want := s.Edges(); !slices.Equal(got, want) {
+		t.Fatalf("CSR edges = %v, want %v", got, want)
 	}
 }
 

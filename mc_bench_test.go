@@ -149,14 +149,10 @@ func BenchmarkMCRunRandomGraphs(b *testing.B) {
 			trimmed = tr
 		}
 	}
-	tgt, err := mc.NewSystemTarget(trimmed)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.Run(nil, tgt, mc.Config{Seed: 1, Samples: 200, Steps: 128, Confidence: 0.99, Workers: 1},
+		if _, err := mc.Run(nil, trimmed, mc.Config{Seed: 1, Samples: 200, Steps: 128, Confidence: 0.99, Workers: 1},
 			func() func(relive.Lasso) (bool, error) {
 				return func(l relive.Lasso) (bool, error) { return len(l.Loop) > 0, nil }
 			}); err != nil {

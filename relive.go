@@ -281,13 +281,6 @@ func NewFairScheduler(sys *System) (*fairness.Scheduler, error) {
 	return fairness.NewScheduler(sys)
 }
 
-// NewRandomWalker returns a uniform random scheduler for sampling sys —
-// the estimator behind the probability-1 reading of relative liveness
-// (paper Section 9).
-func NewRandomWalker(sys *System, seed int64) (*fairness.RandomWalker, error) {
-	return fairness.NewRandomWalker(sys, seed)
-}
-
 // Report bundles the satisfaction, relative-liveness and
 // relative-safety verdicts; it marshals to JSON.
 type Report = core.Report

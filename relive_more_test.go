@@ -104,20 +104,6 @@ func TestSimplifyAndEquivalent(t *testing.T) {
 	}
 }
 
-func TestRandomWalkerFacade(t *testing.T) {
-	sys, err := relive.ParseSystemString(serverText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := relive.NewRandomWalker(sys, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(w.Walk(25)); got != 25 {
-		t.Errorf("walk length %d", got)
-	}
-}
-
 func TestOmegaLanguageFacade(t *testing.T) {
 	ab := relive.NewAlphabet("a", "b")
 	lomega, err := relive.ParseOmegaRegex(ab, "( a | b ) * ( a ) ^w") // eventually only a
