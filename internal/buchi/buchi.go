@@ -225,10 +225,10 @@ func (b *Buchi) Reduce() *Buchi {
 	g := b.compiled().graph()
 	// States on an accepting cycle: in a nontrivial SCC containing an
 	// accepting state.
-	comps := graph.SCCsCSR(g)
+	comps := graph.SCCs(g)
 	onAcceptingCycle := make([]bool, n)
 	for _, c := range comps {
-		if graph.IsTrivialSCCCSR(c, g) {
+		if graph.IsTrivialSCC(c, g) {
 			continue
 		}
 		hasAcc := false
@@ -244,8 +244,8 @@ func (b *Buchi) Reduce() *Buchi {
 			}
 		}
 	}
-	live := graph.CoReachableCSR(g, onAcceptingCycle)
-	reach := graph.ReachableCSR(g, b.initialInts())
+	live := graph.CoReachable(g, onAcceptingCycle)
+	reach := graph.Reachable(g, b.initialInts())
 
 	keep := make([]State, n)
 	for i := range keep {
@@ -290,14 +290,14 @@ func (b *Buchi) IsEmpty() bool {
 func (b *Buchi) AcceptingLasso() (word.Lasso, bool) {
 	n := b.NumStates()
 	g := b.compiled().graph()
-	reach := graph.ReachableCSR(g, b.initialInts())
-	comps := graph.SCCsCSR(g)
+	reach := graph.Reachable(g, b.initialInts())
+	comps := graph.SCCs(g)
 	compOf := graph.ComponentOf(n, comps)
 
 	// Find a reachable accepting state inside a nontrivial SCC.
 	target := -1
 	for _, c := range comps {
-		if graph.IsTrivialSCCCSR(c, g) {
+		if graph.IsTrivialSCC(c, g) {
 			continue
 		}
 		for _, v := range c {
@@ -644,7 +644,7 @@ func limitOfPrefixClosedUnchecked(a *nfa.NFA) *Buchi {
 	for i, s := range e.Initial() {
 		inits[i] = int(s)
 	}
-	alive := graph.ReachableCSR(g, inits)
+	alive := graph.Reachable(g, inits)
 
 	// Co-reachability to an accepting state, by a worklist on the
 	// reverse graph. (Every state is a target in the all-accepting

@@ -9,14 +9,19 @@ import (
 	"relive/internal/word"
 )
 
-// This file implements on-the-fly emptiness of the intersection
-// L_ω(a) ∩ L_ω(c): the two-track product is explored lazily while an
+// This file implements the lazy product search behind on-the-fly
+// emptiness of the intersection L_ω(a) ∩ L_ω(c) and behind the lazy
+// rank route of Büchi inclusion (rankinclusion.go): the two-track
+// product of a with a right operand is explored lazily while an
 // iterative Tarjan SCC search runs on top of it, stopping at the first
 // nontrivial strongly connected component that contains an accepting
-// product state. Call sites that previously materialized
-// Intersect(a, c) solely to ask IsEmpty (the decision procedures'
-// dominant pattern) avoid building — and then reducing — product states
-// the search never visits, and stop early on non-empty products.
+// product state. The right operand is either a compiled Büchi automaton
+// c or the lazy rank-based complement of c; only the successors and
+// acceptance of its states differ. Call sites that previously
+// materialized Intersect(a, c) solely to ask IsEmpty (the decision
+// procedures' dominant pattern) avoid building — and then reducing —
+// product states the search never visits, and stop early on non-empty
+// products.
 //
 // Witness extraction reuses the exploration: when the accepting SCC
 // pops, all of its members are fully expanded, so the lasso prefix is
@@ -25,7 +30,7 @@ import (
 
 // pkey identifies a product state: a pair of operand states plus the
 // track bit of the standard two-track Büchi intersection. In "plain"
-// mode (either operand all-accepting) the track stays 0.
+// mode the track stays 0.
 type pkey struct {
 	x, y  int32
 	track uint8
@@ -37,15 +42,37 @@ type pedge struct {
 	sym alphabet.Symbol
 }
 
-// explorer is the lazy product automaton: states are interned on first
-// visit and their outgoing edges computed once from the operands'
-// compiled (CSR) forms.
+// rightOperand is the right-hand side of the lazy product.
+type rightOperand interface {
+	// successors returns the successors of y on sym. A lazily built
+	// operand fails when it outgrows its state budget.
+	successors(y int32, sym alphabet.Symbol) ([]int32, error)
+	accepting(y int32) bool
+}
+
+// buchiOperand is a Büchi automaton as the right operand, read from its
+// compiled (CSR) form.
+type buchiOperand struct {
+	c   *compiled
+	acc []bool
+}
+
+func (r buchiOperand) successors(y int32, sym alphabet.Symbol) ([]int32, error) {
+	return r.c.row(State(y), sym), nil
+}
+
+func (r buchiOperand) accepting(y int32) bool { return r.acc[y] }
+
+// explorer is the lazy product automaton of a and a right operand:
+// states are interned on first visit and their outgoing edges computed
+// once.
 type explorer struct {
-	a, c         *Buchi
-	ainit, cinit []State
-	ca, cc       *compiled
-	syms         int
-	plain        bool // acceptance = both accepting; no track flipping
+	a     *Buchi
+	ca    *compiled
+	right rightOperand
+	roots []pkey
+	syms  int
+	plain bool // acceptance = both accepting; no track flipping
 
 	index  map[pkey]int32
 	states []pkey
@@ -55,13 +82,17 @@ type explorer struct {
 	psym   []alphabet.Symbol
 }
 
-func newExplorer(a, c *Buchi, ainit, cinit []State) *explorer {
+// newExplorer returns the product of a with right, searched from the
+// given root pairs. plain selects the one-track product, whose states
+// accept when both components do.
+func newExplorer(a *Buchi, right rightOperand, roots []pkey, plain bool) *explorer {
 	return &explorer{
-		a: a, c: c,
-		ainit: ainit, cinit: cinit,
-		ca: a.compiled(), cc: c.compiled(),
+		a:     a,
+		ca:    a.compiled(),
+		right: right,
+		roots: roots,
 		syms:  a.ab.Size(),
-		plain: a.allAccepting() || c.allAccepting(),
+		plain: plain,
 		index: make(map[pkey]int32),
 	}
 }
@@ -74,9 +105,9 @@ func (e *explorer) intern(k pkey) int32 {
 	e.index[k] = id
 	e.states = append(e.states, k)
 	if e.plain {
-		e.acc = append(e.acc, e.a.accepting[k.x] && e.c.accepting[k.y])
+		e.acc = append(e.acc, e.a.accepting[k.x] && e.right.accepting(k.y))
 	} else {
-		e.acc = append(e.acc, k.track == 1 && e.c.accepting[k.y])
+		e.acc = append(e.acc, k.track == 1 && e.right.accepting(k.y))
 	}
 	e.edges = append(e.edges, nil)
 	e.parent = append(e.parent, -1)
@@ -85,16 +116,16 @@ func (e *explorer) intern(k pkey) int32 {
 }
 
 // expand computes (once) the outgoing edges of product state id.
-func (e *explorer) expand(id int32) []pedge {
+func (e *explorer) expand(id int32) ([]pedge, error) {
 	if e.edges[id] != nil {
-		return e.edges[id]
+		return e.edges[id], nil
 	}
 	k := e.states[id]
 	track := k.track
 	if !e.plain {
 		if track == 0 && e.a.accepting[k.x] {
 			track = 1
-		} else if track == 1 && e.c.accepting[k.y] {
+		} else if track == 1 && e.right.accepting(k.y) {
 			track = 0
 		}
 	}
@@ -104,7 +135,10 @@ func (e *explorer) expand(id int32) []pedge {
 		if len(xs) == 0 {
 			continue
 		}
-		ys := e.cc.row(State(k.y), alphabet.Symbol(sym))
+		ys, err := e.right.successors(k.y, alphabet.Symbol(sym))
+		if err != nil {
+			return nil, err
+		}
 		for _, x := range xs {
 			for _, y := range ys {
 				to := e.intern(pkey{x, y, track})
@@ -113,15 +147,15 @@ func (e *explorer) expand(id int32) []pedge {
 		}
 	}
 	e.edges[id] = out
-	return out
+	return out, nil
 }
 
 // search runs Tarjan over the lazily expanded product, returning the
 // members of the first nontrivial SCC containing an accepting state, or
-// nil when the intersection is empty. Exploration stops as soon as the
-// component is found, or — with a non-nil ctx — as soon as the context
-// is cancelled, which is the cooperative cancellation checkpoint of the
-// emptiness loop.
+// nil when the product has none. Exploration stops as soon as the
+// component is found, when the right operand fails, or — with a non-nil
+// ctx — as soon as the context is cancelled, which is the cooperative
+// cancellation checkpoint of the search loop.
 func (e *explorer) search(ctx context.Context) ([]int32, error) {
 	const unvisited = -1
 	var (
@@ -144,11 +178,9 @@ func (e *explorer) search(ctx context.Context) ([]int32, error) {
 		v    int32
 		next int32 // -1: not yet numbered
 	}
-	var roots []int32
-	for _, x := range e.ainit {
-		for _, y := range e.cinit {
-			roots = append(roots, e.intern(pkey{int32(x), int32(y), 0}))
-		}
+	roots := make([]int32, len(e.roots))
+	for i, k := range e.roots {
+		roots[i] = e.intern(k)
 	}
 	for _, root := range roots {
 		ensure(root)
@@ -170,7 +202,10 @@ func (e *explorer) search(ctx context.Context) ([]int32, error) {
 				onStack[f.v] = true
 				f.next = 0
 			}
-			succ := e.expand(f.v)
+			succ, err := e.expand(f.v)
+			if err != nil {
+				return nil, err
+			}
 			advanced := false
 			for int(f.next) < len(succ) {
 				edge := succ[f.next]
@@ -202,7 +237,7 @@ func (e *explorer) search(ctx context.Context) ([]int32, error) {
 						break
 					}
 				}
-				if acceptingComponent(e.edges, e.acc, comp) {
+				if e.acceptingComponent(comp) {
 					return comp, nil
 				}
 			}
@@ -220,12 +255,11 @@ func (e *explorer) search(ctx context.Context) ([]int32, error) {
 }
 
 // acceptingComponent reports whether comp is nontrivial (carries a
-// cycle) and contains an accepting product state. Shared with the lazy
-// rank-based product of rankinclusion.go.
-func acceptingComponent(edges [][]pedge, acc []bool, comp []int32) bool {
+// cycle) and contains an accepting product state.
+func (e *explorer) acceptingComponent(comp []int32) bool {
 	hasAcc := false
 	for _, v := range comp {
-		if acc[v] {
+		if e.acc[v] {
 			hasAcc = true
 			break
 		}
@@ -237,7 +271,7 @@ func acceptingComponent(edges [][]pedge, acc []bool, comp []int32) bool {
 		return true
 	}
 	v := comp[0]
-	for _, edge := range edges[v] {
+	for _, edge := range e.edges[v] {
 		if edge.to == v {
 			return true
 		}
@@ -245,26 +279,25 @@ func acceptingComponent(edges [][]pedge, acc []bool, comp []int32) bool {
 	return false
 }
 
-// lassoWitness builds an accepting lasso from a found component: the
-// DFS parent chain of an accepting member is the prefix, a BFS inside
-// the (fully expanded, strongly connected) component yields the cycle.
-// Shared with the lazy rank-based product of rankinclusion.go.
-func lassoWitness(edges [][]pedge, acc []bool, parent []int32, psym []alphabet.Symbol, comp []int32) word.Lasso {
+// lasso builds an accepting lasso from a found component: the DFS
+// parent chain of an accepting member is the prefix, a BFS inside the
+// (fully expanded, strongly connected) component yields the cycle.
+func (e *explorer) lasso(comp []int32) word.Lasso {
 	target := comp[0]
 	for _, v := range comp {
-		if acc[v] {
+		if e.acc[v] {
 			target = v
 			break
 		}
 	}
 	var prefix word.Word
-	for v := target; parent[v] != -1; v = parent[v] {
-		prefix = append(prefix, psym[v])
+	for v := target; e.parent[v] != -1; v = e.parent[v] {
+		prefix = append(prefix, e.psym[v])
 	}
 	for l, r := 0, len(prefix)-1; l < r; l, r = l+1, r-1 {
 		prefix[l], prefix[r] = prefix[r], prefix[l]
 	}
-	return word.MustLasso(prefix, sccCycleWord(edges, target, comp))
+	return word.MustLasso(prefix, sccCycleWord(e.edges, target, comp))
 }
 
 // sccCycleWord returns the label word of a shortest nonempty cycle
@@ -331,7 +364,13 @@ func intersectLasso(ctx context.Context, a, c *Buchi, ainit, cinit []State) (wor
 	if len(ainit) == 0 || len(cinit) == 0 || a.NumStates() == 0 || c.NumStates() == 0 {
 		return word.Lasso{}, 0, false, nil
 	}
-	e := newExplorer(a, c, ainit, cinit)
+	roots := make([]pkey, 0, len(ainit)*len(cinit))
+	for _, x := range ainit {
+		for _, y := range cinit {
+			roots = append(roots, pkey{x: int32(x), y: int32(y)})
+		}
+	}
+	e := newExplorer(a, buchiOperand{c: c.compiled(), acc: c.accepting}, roots, a.allAccepting() || c.allAccepting())
 	comp, err := e.search(ctx)
 	if err != nil {
 		return word.Lasso{}, len(e.states), false, err
@@ -339,7 +378,7 @@ func intersectLasso(ctx context.Context, a, c *Buchi, ainit, cinit []State) (wor
 	if comp == nil {
 		return word.Lasso{}, len(e.states), false, nil
 	}
-	return lassoWitness(e.edges, e.acc, e.parent, e.psym, comp), len(e.states), true, nil
+	return e.lasso(comp), len(e.states), true, nil
 }
 
 // IntersectLasso returns an ultimately periodic word accepted by both a

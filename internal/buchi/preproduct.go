@@ -117,8 +117,8 @@ func PreProductNFACtx(ctx context.Context, a, c *Buchi) (*nfa.NFA, int, error) {
 	}
 	g := graph.CSR{Off: off, Dst: dst}
 	onAcceptingCycle := make([]bool, n)
-	for _, comp := range graph.SCCsCSR(g) {
-		if graph.IsTrivialSCCCSR(comp, g) {
+	for _, comp := range graph.SCCs(g) {
+		if graph.IsTrivialSCC(comp, g) {
 			continue
 		}
 		hasAcc := false
@@ -134,7 +134,7 @@ func PreProductNFACtx(ctx context.Context, a, c *Buchi) (*nfa.NFA, int, error) {
 			}
 		}
 	}
-	live := graph.CoReachableCSR(g, onAcceptingCycle)
+	live := graph.CoReachable(g, onAcceptingCycle)
 
 	// Emit survivors in ascending product order (Reduce's numbering),
 	// every state accepting (MarkAllAccepting): the finite-path language

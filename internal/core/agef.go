@@ -55,8 +55,8 @@ func ForAllGloballyExistsEventually(sys *ts.System, actions ...string) (AGEFResu
 			canDo[v] = canDo[v] || targets[syms[id]]
 		}
 	}
-	reach := graph.ReachableCSR(g, []int{int(trimmed.Initial())})
-	canReach := graph.CoReachableCSR(g, canDo)
+	reach := graph.Reachable(g, []int{int(trimmed.Initial())})
+	canReach := graph.CoReachable(g, canDo)
 	for v := 0; v < n; v++ {
 		if reach[v] && !canReach[v] {
 			return AGEFResult{Holds: false, BadState: trimmed.StateName(ts.State(v))}, nil

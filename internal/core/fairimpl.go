@@ -196,7 +196,7 @@ func AllStronglyFairRunsSatisfy(sys *ts.System, p Property) (bool, *fairness.Run
 func (fi *FairImplementation) BottomSCCsContainMarks() bool {
 	sys := fi.System
 	g, _ := sys.CSR()
-	for _, comp := range graph.BottomSCCsCSR(g, []int{int(sys.Initial())}) {
+	for _, comp := range graph.BottomSCCs(g, []int{int(sys.Initial())}) {
 		hasMark := false
 		for _, v := range comp {
 			if fi.Marked[ts.State(v)] {

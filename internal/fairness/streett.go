@@ -67,19 +67,18 @@ func ExistsFairRunCtx(ctx context.Context, sys *ts.System, prop *buchi.Buchi, ki
 		}
 		return Run{}, false, nil // no infinite behavior: no infinite run at all
 	}
-	g, err := buildProduct(ctx, trimmed, prop)
-	if err != nil || len(g.verts) == 0 {
+	p, err := buildProduct(ctx, trimmed, prop)
+	if err != nil || len(p.verts) == 0 {
 		return Run{}, false, err
 	}
-	n := len(g.verts)
-	reach := graph.Reachable(n, g.initVerts, g.succ)
-	comp, ok := findFairSCCWithin(n, g.succ, reach, func(comp []int) (bool, []int) {
-		return g.analyzeSCC(comp, kind)
+	reach := graph.Reachable(p.g, p.initVerts)
+	comp, ok := findFairSCCWithin(p.g, reach, func(comp []int) (bool, []int) {
+		return p.analyzeSCC(comp, kind)
 	})
 	if !ok {
 		return Run{}, false, nil
 	}
-	return mapRunByName(g.stitchRun(comp), trimmed, sys), true, nil
+	return mapRunByName(p.stitchRun(comp), trimmed, sys), true, nil
 }
 
 // mapRunByName rewrites a run over the trimmed system into the original
@@ -104,11 +103,10 @@ func mapRunByName(r Run, trimmed, orig *ts.System) Run {
 // product is the exploration graph of (system edge, property state)
 // vertices.
 type product struct {
-	sys       *ts.System
 	prop      *buchi.Buchi
 	edges     []ts.Edge
 	verts     []prodVertex
-	adj       [][]int
+	g         graph.CSR // vertex i's successors, in expansion order
 	initVerts []int
 }
 
@@ -118,73 +116,68 @@ type prodVertex struct {
 }
 
 func buildProduct(ctx context.Context, sys *ts.System, prop *buchi.Buchi) (*product, error) {
-	g := &product{sys: sys, prop: prop, edges: sys.Edges()}
-	if len(g.edges) == 0 {
-		return g, nil
+	p := &product{prop: prop, edges: sys.Edges(), g: graph.CSR{Off: []int32{0}}}
+	if len(p.edges) == 0 {
+		return p, nil
 	}
-	var tick interrupt.Tick
-	index := map[prodVertex]int{}
-	intern := func(k prodVertex) int {
+	// Edges is grouped by source: state s's outgoing edges are
+	// p.edges[out[s]:out[s+1]].
+	out := make([]int32, sys.NumStates()+1)
+	for _, e := range p.edges {
+		out[e.From+1]++
+	}
+	for s := 1; s < len(out); s++ {
+		out[s] += out[s-1]
+	}
+	index := map[prodVertex]int32{}
+	intern := func(k prodVertex) int32 {
 		if i, ok := index[k]; ok {
 			return i
 		}
-		i := len(g.verts)
-		g.verts = append(g.verts, k)
-		g.adj = append(g.adj, nil)
+		i := int32(len(p.verts))
+		p.verts = append(p.verts, k)
 		index[k] = i
 		return i
 	}
-	succsByState := map[ts.State][]int{}
-	for ei, e := range g.edges {
-		succsByState[e.From] = append(succsByState[e.From], ei)
-	}
-	var queue []int
-	seen := map[prodVertex]bool{}
-	push := func(k prodVertex) int {
-		i := intern(k)
-		if !seen[k] {
-			seen[k] = true
-			queue = append(queue, i)
-		}
-		return i
-	}
-	for _, ei := range succsByState[sys.Initial()] {
+	init := sys.Initial()
+	for ei := out[init]; ei < out[init+1]; ei++ {
 		for _, b0 := range prop.Initial() {
-			for _, b1 := range prop.Succ(b0, g.edges[ei].Sym) {
-				g.initVerts = append(g.initVerts, push(prodVertex{ei, b1}))
+			for _, b1 := range prop.Succ(b0, p.edges[ei].Sym) {
+				p.initVerts = append(p.initVerts, int(intern(prodVertex{int(ei), b1})))
 			}
 		}
 	}
-	for qi := 0; qi < len(queue); qi++ {
+	// The BFS expands vertices in interning order, so vertex vi's row
+	// is the next one appended to the CSR.
+	var tick interrupt.Tick
+	for vi := 0; vi < len(p.verts); vi++ {
 		if err := tick.Poll(ctx); err != nil {
 			return nil, fmt.Errorf("fairness: %w", err)
 		}
-		vi := queue[qi]
-		k := g.verts[vi]
-		for _, ei := range succsByState[g.edges[k.e].To] {
-			for _, b1 := range prop.Succ(k.b, g.edges[ei].Sym) {
-				g.adj[vi] = append(g.adj[vi], push(prodVertex{ei, b1}))
+		s := p.edges[p.verts[vi].e].To
+		for ei := out[s]; ei < out[s+1]; ei++ {
+			for _, b1 := range prop.Succ(p.verts[vi].b, p.edges[ei].Sym) {
+				p.g.Dst = append(p.g.Dst, intern(prodVertex{int(ei), b1}))
 			}
 		}
+		p.g.Off = append(p.g.Off, int32(len(p.g.Dst)))
 	}
-	return g, nil
+	return p, nil
 }
-
-func (g *product) succ(v int) []int { return g.adj[v] }
 
 // analyzeSCC decides whether the component supports a fair accepted
 // run. For a repairable strong-fairness violation it returns the
 // E-vertices to remove before re-decomposing; otherwise nil.
-func (g *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
+func (p *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
 	hasAccepting := false
 	statesVisited := map[ts.State]bool{}
 	edgesTaken := map[int]bool{}
 	for _, v := range comp {
-		k := g.verts[v]
-		if g.prop.Accepting(k.b) {
+		k := p.verts[v]
+		if p.prop.Accepting(k.b) {
 			hasAccepting = true
 		}
-		statesVisited[g.edges[k.e].To] = true
+		statesVisited[p.edges[k.e].To] = true
 		edgesTaken[k.e] = true
 	}
 	if !hasAccepting {
@@ -193,11 +186,11 @@ func (g *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
 	switch kind {
 	case Strong:
 		var removeE []int
-		for ti, t := range g.edges {
+		for ti, t := range p.edges {
 			if statesVisited[t.From] && !edgesTaken[ti] {
 				// Streett pair for t violated: E_t ∩ C ≠ ∅, F_t ∩ C = ∅.
 				for _, v := range comp {
-					if g.edges[g.verts[v].e].To == t.From {
+					if p.edges[p.verts[v].e].To == t.From {
 						removeE = append(removeE, v)
 					}
 				}
@@ -215,7 +208,7 @@ func (g *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
 		for s := range statesVisited {
 			only = s
 		}
-		for ti, t := range g.edges {
+		for ti, t := range p.edges {
 			if t.From == only && !edgesTaken[ti] {
 				return false, nil // continuously enabled yet never taken
 			}
@@ -225,27 +218,12 @@ func (g *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
 	return false, nil
 }
 
-// findFairSCCWithin searches the subgraph induced by within for an SCC
-// accepted by analyze, recursing on shrunken components as directed.
-func findFairSCCWithin(n int, succ graph.Succ, within []bool, analyze func([]int) (bool, []int)) ([]int, bool) {
-	restricted := func(v int) []int {
-		if !within[v] {
-			return nil
-		}
-		var out []int
-		for _, w := range succ(v) {
-			if within[w] {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	comps := graph.SCCs(n, restricted)
-	for _, comp := range comps {
-		if !within[comp[0]] {
-			continue
-		}
-		if graph.IsTrivialSCC(comp, restricted) {
+// findFairSCCWithin searches the subgraph of g induced by within for an
+// SCC accepted by analyze, recursing on shrunken components as directed.
+func findFairSCCWithin(g graph.CSR, within []bool, analyze func([]int) (bool, []int)) ([]int, bool) {
+	restricted := g.Restrict(within)
+	for _, comp := range graph.SCCs(restricted) {
+		if !within[comp[0]] || graph.IsTrivialSCC(comp, restricted) {
 			continue
 		}
 		ok, removeE := analyze(comp)
@@ -255,14 +233,14 @@ func findFairSCCWithin(n int, succ graph.Succ, within []bool, analyze func([]int
 		if len(removeE) == 0 {
 			continue
 		}
-		sub := make([]bool, n)
+		sub := make([]bool, g.NumVertices())
 		for _, v := range comp {
 			sub[v] = true
 		}
 		for _, v := range removeE {
 			sub[v] = false
 		}
-		if res, found := findFairSCCWithin(n, succ, sub, analyze); found {
+		if res, found := findFairSCCWithin(g, sub, analyze); found {
 			return res, true
 		}
 	}
@@ -272,23 +250,14 @@ func findFairSCCWithin(n int, succ graph.Succ, within []bool, analyze func([]int
 // stitchRun builds a fair lasso: a prefix from an initial vertex to the
 // component, then a loop visiting every component vertex (covering all
 // edge obligations and an accepting vertex) and closing.
-func (g *product) stitchRun(comp []int) Run {
-	inComp := map[int]bool{}
+func (p *product) stitchRun(comp []int) Run {
+	inComp := make([]bool, len(p.verts))
 	for _, v := range comp {
 		inComp[v] = true
 	}
-	n := len(g.verts)
-	succC := func(v int) []int {
-		var out []int
-		for _, w := range g.adj[v] {
-			if inComp[w] {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
+	inside := p.g.Restrict(inComp)
 	entry := comp[0]
-	prefixPath := graph.ShortestPath(n, g.initVerts, g.succ, func(v int) bool { return v == entry })
+	prefixPath := graph.ShortestPath(p.g, p.initVerts, func(v int) bool { return v == entry })
 	var loop []int
 	cur := entry
 	remaining := map[int]bool{}
@@ -298,17 +267,17 @@ func (g *product) stitchRun(comp []int) Run {
 		}
 	}
 	for len(remaining) > 0 {
-		p := graph.ShortestPath(n, []int{cur}, succC, func(v int) bool { return remaining[v] })
-		if len(p) < 2 {
+		path := graph.ShortestPath(inside, []int{cur}, func(v int) bool { return remaining[v] })
+		if len(path) < 2 {
 			break // unreachable inside an SCC: cannot happen
 		}
-		for _, v := range p[1:] {
+		for _, v := range path[1:] {
 			loop = append(loop, v)
 			delete(remaining, v)
 		}
-		cur = p[len(p)-1]
+		cur = path[len(path)-1]
 	}
-	back := graph.ShortestPath(n, []int{cur}, succC, func(v int) bool { return v == entry })
+	back := graph.ShortestPath(inside, []int{cur}, func(v int) bool { return v == entry })
 	if len(back) > 1 {
 		loop = append(loop, back[1:]...)
 	} else if len(loop) == 0 {
@@ -317,7 +286,7 @@ func (g *product) stitchRun(comp []int) Run {
 	toEdges := func(vs []int) []ts.Edge {
 		out := make([]ts.Edge, len(vs))
 		for i, v := range vs {
-			out[i] = g.edges[g.verts[v].e]
+			out[i] = p.edges[p.verts[v].e]
 		}
 		return out
 	}

@@ -11,15 +11,6 @@ import (
 // traversal runs well past that.
 const ctxLineLen = 5000
 
-func lineSucc(n int) Succ {
-	return func(v int) []int {
-		if v+1 < n {
-			return []int{v + 1}
-		}
-		return nil
-	}
-}
-
 func lineCSR(n int) CSR {
 	off := make([]int32, n+1)
 	var dst []int32
@@ -34,46 +25,25 @@ func lineCSR(n int) CSR {
 }
 
 func TestReachableCtxCancelled(t *testing.T) {
+	g := lineCSR(ctxLineLen)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	seen, err := ReachableCtx(ctx, ctxLineLen, []int{0}, lineSucc(ctxLineLen))
+	seen, err := ReachableCtx(ctx, g, []int{0})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if seen != nil {
 		t.Fatal("cancelled traversal returned a partial result")
 	}
-}
-
-func TestReachableCtxNilAndLive(t *testing.T) {
-	want := Reachable(ctxLineLen, []int{0}, lineSucc(ctxLineLen))
 	for _, ctx := range []context.Context{nil, context.Background()} {
-		seen, err := ReachableCtx(ctx, ctxLineLen, []int{0}, lineSucc(ctxLineLen))
+		seen, err := ReachableCtx(ctx, g, []int{0})
 		if err != nil {
 			t.Fatalf("ctx=%v: %v", ctx, err)
 		}
-		for v := range want {
-			if seen[v] != want[v] {
-				t.Fatalf("ctx=%v: seen[%d] = %v, want %v", ctx, v, seen[v], want[v])
+		for v, s := range seen {
+			if !s {
+				t.Fatalf("ctx=%v: state %d unreachable in line graph", ctx, v)
 			}
-		}
-	}
-}
-
-func TestReachableCSRCtxCancelled(t *testing.T) {
-	g := lineCSR(ctxLineLen)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ReachableCSRCtx(ctx, g, []int{0}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	seen, err := ReachableCSRCtx(nil, g, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, s := range seen {
-		if !s {
-			t.Fatalf("state %d unreachable in line graph", v)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package ltl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -141,9 +142,16 @@ func (f *Formula) writeKey(b *strings.Builder) {
 	case OpFalse:
 		b.WriteString("f")
 	case OpAtom:
-		fmt.Fprintf(b, "a%d:%s", len(f.Name), f.Name)
+		// strconv rather than fmt: fmt takes its printer from a
+		// sync.Pool, which the race detector drops at random, so a key's
+		// allocation count would vary from run to run.
+		b.WriteString("a")
+		b.WriteString(strconv.Itoa(len(f.Name)))
+		b.WriteString(":")
+		b.WriteString(f.Name)
 	default:
-		fmt.Fprintf(b, "%d(", int(f.Op))
+		b.WriteString(strconv.Itoa(int(f.Op)))
+		b.WriteString("(")
 		if f.Left != nil {
 			b.WriteString(f.Left.Key())
 		}

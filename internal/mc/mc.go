@@ -256,8 +256,8 @@ func compile(sys *ts.System) *walkGraph {
 	for s := range g.bottom {
 		g.bottom[s] = -1
 	}
-	for _, c := range graph.BottomSCCsCSR(g.CSR, []int{g.start}) {
-		if graph.IsTrivialSCCCSR(c, g.CSR) {
+	for _, c := range graph.BottomSCCs(g.CSR, []int{g.start}) {
+		if graph.IsTrivialSCC(c, g.CSR) {
 			continue
 		}
 		for _, s := range c {

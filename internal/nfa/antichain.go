@@ -8,30 +8,31 @@ import (
 	"relive/internal/word"
 )
 
-// This file implements the antichain inclusion and universality kernels
-// (De Wulf–Doyen–Henzinger–Raskin style). Like IncludedCtx they run the
-// subset construction of the right-hand side on the fly, but the
-// frontier keeps only an antichain of ⊆-minimal b-sets per a-state: a
-// candidate pair (x, T) is skipped when some kept pair (x, S) has
-// S ⊆ cl(T), because then L_b(S) ⊆ L_b(T) and every counterexample
-// through T is also one through S — which was discovered no later, so
-// shortest counterexamples are preserved exactly. cl is the upward
-// closure under the direct simulation preorder of simulation.go (the
-// identity when the preorder is skipped for size), which widens plain
-// ⊆-subsumption; the preorder additionally prunes any pair whose
-// a-state is simulated by a member of its b-set outright, since such a
-// pair can never witness a failure. Verdicts and counterexample lengths
-// are bit-compatible with the subset route.
+// This file implements the antichain inclusion kernel
+// (De Wulf–Doyen–Henzinger–Raskin style); universality is the inclusion
+// of Σ* on the same routes. Like IncludedCtx it runs the subset
+// construction of the right-hand side on the fly, but the frontier
+// keeps only an antichain of ⊆-minimal b-sets per a-state: a candidate
+// pair (x, T) is skipped when some kept pair (x, S) has S ⊆ cl(T),
+// because then L_b(S) ⊆ L_b(T) and every counterexample through T is
+// also one through S — which was discovered no later, so shortest
+// counterexamples are preserved exactly. cl is the upward closure under
+// the direct simulation preorder of simulation.go (the identity when the
+// preorder is skipped for size), which widens plain ⊆-subsumption; the
+// preorder additionally prunes any pair whose a-state is simulated by a
+// member of its b-set outright, since such a pair can never witness a
+// failure. Verdicts and counterexample lengths are bit-compatible with
+// the subset route.
 
 // autoAntichainMin is the right-hand-side state count from which
-// inclusion and universality run the antichain route. Below it, the
-// antichain bookkeeping cannot win anything and the classic subset
+// inclusion (and so universality) runs the antichain route. Below it,
+// the antichain bookkeeping cannot win anything and the classic subset
 // route (and its exact exploration order) runs instead. RemoveEpsilon
 // preserves the state count, so the pre-ε-removal count decides.
 const autoAntichainMin = 16
 
-// ResolveKernel names the route IncludedKernelCtx and UniversalKernelCtx
-// run against right-hand side b: "antichain" from autoAntichainMin
+// ResolveKernel names the route IncludedKernelCtx (and so Universal)
+// runs against right-hand side b: "antichain" from autoAntichainMin
 // states, "subset" below. Spans carry it as their kernel tag.
 func ResolveKernel(b *NFA) string {
 	if b.NumStates() >= autoAntichainMin {
@@ -222,205 +223,15 @@ func includedAntichain(ctx context.Context, a, b *NFA, cap int) (bool, word.Word
 }
 
 // Universal reports whether L(a) = Σ*, with a shortest rejected word as
-// counterexample, on the route the size of a picks.
+// counterexample. It is the inclusion Σ* ⊆ L(a) on the route the size of
+// a picks, with Σ* the one-state automaton over a's alphabet.
 func Universal(a *NFA) (bool, word.Word) {
-	ok, w, _ := UniversalKernelCtx(nil, a)
+	star := New(a.ab)
+	q := star.AddState(true)
+	star.SetInitial(q)
+	for _, sym := range a.ab.Symbols() {
+		star.AddTransition(q, sym, q)
+	}
+	ok, w, _ := IncludedKernelCtx(nil, star, a)
 	return ok, w
-}
-
-// UniversalKernelCtx is universality on the route the size of a picks,
-// like IncludedKernelCtx.
-func UniversalKernelCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
-	if ResolveKernel(a) == "antichain" {
-		return UniversalAntichainCtx(ctx, a)
-	}
-	return UniversalSubsetCtx(ctx, a)
-}
-
-// UniversalSubsetCtx reports whether L(a) = Σ* by the plain on-the-fly
-// subset construction: BFS over interned reachable subsets, failing at
-// the first subset without an accepting state (the empty subset — the
-// determinization's rejecting sink — included). The path to it is a
-// shortest rejected word. This is exactly Included(Σ*, a) with the
-// trivial left component elided.
-func UniversalSubsetCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
-	ae := a.epsFree()
-	nb := ae.NumStates()
-	if nb == 0 {
-		return false, nil, nil // ε is rejected: not universal
-	}
-	cb := ae.Compiled()
-	syms := ae.ab.Symbols()
-
-	accB := newStateBits(nb)
-	for i, acc := range ae.accepting {
-		if acc {
-			accB.set(int32(i))
-		}
-	}
-
-	in := newSetInterner(nb)
-	scratch := newStateBits(nb)
-	var setAcc []bool
-	addSet := func(set stateBits) int32 {
-		id, fresh := in.intern(set)
-		if fresh {
-			setAcc = append(setAcc, set.intersects(accB))
-		}
-		return id
-	}
-
-	type entry struct {
-		set    int32
-		parent int32
-		sym    alphabet.Symbol
-	}
-	var queue []entry
-	seen := map[int32]bool{}
-	push := func(set int32, parent int32, sym alphabet.Symbol) {
-		if !seen[set] {
-			seen[set] = true
-			queue = append(queue, entry{set: set, parent: parent, sym: sym})
-		}
-	}
-
-	start := newStateBits(nb)
-	for _, s := range ae.initial {
-		start.set(int32(s))
-	}
-	push(addSet(start), -1, alphabet.Epsilon)
-
-	var tick interrupt.Tick
-	for i := 0; i < len(queue); i++ {
-		if err := tick.Poll(ctx); err != nil {
-			return false, nil, err
-		}
-		cur := queue[i]
-		if !setAcc[cur.set] {
-			var w word.Word
-			for j := int32(i); queue[j].parent != -1; j = queue[j].parent {
-				w = append(w, queue[j].sym)
-			}
-			for l, r := 0, len(w)-1; l < r; l, r = l+1, r-1 {
-				w[l], w[r] = w[r], w[l]
-			}
-			return false, w, nil
-		}
-		for _, sym := range syms {
-			scratch.clear()
-			cb.step(in.at(cur.set), scratch, sym)
-			push(addSet(scratch), int32(i), sym)
-		}
-	}
-	return true, nil, nil
-}
-
-// UniversalAntichainCtx is UniversalSubsetCtx with the frontier pruned
-// to an antichain of ⊆-minimal subsets under the simulation closure, as
-// in IncludedAntichainCtx with the trivial Σ* left component elided.
-// Verdicts and counterexample lengths match the subset route.
-func UniversalAntichainCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
-	return universalAntichain(ctx, a, simulationCap)
-}
-
-// universalAntichain is UniversalAntichainCtx with the simulation-seeding
-// cap as a parameter; cap 0 disables seeding.
-func universalAntichain(ctx context.Context, a *NFA, cap int) (bool, word.Word, error) {
-	ae := a.epsFree()
-	nb := ae.NumStates()
-	if nb == 0 {
-		return false, nil, nil // ε is rejected: not universal
-	}
-	cb := ae.Compiled()
-	syms := ae.ab.Symbols()
-
-	accB := newStateBits(nb)
-	for i, acc := range ae.accepting {
-		if acc {
-			accB.set(int32(i))
-		}
-	}
-
-	simBelow := simBelowOf(ae, cap)
-
-	in := newSetInterner(nb)
-	scratch := newStateBits(nb)
-	var setAcc []bool
-	var closures []stateBits
-	addSet := func(set stateBits) int32 {
-		id, fresh := in.intern(set)
-		if fresh {
-			setAcc = append(setAcc, set.intersects(accB))
-			cl := newStateBits(nb)
-			if simBelow == nil {
-				copy(cl, set)
-			} else {
-				set.forEach(func(q int32) { cl.or(simBelow[q]) })
-			}
-			closures = append(closures, cl)
-		}
-		return id
-	}
-
-	type entry struct {
-		set    int32
-		parent int32
-		sym    alphabet.Symbol
-	}
-	var queue []entry
-	var kept []int32
-	push := func(set int32, parent int32, sym alphabet.Symbol) int32 {
-		clT := closures[set]
-		for _, sid := range kept {
-			if in.at(sid).subsetOf(clT) {
-				return -1
-			}
-		}
-		w := 0
-		t := in.at(set)
-		for _, sid := range kept {
-			if !t.subsetOf(closures[sid]) {
-				kept[w] = sid
-				w++
-			}
-		}
-		kept = append(kept[:w], set)
-		queue = append(queue, entry{set: set, parent: parent, sym: sym})
-		if !setAcc[set] {
-			return int32(len(queue) - 1)
-		}
-		return -1
-	}
-
-	start := newStateBits(nb)
-	for _, s := range ae.initial {
-		start.set(int32(s))
-	}
-	bad := push(addSet(start), -1, alphabet.Epsilon)
-
-	var tick interrupt.Tick
-	for i := 0; bad < 0 && i < len(queue); i++ {
-		if err := tick.Poll(ctx); err != nil {
-			return false, nil, err
-		}
-		cur := queue[i]
-		for _, sym := range syms {
-			scratch.clear()
-			cb.step(in.at(cur.set), scratch, sym)
-			if bad = push(addSet(scratch), int32(i), sym); bad >= 0 {
-				break
-			}
-		}
-	}
-	if bad < 0 {
-		return true, nil, nil
-	}
-	var w word.Word
-	for j := bad; queue[j].parent != -1; j = queue[j].parent {
-		w = append(w, queue[j].sym)
-	}
-	for l, r := 0, len(w)-1; l < r; l, r = l+1, r-1 {
-		w[l], w[r] = w[r], w[l]
-	}
-	return false, w, nil
 }

@@ -2,7 +2,6 @@ package nfa
 
 import (
 	"relive/internal/alphabet"
-	"relive/internal/graph"
 	"relive/internal/word"
 )
 
@@ -320,26 +319,4 @@ func (d *DFA) Minimize() *DFA {
 	out.SetInitial(rep[class[c.initial]])
 	// Completion may have introduced a dead class; trim it away.
 	return out.ToNFA().Trim().Determinize()
-}
-
-// IsEmpty reports whether L(d) is empty.
-func (d *DFA) IsEmpty() bool {
-	if d.initial < 0 {
-		return true
-	}
-	n := d.NumStates()
-	succ := func(v int) []int {
-		var out []int
-		for _, t := range d.trans[v] {
-			out = append(out, int(t))
-		}
-		return out
-	}
-	reach := graph.Reachable(n, []int{int(d.initial)}, succ)
-	for i := 0; i < n; i++ {
-		if reach[i] && d.accepting[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -261,12 +261,12 @@ func (a *NFA) initialInts() []int {
 func (a *NFA) Trim() *NFA {
 	n := a.NumStates()
 	g := a.Compiled().Graph()
-	reach := graph.ReachableCSR(g, a.initialInts())
+	reach := graph.Reachable(g, a.initialInts())
 	acc := make([]bool, n)
 	for i, ok := range a.accepting {
 		acc[i] = ok
 	}
-	coreach := graph.CoReachableCSR(g, acc)
+	coreach := graph.CoReachable(g, acc)
 	keep := make([]State, n)
 	for i := range keep {
 		keep[i] = -1
@@ -300,7 +300,7 @@ func (a *NFA) Trim() *NFA {
 // IsEmpty reports whether the language is empty.
 func (a *NFA) IsEmpty() bool {
 	n := a.NumStates()
-	reach := graph.ReachableCSR(a.Compiled().Graph(), a.initialInts())
+	reach := graph.Reachable(a.Compiled().Graph(), a.initialInts())
 	for i := 0; i < n; i++ {
 		if reach[i] && a.accepting[i] {
 			return false

@@ -24,7 +24,8 @@ func chainNFA(n int) *NFA {
 
 // TestSimulationCapGatesSeeding pins the cap semantics at the seeding
 // boundary: cap 0 disables the preorder outright, a cap below the pair
-// space skips it, a cap at or above the pair space computes it.
+// space skips it, a cap at or above the pair space computes it, also
+// with Σ* as the left operand.
 func TestSimulationCapGatesSeeding(t *testing.T) {
 	ae := chainNFA(3).epsFree()
 	be := chainNFA(4).epsFree()
@@ -41,14 +42,19 @@ func TestSimulationCapGatesSeeding(t *testing.T) {
 		t.Fatalf("cap %d (exactly the pair space) skipped the preorder", pairs)
 	}
 
-	upairs := nb * nb
-	if sb := simBelowOf(be, 0); sb != nil {
-		t.Fatal("cap 0 still computed the universality preorder")
+	// Universality is the inclusion of Σ*: a one-state left operand, so
+	// the pair space is nb*nb + nb.
+	star := New(be.Alphabet())
+	q := star.AddState(true)
+	star.SetInitial(q)
+	for _, sym := range be.Alphabet().Symbols() {
+		star.AddTransition(q, sym, q)
 	}
-	if sb := simBelowOf(be, upairs-1); sb != nil {
-		t.Fatalf("cap %d (below the %d-pair space) still computed the preorder", upairs-1, upairs)
+	upairs := nb*nb + nb
+	if sb, cr := inclusionPreorder(star, be, upairs-1); sb != nil || cr != nil {
+		t.Fatalf("cap %d (below the %d-pair Σ* space) still computed the preorder", upairs-1, upairs)
 	}
-	if sb := simBelowOf(be, upairs); sb == nil {
-		t.Fatalf("cap %d (exactly the pair space) skipped the preorder", upairs)
+	if sb, cr := inclusionPreorder(star, be, upairs); sb == nil || cr == nil {
+		t.Fatalf("cap %d (exactly the Σ* pair space) skipped the preorder", upairs)
 	}
 }

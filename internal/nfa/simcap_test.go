@@ -1,7 +1,8 @@
 // Differential test for the simulation-seeding cap: at cap 0 the
-// antichain kernels run with identity subsumption only, and their
+// antichain kernel runs with identity subsumption only, and its
 // verdicts and counterexample lengths must match both the fully-seeded
-// antichain route and the classic subset route on every input. The
+// antichain route and the classic subset route on every input, Σ* as
+// the left operand (universality) included. The
 // seeding is a pure pruning aid; this pins that turning it off is
 // always safe.
 package nfa_test
@@ -49,19 +50,18 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 			}
 		}
 
-		uRef, uwRef, err := nfa.UniversalSubsetCtx(nil, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u0, uw0, err := nfa.UniversalAntichainCap(nil, a, unseeded)
+		// Universality: Σ* as the left operand.
+		star := sigmaStar(ab)
+		uRef, uwRef := nfa.Included(star, a)
+		u0, uw0, err := nfa.IncludedAntichainCap(nil, star, a, unseeded)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if u0 != uRef {
-			t.Fatalf("trial %d: universality verdicts diverge: subset=%v cap0=%v", trial, uRef, u0)
+			t.Fatalf("trial %d: Σ* inclusion verdicts diverge: subset=%v cap0=%v", trial, uRef, u0)
 		}
 		if !uRef && len(uw0) != len(uwRef) {
-			t.Fatalf("trial %d: universality counterexample lengths diverge: subset=%d cap0=%d", trial, len(uwRef), len(uw0))
+			t.Fatalf("trial %d: Σ* inclusion counterexample lengths diverge: subset=%d cap0=%d", trial, len(uwRef), len(uw0))
 		}
 	}
 }

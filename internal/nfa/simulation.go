@@ -149,24 +149,3 @@ func inclusionPreorder(ae, be *NFA, cap int) (simBelow, cross []stateBits) {
 	}
 	return simBelow, cross
 }
-
-// simBelowOf is the simBelow half of inclusionPreorder for the
-// universality check, whose left side is Σ* and needs no cross
-// relation. Returns nil above the pair-space cap.
-func simBelowOf(be *NFA, cap int) []stateBits {
-	nb := be.NumStates()
-	if cap <= 0 || nb == 0 || nb*nb > cap {
-		return nil
-	}
-	simBB := be.DirectSimulation()
-	simBelow := make([]stateBits, nb)
-	for q := 0; q < nb; q++ {
-		simBelow[q] = newStateBits(nb)
-		for p := 0; p < nb; p++ {
-			if simBB[p][q] {
-				simBelow[q].set(int32(p))
-			}
-		}
-	}
-	return simBelow
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"relive/internal/graph"
 	"relive/internal/interrupt"
 )
 
@@ -27,13 +26,22 @@ func (s *System) SweepTrimCtx(ctx context.Context) (*System, error) {
 		}
 		return out
 	}
-	reach, err := graph.ReachableCtx(ctx, n, []int{int(s.initial)}, succ)
-	if err != nil {
-		return nil, fmt.Errorf("ts: trim: %w", err)
-	}
+	// Its own reachability BFS, so the reference shares no code with
+	// TrimCtx's CSR pass.
 	alive := make([]bool, n)
-	copy(alive, reach)
+	alive[s.initial] = true
 	var tick interrupt.Tick
+	for queue := []int{int(s.initial)}; len(queue) > 0; queue = queue[1:] {
+		if err := tick.Poll(ctx); err != nil {
+			return nil, fmt.Errorf("ts: trim: %w", err)
+		}
+		for _, t := range succ(queue[0]) {
+			if !alive[t] {
+				alive[t] = true
+				queue = append(queue, t)
+			}
+		}
+	}
 	for changed := true; changed; {
 		changed = false
 		for v := 0; v < n; v++ {

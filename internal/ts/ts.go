@@ -10,6 +10,7 @@ package ts
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"relive/internal/alphabet"
@@ -121,15 +122,25 @@ type Edge struct {
 // source in state order, then by action symbol, each action's targets
 // in insertion order.
 func (s *System) Edges() []Edge {
-	var out []Edge
-	for from := range s.trans {
-		syms := make([]alphabet.Symbol, 0, len(s.trans[from]))
-		for sym := range s.trans[from] {
+	n := 0
+	for _, m := range s.trans {
+		for _, tos := range m {
+			n += len(tos)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Edge, 0, n)
+	syms := make([]alphabet.Symbol, 0, s.ab.Size())
+	for from, m := range s.trans {
+		syms = syms[:0]
+		for sym := range m {
 			syms = append(syms, sym)
 		}
-		sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+		slices.Sort(syms)
 		for _, sym := range syms {
-			for _, to := range s.trans[from][sym] {
+			for _, to := range m[sym] {
 				out = append(out, Edge{From: State(from), Sym: sym, To: to})
 			}
 		}
@@ -232,7 +243,7 @@ func (s *System) TrimCtx(ctx context.Context) (*System, error) {
 		}
 		g.Off[v+1] = int32(len(g.Dst))
 	}
-	alive, err := graph.ReachableCSRCtx(ctx, g, []int{int(s.initial)})
+	alive, err := graph.ReachableCtx(ctx, g, []int{int(s.initial)})
 	if err != nil {
 		return nil, fmt.Errorf("ts: trim: %w", err)
 	}
