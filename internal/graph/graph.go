@@ -1,8 +1,8 @@
 // Package graph provides the directed-graph algorithms shared by the
-// automata, fairness, sampling and transition-system packages, over one
-// successor form, the compressed-sparse-row CSR: Tarjan's
-// strongly-connected-components decomposition (iterative, so deep
-// systems do not overflow the stack), forward and backward
+// automata, fairness, sampling and transition-system packages. All of
+// them run on one successor form, the compressed-sparse-row CSR:
+// Tarjan's strongly-connected-components decomposition (iterative, so
+// deep systems do not overflow the stack), forward and backward
 // reachability, bottom-SCC analysis, vertex restriction and
 // shortest-path extraction.
 package graph

@@ -4,13 +4,13 @@ import "relive/internal/alphabet"
 
 // This file computes direct (strong) simulation preorders on NFAs — the
 // finite-word analogue of internal/buchi/simulation.go — used to seed
-// the antichain inclusion/universality kernels: q simulating p implies
+// the antichain inclusion kernel: q simulating p implies
 // L(p) ⊆ L(q), which widens the antichain subsumption test from plain
 // set inclusion to inclusion up to simulation and lets the search drop
 // pairs whose left state is simulated by a right state outright.
 
 // simulationCap bounds the pair space of the simulation fixpoints
-// seeding the antichain kernels. Larger inputs skip the preorder and
+// seeding the antichain kernel. Larger inputs skip the preorder and
 // fall back to the identity (plain ⊆ subsumption), which keeps the
 // seeding cost negligible next to the search it accelerates. The cap is
 // deliberately small: the fixpoint costs pairs × edges × rounds, and on
