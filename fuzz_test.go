@@ -648,7 +648,7 @@ func FuzzAntichainInclusion(f *testing.F) {
 		na := fuzzNFA(ab, da)
 		nb := fuzzNFA(ab, db)
 		// Σ* as a second left operand is universality of nb.
-		for _, left := range []*nfa.NFA{na, sigmaStar(ab)} {
+		for _, left := range []*nfa.NFA{na, nfa.SigmaStar(ab)} {
 			okS, wS, err := nfa.IncludedCtx(nil, left, nb)
 			if err != nil {
 				t.Fatalf("subset inclusion: %v", err)

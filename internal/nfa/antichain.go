@@ -223,15 +223,9 @@ func includedAntichain(ctx context.Context, a, b *NFA, cap int) (bool, word.Word
 }
 
 // Universal reports whether L(a) = Σ*, with a shortest rejected word as
-// counterexample. It is the inclusion Σ* ⊆ L(a) on the route the size of
-// a picks, with Σ* the one-state automaton over a's alphabet.
+// counterexample. It decides the inclusion Σ* ⊆ L(a), Σ* being
+// SigmaStar over a's alphabet, on the route the size of a picks.
 func Universal(a *NFA) (bool, word.Word) {
-	star := New(a.ab)
-	q := star.AddState(true)
-	star.SetInitial(q)
-	for _, sym := range a.ab.Symbols() {
-		star.AddTransition(q, sym, q)
-	}
-	ok, w, _ := IncludedKernelCtx(nil, star, a)
+	ok, w, _ := IncludedKernelCtx(nil, SigmaStar(a.ab), a)
 	return ok, w
 }

@@ -19,17 +19,6 @@ import (
 	"relive/internal/nfa"
 )
 
-// sigmaStar returns a single-state automaton for Σ*.
-func sigmaStar(ab *alphabet.Alphabet) *nfa.NFA {
-	a := nfa.New(ab)
-	s := a.AddState(true)
-	a.SetInitial(s)
-	for _, sym := range ab.Symbols() {
-		a.AddTransition(s, sym, s)
-	}
-	return a
-}
-
 // rebuildNFA copies a keeping only admitted states and transitions.
 // Initial markings on dropped states are dropped with them.
 func rebuildNFA(a *nfa.NFA, keepState func(nfa.State) bool, keepTrans func(from nfa.State, sym alphabet.Symbol, to nfa.State) bool) *nfa.NFA {
@@ -184,7 +173,7 @@ func TestUniversalAntichainMatchesSubset(t *testing.T) {
 			AcceptRatio: 0.3 + 0.5*rng.Float64(),
 		}
 		ab := genbase.Letters(cfg.Symbols)
-		star := sigmaStar(ab)
+		star := nfa.SigmaStar(ab)
 		a := genbase.NFA(rng, cfg, ab)
 		if !inclusionAgrees(star, a) {
 			a = shrinkNFA(a, func(cand *nfa.NFA) bool { return !inclusionAgrees(star, cand) })

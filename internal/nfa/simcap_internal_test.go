@@ -44,12 +44,7 @@ func TestSimulationCapGatesSeeding(t *testing.T) {
 
 	// Universality is the inclusion of Σ*: a one-state left operand, so
 	// the pair space is nb*nb + nb.
-	star := New(be.Alphabet())
-	q := star.AddState(true)
-	star.SetInitial(q)
-	for _, sym := range be.Alphabet().Symbols() {
-		star.AddTransition(q, sym, q)
-	}
+	star := SigmaStar(be.Alphabet())
 	upairs := nb*nb + nb
 	if sb, cr := inclusionPreorder(star, be, upairs-1); sb != nil || cr != nil {
 		t.Fatalf("cap %d (below the %d-pair Σ* space) still computed the preorder", upairs-1, upairs)

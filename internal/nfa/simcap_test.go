@@ -51,7 +51,7 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 		}
 
 		// Universality: Σ* as the left operand.
-		star := sigmaStar(ab)
+		star := nfa.SigmaStar(ab)
 		uRef, uwRef := nfa.Included(star, a)
 		u0, uw0, err := nfa.IncludedAntichainCap(nil, star, a, unseeded)
 		if err != nil {

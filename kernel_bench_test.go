@@ -104,17 +104,6 @@ func needsBBuchi(ab *alphabet.Alphabet, n int) *buchi.Buchi {
 	return c
 }
 
-// sigmaStar is the one-state NFA for Σ* over ab.
-func sigmaStar(ab *alphabet.Alphabet) *nfa.NFA {
-	a := nfa.New(ab)
-	s := a.AddState(true)
-	a.SetInitial(s)
-	for _, sym := range ab.Symbols() {
-		a.AddTransition(s, sym, s)
-	}
-	return a
-}
-
 // aOmega is the one-state Büchi automaton for a^ω.
 func aOmega(ab *alphabet.Alphabet) *buchi.Buchi {
 	a := buchi.New(ab)
@@ -145,7 +134,7 @@ var (
 // automaton the way nfa.Universal does, as the inclusion of Σ*.
 func BenchmarkKthFromEndUniversality(b *testing.B) {
 	ab := genbase.Letters(2)
-	star := sigmaStar(ab)
+	star := nfa.SigmaStar(ab)
 	for _, k := range []int{8, 12, 16} {
 		trap := kthTrapNFA(ab, k)
 		for _, route := range inclusionRoutes {
@@ -219,7 +208,7 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 		// (fails).
 		cut := trap.Clone()
 		cut.SetAccepting(nfa.State(cut.NumStates()-1), false)
-		star := sigmaStar(ab)
+		star := nfa.SigmaStar(ab)
 		for _, pair := range [][2]*nfa.NFA{{star, trap}, {star, cut}, {left, trap}, {trap, left}} {
 			okS, wS, err := nfa.IncludedCtx(nil, pair[0], pair[1])
 			if err != nil {
