@@ -125,3 +125,84 @@ func TestGoldenProductSearch(t *testing.T) {
 		t.Fatalf("product-search digest = %s, want %s", got, goldenProductSearchDigest)
 	}
 }
+
+// goldenIntersectDigest is the SHA-256 of every automaton
+// TestGoldenIntersect builds; see that test for what it covers.
+const goldenIntersectDigest = "4373b0d33087d284d98e365d97a5e9d1de0f012c70d2c9c7e40437dd5c84aa46"
+
+// TestGoldenIntersect pins the eager product's output bit for bit: one
+// digest over Intersect and IntersectCtx (state count, initial list,
+// acceptance flags, and every row in symbol order with its edge order)
+// on random Büchi pairs over one to three letters, left operands of one
+// to six states and right operands of one to five. Every fourth pair
+// has an all-accepting left operand, every fourth an all-accepting
+// right operand and every fourth both, since those operands switch the
+// product to its plain (trackless) mode. The product builds
+// h⁻¹(¬P) for the fair-abstract check and Theorem 5.1's synthesis, so
+// its state numbering reaches their witnesses: a change to the
+// interning order, the edge order or the acceptance tracking changes
+// the digest.
+func TestGoldenIntersect(t *testing.T) {
+	h := sha256.New()
+	put := func(v int64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	putAutomaton := func(b *Buchi) {
+		put(int64(b.NumStates()))
+		put(int64(len(b.Initial())))
+		for _, s := range b.Initial() {
+			put(int64(s))
+		}
+		for s := 0; s < b.NumStates(); s++ {
+			if b.Accepting(State(s)) {
+				put(1)
+			} else {
+				put(0)
+			}
+			for _, sym := range b.Alphabet().Symbols() {
+				row := b.Succ(State(s), sym)
+				put(int64(len(row)))
+				for _, t := range row {
+					put(int64(t))
+				}
+			}
+		}
+	}
+	allAccepting := func(b *Buchi) {
+		for i := 0; i < b.NumStates(); i++ {
+			b.SetAccepting(State(i), true)
+		}
+	}
+	const goldenPairs = 2000
+	rng := rand.New(rand.NewSource(2501))
+	var states int
+	for trial := 0; trial < goldenPairs; trial++ {
+		ab := genbase.Letters(1 + trial%3)
+		a := randomBuchi(rng, ab, 1+rng.Intn(6))
+		c := randomBuchi(rng, ab, 1+rng.Intn(5))
+		switch trial % 4 {
+		case 1:
+			allAccepting(a)
+		case 2:
+			allAccepting(c)
+		case 3:
+			allAccepting(a)
+			allAccepting(c)
+		}
+		p := Intersect(a, c)
+		putAutomaton(p)
+		pc, err := IntersectCtx(context.Background(), a, c)
+		if err != nil {
+			t.Fatalf("trial %d: IntersectCtx: %v", trial, err)
+		}
+		putAutomaton(pc)
+		states += p.NumStates()
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%d pairs: %d product states", goldenPairs, states)
+	if got != goldenIntersectDigest {
+		t.Fatalf("intersect digest = %s, want %s", got, goldenIntersectDigest)
+	}
+}
