@@ -130,3 +130,28 @@ func TestPropertyOverHiddenLetterRejected(t *testing.T) {
 		t.Errorf("stderr: %s", errOut.String())
 	}
 }
+
+// TestMaximalWitnessDeterministic: the maximal-word witness is the
+// first word a search in symbol order reaches, so runs on the same
+// system print byte-identical reports. Each observed letter leads to a
+// state whose only move is hidden, so each is a maximal word.
+func TestMaximalWitnessDeterministic(t *testing.T) {
+	path := writeSystem(t, "init s\ns a x\ns b x\ns d x\ns e x\nx c x\n")
+	var first string
+	for i := 0; i < 30; i++ {
+		var out, errOut strings.Builder
+		if code := run([]string{"-sys", path, "-observe", "a,b,d,e"}, &out, &errOut); code != 0 {
+			t.Fatalf("run %d: exit = %d (stderr %s)", i, code, errOut.String())
+		}
+		if i == 0 {
+			first = out.String()
+			if !strings.Contains(first, "(witness a)") {
+				t.Fatalf("output lacks the witness a:\n%s", first)
+			}
+			continue
+		}
+		if got := out.String(); got != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, got, first)
+		}
+	}
+}

@@ -310,10 +310,13 @@ func (a *NFA) IsEmpty() bool {
 }
 
 // ShortestAccepted returns a shortest accepted word, or ok=false when the
-// language is empty. ε-transitions contribute no letters.
+// language is empty. ε-transitions contribute no letters. The search
+// expands each state's successors in symbol order, so the word is the
+// same on every call.
 func (a *NFA) ShortestAccepted() (word.Word, bool) {
 	e := a.epsFree()
 	n := e.NumStates()
+	syms := e.ab.Symbols()
 	type entry struct {
 		state  State
 		parent int
@@ -339,8 +342,8 @@ func (a *NFA) ShortestAccepted() (word.Word, bool) {
 			}
 			return w, true
 		}
-		for sym, ts := range e.trans[cur.state] {
-			for _, t := range ts {
+		for _, sym := range syms {
+			for _, t := range e.trans[cur.state][sym] {
 				if !seen[t] {
 					seen[t] = true
 					queue = append(queue, entry{state: t, parent: i, sym: sym})

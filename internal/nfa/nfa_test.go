@@ -174,6 +174,51 @@ func TestShortestAccepted(t *testing.T) {
 	}
 }
 
+// TestShortestAcceptedDeterministic: ShortestAccepted expands
+// successors in symbol order, so repeated calls return one word, and
+// that word is as short as the shortest accepted word enumeration finds.
+func TestShortestAcceptedDeterministic(t *testing.T) {
+	ab := alphabet.FromNames("a", "b", "c", "d")
+	a := New(ab)
+	s := a.AddState(false)
+	x := a.AddState(true)
+	for _, sym := range ab.Symbols() {
+		a.AddTransition(s, sym, x)
+	}
+	a.SetInitial(s)
+	for call := 0; call < 100; call++ {
+		if w, ok := a.ShortestAccepted(); !ok || w.String(ab) != "a" {
+			t.Fatalf("call %d: ShortestAccepted = %s, %v; want a", call, w.String(ab), ok)
+		}
+	}
+
+	// A word of length n-1 or less reaches every reachable state of an
+	// n-state automaton, so enumerating up to 6 letters finds the
+	// shortest accepted word of any 1- to 6-state automaton, or shows
+	// its language is empty.
+	ab2 := alphabet.FromNames("a", "b")
+	words := enumerate(ab2, 6) // in order of length
+	rng := rand.New(rand.NewSource(2502))
+	for trial := 0; trial < 300; trial++ {
+		a := randomEpsNFA(rng, ab2, 1+rng.Intn(6))
+		want := -1
+		for _, w := range words {
+			if a.Accepts(w) {
+				want = len(w)
+				break
+			}
+		}
+		w, ok := a.ShortestAccepted()
+		switch {
+		case ok != (want >= 0):
+			t.Fatalf("trial %d: ShortestAccepted ok = %v, enumeration found length %d", trial, ok, want)
+		case ok && (len(w) != want || !a.Accepts(w)):
+			t.Fatalf("trial %d: ShortestAccepted = %s (accepted %v), shortest accepted length %d",
+				trial, w.String(ab2), a.Accepts(w), want)
+		}
+	}
+}
+
 func TestResidual(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	a := endsWithAB(ab)
@@ -316,25 +361,7 @@ func TestQuickDeterminizeMinimize(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	syms := ab.Symbols()
 	for trial := 0; trial < 60; trial++ {
-		a := New(ab)
-		n := 1 + rng.Intn(6)
-		for i := 0; i < n; i++ {
-			a.AddState(rng.Float64() < 0.4)
-		}
-		for i := 0; i < n; i++ {
-			for _, sym := range syms {
-				for k := 0; k < 2; k++ {
-					if rng.Float64() < 0.5 {
-						a.AddTransition(State(i), sym, State(rng.Intn(n)))
-					}
-				}
-			}
-			if rng.Float64() < 0.2 {
-				a.AddTransition(State(i), alphabet.Epsilon, State(rng.Intn(n)))
-			}
-		}
-		a.SetInitial(0)
-
+		a := randomEpsNFA(rng, ab, 1+rng.Intn(6))
 		d := a.Determinize()
 		m := d.Minimize()
 		for k := 0; k < 50; k++ {
@@ -386,4 +413,28 @@ func TestQuickComplementPartition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomEpsNFA builds an n-state automaton with initial state 0, each
+// state accepting with probability 0.4, up to two transitions per
+// (state, letter) and an ε-move from a state with probability 0.2.
+func randomEpsNFA(rng *rand.Rand, ab *alphabet.Alphabet, n int) *NFA {
+	a := New(ab)
+	for i := 0; i < n; i++ {
+		a.AddState(rng.Float64() < 0.4)
+	}
+	for i := 0; i < n; i++ {
+		for _, sym := range ab.Symbols() {
+			for k := 0; k < 2; k++ {
+				if rng.Float64() < 0.5 {
+					a.AddTransition(State(i), sym, State(rng.Intn(n)))
+				}
+			}
+		}
+		if rng.Float64() < 0.2 {
+			a.AddTransition(State(i), alphabet.Epsilon, State(rng.Intn(n)))
+		}
+	}
+	a.SetInitial(0)
+	return a
 }
