@@ -84,12 +84,3 @@ func (b *Buchi) ComplementDeterministic() (*Buchi, error) {
 	}
 	return out, nil
 }
-
-// ComplementAuto complements with the cheapest sound construction:
-// two-copy for deterministic automata, rank-based otherwise.
-func (b *Buchi) ComplementAuto() (*Buchi, error) {
-	if b.IsDeterministic() {
-		return b.ComplementDeterministic()
-	}
-	return b.Complement()
-}

@@ -93,25 +93,34 @@ func TestComplementDeterministicPartialRuns(t *testing.T) {
 	}
 }
 
+// TestComplementAuto complements a deterministic and a
+// nondeterministic automaton for "infinitely many a": Complement, the
+// one entry for every input, on both, and ComplementDeterministic,
+// which Decompose calls on its deterministic closures, on the first.
 func TestComplementAuto(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	det := detInfA(ab)
-	c, err := det.ComplementAuto()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.AcceptsLasso(lasso(ab, "", "a")) || !c.AcceptsLasso(lasso(ab, "", "b")) {
-		t.Error("ComplementAuto wrong on deterministic input")
-	}
 	nd := infManyA(ab)
 	sa, _ := ab.Lookup("a")
 	nd.AddTransition(0, sa, 0)
-	cnd, err := nd.ComplementAuto()
-	if err != nil {
-		t.Fatal(err)
+	if nd.IsDeterministic() {
+		t.Fatal("nondeterministic input reported deterministic")
 	}
-	if cnd.AcceptsLasso(lasso(ab, "", "a")) || !cnd.AcceptsLasso(lasso(ab, "", "b")) {
-		t.Error("ComplementAuto wrong on nondeterministic input")
+	for _, tc := range []struct {
+		name string
+		run  func() (*Buchi, error)
+	}{
+		{"ComplementDeterministic(det)", det.ComplementDeterministic},
+		{"Complement(det)", det.Complement},
+		{"Complement(nondet)", nd.Complement},
+	} {
+		c, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.AcceptsLasso(lasso(ab, "", "a")) || !c.AcceptsLasso(lasso(ab, "", "b")) {
+			t.Errorf("%s: wrong on a^ω or b^ω", tc.name)
+		}
 	}
 }
 
@@ -159,17 +168,5 @@ func TestLimitOfAllAcceptingRejectsPartial(t *testing.T) {
 	a.SetAccepting(q1, true)
 	if _, err := LimitOfAllAccepting(a); err != nil {
 		t.Errorf("LimitOfAllAccepting rejected a valid automaton: %v", err)
-	}
-}
-
-func TestGeneralizedAccessors(t *testing.T) {
-	ab := alphabet.FromNames("a")
-	g := NewGeneralized(ab, 2)
-	if g.Alphabet() != ab {
-		t.Error("Alphabet accessor wrong")
-	}
-	g.AddState()
-	if g.NumStates() != 1 || g.NumSets() != 2 {
-		t.Errorf("NumStates=%d NumSets=%d", g.NumStates(), g.NumSets())
 	}
 }

@@ -1,13 +1,11 @@
 package nfa
 
-import "relive/internal/alphabet"
-
-// This file computes direct (strong) simulation preorders on NFAs — the
-// finite-word analogue of internal/buchi/simulation.go — used to seed
-// the antichain inclusion kernel: q simulating p implies
-// L(p) ⊆ L(q), which widens the antichain subsumption test from plain
-// set inclusion to inclusion up to simulation and lets the search drop
-// pairs whose left state is simulated by a right state outright.
+// This file computes direct (strong) simulation preorders on NFAs with
+// one greatest fixpoint, crossSimulation, used to seed the antichain
+// inclusion kernel: q simulating p implies L(p) ⊆ L(q), which widens
+// the antichain subsumption test from plain set inclusion to inclusion
+// up to simulation and lets the search drop pairs whose left state is
+// simulated by a right state outright.
 
 // simulationCap bounds the pair space of the simulation fixpoints
 // seeding the antichain kernel. Larger inputs skip the preorder and
@@ -30,37 +28,15 @@ const simulationCap = 1 << 12
 // eliminated first; the state numbering is unchanged by that step.
 func (a *NFA) DirectSimulation() [][]bool {
 	e := a.epsFree()
-	n := e.NumStates()
-	sim := make([][]bool, n)
-	for p := 0; p < n; p++ {
-		sim[p] = make([]bool, n)
-		for q := 0; q < n; q++ {
-			// Initial over-approximation: acceptance condition only.
-			sim[p][q] = !e.accepting[p] || e.accepting[q]
-		}
-	}
-	syms := e.ab.Symbols()
-	for changed := true; changed; {
-		changed = false
-		for p := 0; p < n; p++ {
-			for q := 0; q < n; q++ {
-				if !sim[p][q] {
-					continue
-				}
-				if !simStep(sim, e, e, p, q, syms) {
-					sim[p][q] = false
-					changed = true
-				}
-			}
-		}
-	}
-	return sim
+	return crossSimulation(e, e)
 }
 
 // crossSimulation computes direct simulation of ae's states by be's
-// states: sim[x][q] means q ∈ be direct-simulates x ∈ ae, hence
-// L_ae(x) ⊆ L_be(q). Both automata must be ε-free and share an
-// alphabet.
+// states as a greatest fixpoint: sim[x][q] means q ∈ be
+// direct-simulates x ∈ ae, hence L_ae(x) ⊆ L_be(q). It starts from the
+// acceptance condition alone and removes a pair once some successor of
+// x is related to no same-letter successor of q, until nothing changes.
+// Both automata must be ε-free and share an alphabet.
 func crossSimulation(ae, be *NFA) [][]bool {
 	na, nb := ae.NumStates(), be.NumStates()
 	sim := make([][]bool, na)
@@ -71,14 +47,30 @@ func crossSimulation(ae, be *NFA) [][]bool {
 		}
 	}
 	syms := ae.ab.Symbols()
+	// step reports whether every successor of x is related to some
+	// same-letter successor of q under the current relation.
+	step := func(x, q int) bool {
+		for _, a := range syms {
+			for _, xs := range ae.trans[x][a] {
+				matched := false
+				for _, qs := range be.trans[q][a] {
+					if sim[xs][qs] {
+						matched = true
+						break
+					}
+				}
+				if !matched {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	for changed := true; changed; {
 		changed = false
 		for x := 0; x < na; x++ {
 			for q := 0; q < nb; q++ {
-				if !sim[x][q] {
-					continue
-				}
-				if !simStep(sim, ae, be, x, q, syms) {
+				if sim[x][q] && !step(x, q) {
 					sim[x][q] = false
 					changed = true
 				}
@@ -86,27 +78,6 @@ func crossSimulation(ae, be *NFA) [][]bool {
 		}
 	}
 	return sim
-}
-
-// simStep checks the one-step simulation condition for the pair (p, q)
-// under the current relation: every successor of p (in left) is related
-// to some same-symbol successor of q (in right).
-func simStep(sim [][]bool, left, right *NFA, p, q int, syms []alphabet.Symbol) bool {
-	for _, a := range syms {
-		for _, ps := range left.trans[p][a] {
-			matched := false
-			for _, qs := range right.trans[q][a] {
-				if sim[ps][qs] {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // inclusionPreorder computes the simulation data the antichain
