@@ -28,7 +28,8 @@ import (
 // the DFS parent chain of an accepting member and the cycle is a BFS
 // inside the component.
 
-// pkey identifies a product state: a pair of operand states plus the
+// pkey identifies a product state, in the lazy explorer here and in
+// the eager product (intersect): a pair of operand states plus the
 // track bit of the standard two-track Büchi intersection. In "plain"
 // mode the track stays 0.
 type pkey struct {
