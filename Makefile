@@ -74,11 +74,11 @@ experiments:
 experiments-md:
 	$(GO) run ./cmd/rlbench -md
 
+# Run every example (and the portfolio sections behind -parallel) and
+# diff what each prints against examples/testdata/, durations and the
+# worker count masked.
 examples:
-	@for e in quickstart abstraction fairimpl featureinteraction \
-	          compositional montecarlo philosophers; do \
-		echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; \
-	done
+	./scripts/checkexamples
 
 cover:
 	$(GO) test ./internal/... -coverprofile=cover.out
