@@ -242,7 +242,11 @@ func TestIsSimpleCounterexample(t *testing.T) {
 		t.Fatal("expected non-simple homomorphism")
 	}
 	// The witness must reach the broken configuration: reading it ends in
-	// the d-loop state.
+	// the d-loop state. ε is in every non-empty prefix-closed L, so
+	// membership alone does not show that.
+	if got := res.Witness.String(src); got != "a" {
+		t.Errorf("witness %s, want a", got)
+	}
 	if !a.Accepts(res.Witness) {
 		t.Errorf("witness %s not in L", res.Witness.String(src))
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"relive/internal/alphabet"
+	"relive/internal/genbase"
 	"relive/internal/nfa"
 	"relive/internal/word"
 )
@@ -87,5 +88,75 @@ func TestExtendMaximalWordsEpsilonOnlyHom(t *testing.T) {
 	}
 	if has, w := ext.HasMaximalWords(); has {
 		t.Fatalf("extended ε-only language still has maximal word %v", w)
+	}
+}
+
+// hashWords lists the words up to length n over ext's alphabet that
+// contain the # letter and that ext accepts.
+func hashWords(ext *nfa.NFA, hash alphabet.Symbol, n int) []string {
+	var out []string
+	for _, w := range genbase.Words(ext.Alphabet(), n) {
+		for _, sym := range w {
+			if sym == hash {
+				if ext.Accepts(w) {
+					out = append(out, w.String(ext.Alphabet()))
+				}
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestExtendMaximalWordsPrefixClosed: the images the abstraction check
+// passes to ExtendMaximalWords are prefix-closed, where every proper
+// prefix of a word is accepting and can be extended. # must loop only
+// where the word read so far is maximal: after ab in pre(ab + a·c*),
+// and nowhere in pre((ab)*), which has no maximal word.
+func TestExtendMaximalWordsPrefixClosed(t *testing.T) {
+	src := alphabet.FromNames("a", "b", "c")
+	h := Identity(src, "a", "b", "c")
+	sa, _ := src.Lookup("a")
+	sb, _ := src.Lookup("b")
+	sc, _ := src.Lookup("c")
+
+	// pre(ab + a·c*) = {ε, a, ab, ac, acc, …}: ab is its one maximal word.
+	abOrAC := nfa.New(src)
+	q0 := abOrAC.AddState(true)
+	q1 := abOrAC.AddState(true)
+	q2 := abOrAC.AddState(true)
+	abOrAC.AddTransition(q0, sa, q1)
+	abOrAC.AddTransition(q1, sb, q2)
+	abOrAC.AddTransition(q1, sc, q1)
+	abOrAC.SetInitial(q0)
+	ext := h.ExtendMaximalWords(abOrAC)
+	dst := ext.Alphabet()
+	hash, ok := dst.Lookup(HashName)
+	if !ok {
+		t.Fatal("extension did not intern #")
+	}
+	da, _ := dst.Lookup("a")
+	db, _ := dst.Lookup("b")
+	dc, _ := dst.Lookup("c")
+	if w := (word.Word{da, db, hash}); !ext.Accepts(w) {
+		t.Errorf("extension rejects %s", w.String(dst))
+	}
+	for _, w := range []word.Word{{hash}, {da, hash}, {da, dc, hash}} {
+		if ext.Accepts(w) {
+			t.Errorf("extension accepts %s, whose prefix before # is not maximal", w.String(dst))
+		}
+	}
+
+	// pre((ab)*) = {ε, a, ab, aba, …}: no maximal word, so no # at all.
+	abStar := nfa.New(src)
+	p0 := abStar.AddState(true)
+	p1 := abStar.AddState(true)
+	abStar.AddTransition(p0, sa, p1)
+	abStar.AddTransition(p1, sb, p0)
+	abStar.SetInitial(p0)
+	ext = h.ExtendMaximalWords(abStar)
+	hash, _ = ext.Alphabet().Lookup(HashName)
+	if got := hashWords(ext, hash, 4); len(got) > 0 {
+		t.Errorf("extension of pre((ab)*) accepts %v", got)
 	}
 }

@@ -69,29 +69,7 @@ func (h *Hom) IsSimple(a *nfa.NFA) (SimplicityResult, error) {
 		return w
 	}
 
-	// Per-q caches of the residual-image analysis.
-	cache := map[nfa.State]*qAnalysis{}
-	analyze := func(q nfa.State) (*qAnalysis, error) {
-		if an, ok := cache[q]; ok {
-			return an, nil
-		}
-		// C_q: DFA for h(cont-of-configuration-q) = h(L(d from q)).
-		resid := d.ToNFA().ResidualFrom([]nfa.State{q})
-		cq := h.ImageNFA(resid).Determinize().Complete()
-		union, offset, err := disjointUnion(dImgC, cq)
-		if err != nil {
-			return nil, err
-		}
-		an := &qAnalysis{
-			union:   union,
-			classes: union.StateEquivalence(),
-			offset:  offset,
-			cInit:   cq.Initial(),
-		}
-		cache[q] = an
-		return an, nil
-	}
-
+	analyze := h.analyzer(d, dImgC)
 	for i := 0; i < len(queue); i++ {
 		cur := queue[i]
 		if d.Accepting(cur.p.q) {
@@ -129,6 +107,33 @@ func (h *Hom) IsSimple(a *nfa.NFA) (SimplicityResult, error) {
 		}
 	}
 	return SimplicityResult{Simple: true}, nil
+}
+
+// analyzer returns the residual-image analysis of each configuration q
+// of the concrete DFA d against the completed image DFA dImgC, built on
+// first use and cached per q.
+func (h *Hom) analyzer(d, dImgC *nfa.DFA) func(nfa.State) (*qAnalysis, error) {
+	cache := map[nfa.State]*qAnalysis{}
+	return func(q nfa.State) (*qAnalysis, error) {
+		if an, ok := cache[q]; ok {
+			return an, nil
+		}
+		// C_q: DFA for h(cont-of-configuration-q) = h(L(d from q)).
+		resid := d.ToNFA().ResidualFrom([]nfa.State{q})
+		cq := h.ImageNFA(resid).Determinize().Complete()
+		union, offset, err := disjointUnion(dImgC, cq)
+		if err != nil {
+			return nil, err
+		}
+		an := &qAnalysis{
+			union:   union,
+			classes: union.StateEquivalence(),
+			offset:  offset,
+			cInit:   cq.Initial(),
+		}
+		cache[q] = an
+		return an, nil
+	}
 }
 
 // pairIsSimple decides Definition 6.3 for one reachable configuration:
