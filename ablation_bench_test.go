@@ -10,6 +10,7 @@ package relive_test
 // keeps comparing them.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
 	"relive/internal/core"
+	"relive/internal/fairness"
 	"relive/internal/gen"
 	"relive/internal/ltl"
 	"relive/internal/nfa"
@@ -125,7 +127,7 @@ func BenchmarkStreettFairEmptiness(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, _, err := core.AllStronglyFairRunsSatisfy(sys, core.FromFormula(ltl.MustParse("G F result"), nil))
+		ok, _, err := core.AllFairRunsSatisfy(context.Background(), sys, core.FromFormula(ltl.MustParse("G F result"), nil), fairness.Strong)
 		if err != nil || !ok {
 			b.Fatalf("fairness check: %v %v", ok, err)
 		}

@@ -16,6 +16,7 @@ import (
 	"relive/internal/alphabet"
 	"relive/internal/core"
 	"relive/internal/exp"
+	"relive/internal/fairness"
 	"relive/internal/gen"
 	"relive/internal/ltl"
 	"relive/internal/paper"
@@ -144,7 +145,7 @@ func BenchmarkFairImplementation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ok, _, err := fi.AllStronglyFairRunsSatisfy(p)
+		ok, _, err := core.AllFairRunsSatisfy(context.Background(), fi.System, p, fairness.Strong)
 		if err != nil || !ok {
 			b.Fatalf("implementation check failed: %v, %v", ok, err)
 		}

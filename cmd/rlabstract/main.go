@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -119,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *ltlText == "" {
 		// Without a property, report the abstraction and simplicity only.
 		eta := relive.MustParseLTL("true")
-		report, err := checker.VerifyViaAbstraction(sys, h, eta)
+		report, err := checker.VerifyViaAbstraction(context.Background(), sys, h, eta)
 		if err != nil {
 			fmt.Fprintf(stderr, "rlabstract: %v\n", err)
 			return 2
@@ -132,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "rlabstract: %v\n", err)
 		return 2
 	}
-	report, err := checker.VerifyViaAbstraction(sys, h, eta)
+	report, err := checker.VerifyViaAbstraction(context.Background(), sys, h, eta)
 	if err != nil {
 		fmt.Fprintf(stderr, "rlabstract: %v\n", err)
 		return 2

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -146,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		property = relive.PropertyFromBuchi(b)
 	}
 	if *jsonOut {
-		report, err := checker.CheckAllProperty(sys, property)
+		report, err := checker.CheckAll(context.Background(), sys, property)
 		if err != nil {
 			fmt.Fprintf(stderr, "rlcheck: %v\n", err)
 			return 2
@@ -190,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	if runRL {
-		res, err := checker.CheckRelativeLivenessProperty(sys, property)
+		res, err := checker.CheckRelativeLiveness(context.Background(), sys, property)
 		if err != nil {
 			fmt.Fprintf(stderr, "rlcheck: %v\n", err)
 			return 2
@@ -199,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			res.BadPrefix.String(sys.Alphabet()))
 	}
 	if runRS {
-		res, err := checker.CheckRelativeSafetyProperty(sys, property)
+		res, err := checker.CheckRelativeSafety(context.Background(), sys, property)
 		if err != nil {
 			fmt.Fprintf(stderr, "rlcheck: %v\n", err)
 			return 2
@@ -211,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		report("relative safety", verdict(res.Holds), res.Holds, witness)
 	}
 	if runSat {
-		res, err := checker.CheckSatisfiesProperty(sys, property)
+		res, err := checker.CheckSatisfies(context.Background(), sys, property)
 		if err != nil {
 			fmt.Fprintf(stderr, "rlcheck: %v\n", err)
 			return 2
@@ -246,7 +247,7 @@ func runFairAbstract(checker *relive.Checker, sys *relive.System, ltlText, homSp
 		fmt.Fprintf(stderr, "rlcheck: %v\n", err)
 		return 2
 	}
-	report, err := checker.CheckFairAbstract(sys, h, kind, f)
+	report, err := checker.CheckFairAbstract(context.Background(), sys, h, kind, f)
 	if err != nil {
 		fmt.Fprintf(stderr, "rlcheck: %v\n", err)
 		return 2
@@ -299,7 +300,7 @@ func runStatistical(checker *relive.Checker, sys *relive.System, ltlText, omegaT
 		}
 		property = relive.PropertyFromBuchi(b)
 	}
-	report, err := checker.CheckStatisticalProperty(sys, property)
+	report, err := checker.CheckStatistical(context.Background(), sys, property)
 	if err != nil {
 		fmt.Fprintf(stderr, "rlcheck: %v\n", err)
 		return 2

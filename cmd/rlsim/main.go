@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +81,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "rlsim: %v\n", err)
 			return 2
 		}
-		rep, err := relive.With(relive.WithSeed(*seed), relive.WithSampleBudget(*runs, *steps)).CheckStatistical(sys, prop)
+		checker := relive.With(relive.WithSeed(*seed), relive.WithSampleBudget(*runs, *steps))
+		rep, err := checker.CheckStatistical(context.Background(), sys, relive.PropertyFromLTL(prop, nil))
 		if err != nil {
 			fmt.Fprintf(stderr, "rlsim: %v\n", err)
 			return 2

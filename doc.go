@@ -17,21 +17,14 @@
 //
 // # Quick start
 //
-//	sys, _ := relive.ParseSystem(`
-//	    init idle
-//	    idle request busy
-//	    busy result idle
-//	    busy reject idle
-//	`)
-//	prop := relive.MustParseLTL("G F result")
-//	res, _ := relive.CheckRelativeLiveness(sys, prop)
-//	fmt.Println(res.Holds) // true: some fair implementation satisfies it
-//
-// # Abstraction
-//
-//	h, _ := relive.ParseHom(sys.Alphabet(), "request=>request, result=>result, reject=>")
-//	report, _ := relive.VerifyViaAbstraction(sys, h, relive.MustParseLTL("G F result"))
-//	fmt.Println(report.Conclusion)
+// Every check is one method of a [Checker], whose first argument is a
+// context.Context; With() with no options is the default checker, and a
+// formula enters as PropertyFromLTL(f, nil). The examples of
+// [Checker.CheckRelativeLiveness] (satisfaction, relative liveness and
+// the Theorem 5.1 synthesis on a small server) and
+// [Checker.VerifyViaAbstraction] (the same property checked on an
+// abstraction that hides internal actions) are the quick start; go test
+// compiles and runs both.
 //
 // The building blocks — finite automata, Büchi automata with rank-based
 // complementation, a GPVW LTL-to-Büchi translation, Petri-net

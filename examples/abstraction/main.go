@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,8 +32,10 @@ func run() error {
 
 	eta := relive.MustParseLTL("G F result")
 	h := relive.ObserveActions(concrete.Alphabet(), "request", "result", "reject")
+	ctx := context.Background()
+	checker := relive.With()
 
-	report, err := relive.VerifyViaAbstraction(concrete, h, eta)
+	report, err := checker.VerifyViaAbstraction(ctx, concrete, h, eta)
 	if err != nil {
 		return err
 	}
@@ -65,7 +68,7 @@ L.denied reject L.idle
 		return err
 	}
 	hBroken := relive.ObserveActions(broken.Alphabet(), "request", "result", "reject")
-	reportBroken, err := relive.VerifyViaAbstraction(broken, hBroken, eta)
+	reportBroken, err := checker.VerifyViaAbstraction(ctx, broken, hBroken, eta)
 	if err != nil {
 		return err
 	}
@@ -81,7 +84,7 @@ L.denied reject L.idle
 	if err != nil {
 		return err
 	}
-	direct, err := relive.CheckRelativeLivenessProperty(broken, concreteProp)
+	direct, err := checker.CheckRelativeLiveness(ctx, broken, concreteProp)
 	if err != nil {
 		return err
 	}

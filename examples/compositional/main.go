@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,6 +38,8 @@ done%[1]d res%[1]d idle%[1]d
 
 func run(withPortfolio bool) error {
 	fmt.Println("n  concrete  abstract  simple  abstract-verdict  conclusion            time")
+	ctx := context.Background()
+	checker := relive.With()
 	for n := 1; n <= 5; n++ {
 		farm, err := worker(0)
 		if err != nil {
@@ -54,7 +57,7 @@ func run(withPortfolio bool) error {
 		h := relive.ObserveActions(farm.Alphabet(), "req0", "res0")
 		eta := relive.MustParseLTL("G (req0 -> F res0)")
 		start := time.Now()
-		report, err := relive.VerifyViaAbstraction(farm, h, eta)
+		report, err := checker.VerifyViaAbstraction(ctx, farm, h, eta)
 		if err != nil {
 			return err
 		}
@@ -74,7 +77,7 @@ func run(withPortfolio bool) error {
 				props = append(props, relive.PropertyFromLTL(f, nil))
 			}
 			pstart := time.Now()
-			reports, err := relive.With().CheckPropertyPortfolio(farm, props)
+			reports, err := checker.CheckPropertyPortfolio(ctx, farm, props)
 			if err != nil {
 				return err
 			}

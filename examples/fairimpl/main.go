@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,15 +30,17 @@ q b q
 	if err != nil {
 		return err
 	}
-	prop := relive.MustParseLTL("F (a & X a)") // ◇(a ∧ ○a)
+	prop := relive.PropertyFromLTL(relive.MustParseLTL("F (a & X a)"), nil) // ◇(a ∧ ○a)
+	ctx := context.Background()
+	checker := relive.With()
 
-	rl, err := relive.CheckRelativeLiveness(sys, prop)
+	rl, err := checker.CheckRelativeLiveness(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("◇(a ∧ ○a) relative liveness of {a,b}^ω: %v\n", rl.Holds)
 
-	ok, bad, err := relive.AllStronglyFairRunsSatisfy(sys, prop)
+	ok, bad, err := checker.AllFairRunsSatisfy(ctx, sys, prop, relive.FairnessStrong)
 	if err != nil {
 		return err
 	}
@@ -46,7 +49,7 @@ q b q
 		fmt.Printf("  strongly fair violating run: %s\n", bad.Word().String(sys.Alphabet()))
 	}
 
-	fi, err := relive.SynthesizeFairImplementation(sys, prop)
+	fi, err := checker.SynthesizeFairImplementation(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
@@ -57,7 +60,7 @@ q b q
 		return err
 	}
 	fmt.Printf("accepts exactly {a,b}^ω: %v\n", same)
-	implOK, _, err := fi.AllStronglyFairRunsSatisfy(relive.PropertyFromLTL(prop, nil))
+	implOK, _, err := checker.AllFairRunsSatisfy(ctx, fi.System, prop, relive.FairnessStrong)
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -58,6 +59,8 @@ func main() {
 
 func run(withPortfolio bool) error {
 	eta := relive.MustParseLTL("G (call -> F (answer | fwdanswer | record))")
+	ctx := context.Background()
+	checker := relive.With()
 	for _, variant := range []struct {
 		name string
 		text string
@@ -70,7 +73,7 @@ func run(withPortfolio bool) error {
 			return err
 		}
 		h := relive.ObserveActions(sys.Alphabet(), "call", "answer", "fwdanswer", "record")
-		report, err := relive.VerifyViaAbstraction(sys, h, eta)
+		report, err := checker.VerifyViaAbstraction(ctx, sys, h, eta)
 		if err != nil {
 			return err
 		}
@@ -84,7 +87,7 @@ func run(withPortfolio bool) error {
 		if err != nil {
 			return err
 		}
-		direct, err := relive.CheckRelativeLivenessProperty(sys, p)
+		direct, err := checker.CheckRelativeLiveness(ctx, sys, p)
 		if err != nil {
 			return err
 		}
@@ -112,7 +115,7 @@ func run(withPortfolio bool) error {
 			for _, entry := range portfolio[1:] {
 				props = append(props, relive.PropertyFromLTL(relive.MustParseLTL(entry.formula), nil))
 			}
-			reports, err := relive.With().CheckPropertyPortfolio(sys, props)
+			reports, err := checker.CheckPropertyPortfolio(ctx, sys, props)
 			if err != nil {
 				return err
 			}

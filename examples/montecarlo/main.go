@@ -10,13 +10,14 @@
 //     once the unrecoverable region absorbs the run (the broken server).
 //
 // The example runs the first-class statistical engine
-// (relive.CheckStatistical, backed by internal/mc): parallel seeded
+// (Checker.CheckStatistical, backed by internal/mc): parallel seeded
 // random walks, streaming bottom-SCC lasso detection, and a
 // Clopper–Pearson confidence interval on the satisfaction probability —
 // compared against the exact relative-liveness verdicts.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,8 @@ func run() error {
 		return err
 	}
 	broken := paper.Fig3System()
-	prop := relive.MustParseLTL("G F result")
+	prop := relive.PropertyFromLTL(relive.MustParseLTL("G F result"), nil)
+	ctx := context.Background()
 
 	checker := relive.With(
 		relive.WithSeed(42),
@@ -50,11 +52,11 @@ func run() error {
 		{"correct server (Figure 2)", correct},
 		{"broken server (Figure 3)", broken},
 	} {
-		rl, err := relive.CheckRelativeLiveness(tc.sys, prop)
+		rl, err := checker.CheckRelativeLiveness(ctx, tc.sys, prop)
 		if err != nil {
 			return err
 		}
-		rep, err := checker.CheckStatistical(tc.sys, prop)
+		rep, err := checker.CheckStatistical(ctx, tc.sys, prop)
 		if err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,8 +55,11 @@ func run() error {
 	fmt.Printf("ring of %d philosophers: %d reachable markings\n",
 		philosophers, sys.NumStates())
 
-	prop := relive.MustParseLTL("G F eat0")
-	sat, err := relive.CheckSatisfies(sys, prop)
+	eta := relive.MustParseLTL("G F eat0")
+	prop := relive.PropertyFromLTL(eta, nil)
+	ctx := context.Background()
+	checker := relive.With()
+	sat, err := checker.CheckSatisfies(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
@@ -64,7 +68,7 @@ func run() error {
 		fmt.Printf("  starvation schedule:           %s\n",
 			sat.Counterexample.String(sys.Alphabet()))
 	}
-	rl, err := relive.CheckRelativeLiveness(sys, prop)
+	rl, err := checker.CheckRelativeLiveness(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
@@ -72,7 +76,7 @@ func run() error {
 
 	// Abstract to philosopher 0's visible actions and verify there.
 	h := relive.ObserveActions(sys.Alphabet(), "eat0", "done0")
-	report, err := relive.VerifyViaAbstraction(sys, h, prop)
+	report, err := checker.VerifyViaAbstraction(ctx, sys, h, eta)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,9 +28,11 @@ busy reject idle
 	if err != nil {
 		return err
 	}
-	prop := relive.MustParseLTL("G F result") // □◇result
+	prop := relive.PropertyFromLTL(relive.MustParseLTL("G F result"), nil) // □◇result
+	ctx := context.Background()
+	checker := relive.With()
 
-	sat, err := relive.CheckSatisfies(sys, prop)
+	sat, err := checker.CheckSatisfies(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
@@ -39,7 +42,7 @@ busy reject idle
 			sat.Counterexample.String(sys.Alphabet()))
 	}
 
-	rl, err := relive.CheckRelativeLiveness(sys, prop)
+	rl, err := checker.CheckRelativeLiveness(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
@@ -49,7 +52,7 @@ busy reject idle
 		fmt.Println("    a fair implementation will satisfy the property (Theorem 5.1).")
 	}
 
-	rs, err := relive.CheckRelativeSafety(sys, prop)
+	rs, err := checker.CheckRelativeSafety(ctx, sys, prop)
 	if err != nil {
 		return err
 	}

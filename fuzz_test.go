@@ -161,6 +161,7 @@ func FuzzCheckAll(f *testing.F) {
 	f.Add("init s0\ns0 a s0\ns0 b s1\ns1 a s0\n", "G F a")
 	f.Add("init s0\ns0 a s1\ns1 b s1\n", "a U b")
 	f.Add("init p\np lock q\nq request p\n", "[] <> request")
+	checker := relive.With()
 	f.Fuzz(func(t *testing.T, sysText, fText string) {
 		if len(sysText) > 2048 || len(fText) > 256 || countIffExpansions(fText) > 4 {
 			return
@@ -173,7 +174,8 @@ func FuzzCheckAll(f *testing.F) {
 		if err != nil || fml.Size() > 16 {
 			return
 		}
-		rep, err := relive.CheckAll(sys, fml)
+		p := core.FromFormula(fml, nil)
+		rep, err := checker.CheckAll(context.Background(), sys, p)
 		if err != nil {
 			return // systems without behaviors etc. may legitimately error
 		}
@@ -181,7 +183,6 @@ func FuzzCheckAll(f *testing.F) {
 			t.Fatalf("Theorem 4.7 violated: sat=%v rl=%v rs=%v\nsystem:\n%s\nformula: %s",
 				rep.Satisfied, rep.RelativeLiveness, rep.RelativeSafety, sys.FormatString(), fml)
 		}
-		p := core.FromFormula(fml, nil)
 
 		ab := sys.Alphabet()
 		op := oracle.FromFormula(fml, nil)
@@ -249,6 +250,8 @@ func FuzzCheckFairAbstract(f *testing.F) {
 	f.Add("init s0\ns0 a s1\ns1 a s1\ns0 b s0\n", "a=>x, b=>y", byte(1), "F x")
 	f.Add("init idle\nidle request busy\nbusy result idle\nbusy reject idle\n",
 		"request=>req, result=>ok, reject=>", byte(0), "G F ok")
+	checker := relive.With()
+	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, sysText, homSpec string, fairByte byte, etaText string) {
 		if len(sysText) > 2048 || len(homSpec) > 256 || len(etaText) > 256 ||
 			countIffExpansions(etaText) > 4 {
@@ -270,7 +273,7 @@ func FuzzCheckFairAbstract(f *testing.F) {
 		if fairByte%2 == 1 {
 			kind = relive.FairnessWeak
 		}
-		rep, err := relive.CheckFairAbstract(sys, h, kind, eta)
+		rep, err := checker.CheckFairAbstract(ctx, sys, h, kind, eta)
 		if err != nil {
 			return // η not in Σ'-normal form etc.
 		}
@@ -296,12 +299,12 @@ func FuzzCheckFairAbstract(f *testing.F) {
 		}
 
 		// Monotonicity under fairness strengthening.
-		weakRep, err := relive.CheckFairAbstract(sys, h, relive.FairnessWeak, eta)
+		weakRep, err := checker.CheckFairAbstract(ctx, sys, h, relive.FairnessWeak, eta)
 		if err != nil {
 			return
 		}
 		if weakRep.Holds {
-			strongRep, err := relive.CheckFairAbstract(sys, h, relive.FairnessStrong, eta)
+			strongRep, err := checker.CheckFairAbstract(ctx, sys, h, relive.FairnessStrong, eta)
 			if err != nil {
 				t.Fatalf("strong check errored where weak succeeded: %v", err)
 			}
@@ -411,7 +414,8 @@ func FuzzCheckStatistical(f *testing.F) {
 		}
 		samples := 20 + int(budget)%60
 		checker := relive.With(relive.WithSeed(seed), relive.WithSampleBudget(samples, 48))
-		rep, err := checker.CheckStatistical(sys, phi)
+		p := relive.PropertyFromLTL(phi, nil)
+		rep, err := checker.CheckStatistical(context.Background(), sys, p)
 		if err != nil {
 			t.Fatalf("CheckStatistical: %v", err)
 		}
@@ -456,7 +460,7 @@ func FuzzCheckStatistical(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep2, err := checker.CheckStatistical(sys, phi)
+		rep2, err := checker.CheckStatistical(context.Background(), sys, p)
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"relive/internal/hom"
+	"relive/internal/interrupt"
 	"relive/internal/ltl"
 	"relive/internal/nfa"
 	"relive/internal/obs"
@@ -99,7 +100,7 @@ func CheckSigmaNormalForm(h *hom.Hom, eta *ltl.Formula) error {
 // tested again before the simplicity check; the image, its
 // determinization and the simplicity check do not poll it yet.
 func VerifyViaAbstraction(ctx context.Context, sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return nil, fmt.Errorf("abstraction: %w", err)
 	}
 	rec := obs.RecorderFromContext(ctx)
@@ -156,7 +157,7 @@ func VerifyViaAbstraction(ctx context.Context, sys *ts.System, h *hom.Hom, eta *
 	}
 	report.AbstractHolds = rl.Holds
 	report.AbstractBadPrefix = rl.BadPrefix
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return nil, fmt.Errorf("abstraction: %w", err)
 	}
 

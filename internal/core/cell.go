@@ -37,14 +37,6 @@ func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// ctxErr returns ctx.Err() even for a nil context (nil error).
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // get returns the memoized value, building it with build if necessary.
 // build runs under the calling goroutine's ctx; concurrent callers
 // coalesce onto one build. A context error — either the caller's own or

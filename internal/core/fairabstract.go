@@ -7,6 +7,7 @@ import (
 	"relive/internal/buchi"
 	"relive/internal/fairness"
 	"relive/internal/hom"
+	"relive/internal/interrupt"
 	"relive/internal/obs"
 	"relive/internal/ts"
 )
@@ -88,7 +89,7 @@ func ParseFairnessKind(s string) (fairness.Kind, error) {
 // image ("h⁻¹(¬P)"), the fused pre-filter ("pre(L∩h⁻¹(¬P))"), and the
 // fair emptiness search ("fair(L∩h⁻¹(¬P))").
 func CheckFairAbstract(ctx context.Context, sc *SystemCells, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return nil, fmt.Errorf("fair abstract: %w", err)
 	}
 	if kind != fairness.Strong && kind != fairness.Weak {
@@ -224,15 +225,17 @@ func remapRun(r fairness.Run, trimmed, orig *ts.System) fairness.Run {
 	return fairness.Run{Prefix: conv(r.Prefix), Loop: conv(r.Loop)}
 }
 
-// AllFairRunsSatisfy generalizes AllStronglyFairRunsSatisfy to both
-// fairness notions: it checks directly on a plain system whether every
+// AllFairRunsSatisfy checks directly on a plain system whether every
 // kind-fair run satisfies p, returning a violating fair run otherwise.
-func AllFairRunsSatisfy(sys *ts.System, p Property, kind fairness.Kind) (bool, *fairness.Run, error) {
+// Under strong fairness this is the check that fails for the minimal
+// automaton of the Section 5 example and succeeds for the Theorem 5.1
+// synthesis, whose second guarantee it verifies on fi.System.
+func AllFairRunsSatisfy(ctx context.Context, sys *ts.System, p Property, kind fairness.Kind) (bool, *fairness.Run, error) {
 	notP, err := p.NegationAutomaton(sys.Alphabet())
 	if err != nil {
 		return false, nil, fmt.Errorf("fair runs check: %w", err)
 	}
-	run, found, err := fairness.ExistsFairRun(sys, notP, kind)
+	run, found, err := fairness.ExistsFairRunCtx(ctx, sys, notP, kind)
 	if err != nil {
 		return false, nil, fmt.Errorf("fair runs check: %w", err)
 	}

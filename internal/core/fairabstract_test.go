@@ -157,7 +157,7 @@ func TestCheckFairAbstractTrimAgreement(t *testing.T) {
 				t.Errorf("%s %s: Holds=%v, want %v", tc.eta, FairnessKindName(kind), report.Holds, tc.want)
 			}
 			// Direct path must agree: both trim before evaluating fairness.
-			direct, run, err := AllFairRunsSatisfy(sys, eta, kind)
+			direct, run, err := AllFairRunsSatisfy(context.Background(), sys, eta, kind)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"relive/internal/buchi"
-	"relive/internal/fairness"
 	"relive/internal/graph"
 	"relive/internal/nfa"
 	"relive/internal/obs"
@@ -149,43 +148,6 @@ func (fi *FairImplementation) SameBehaviors(sys *ts.System) (bool, word.Word, er
 	}
 	eq, w := nfa.LanguageEqual(a1, a2)
 	return eq, w, nil
-}
-
-// AllStronglyFairRunsSatisfy checks the second guarantee of Theorem 5.1
-// on the synthesized implementation: no strongly fair run violates the
-// property. It returns the violating fair run if one exists.
-func (fi *FairImplementation) AllStronglyFairRunsSatisfy(p Property) (bool, *fairness.Run, error) {
-	notP, err := p.NegationAutomaton(fi.System.Alphabet())
-	if err != nil {
-		return false, nil, fmt.Errorf("fair implementation check: %w", err)
-	}
-	run, found, err := fairness.ExistsFairRun(fi.System, notP, fairness.Strong)
-	if err != nil {
-		return false, nil, fmt.Errorf("fair implementation check: %w", err)
-	}
-	if found {
-		return false, &run, nil
-	}
-	return true, nil, nil
-}
-
-// AllStronglyFairRunsSatisfy checks directly on a plain system whether
-// every strongly fair run satisfies p, returning a violating fair run
-// otherwise. This is the check that fails for the minimal automaton of
-// the Section 5 example and succeeds for the Theorem 5.1 synthesis.
-func AllStronglyFairRunsSatisfy(sys *ts.System, p Property) (bool, *fairness.Run, error) {
-	notP, err := p.NegationAutomaton(sys.Alphabet())
-	if err != nil {
-		return false, nil, fmt.Errorf("fair runs check: %w", err)
-	}
-	run, found, err := fairness.ExistsFairRun(sys, notP, fairness.Strong)
-	if err != nil {
-		return false, nil, fmt.Errorf("fair runs check: %w", err)
-	}
-	if found {
-		return false, &run, nil
-	}
-	return true, nil, nil
 }
 
 // BottomSCCsContainMarks is the structural argument from the proof of

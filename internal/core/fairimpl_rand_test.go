@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relive/internal/fairness"
 	"relive/internal/gen"
 )
 
@@ -18,8 +19,7 @@ import (
 //
 //   - when it holds, the synthesized implementation must have the same
 //     behaviors, all its strongly fair runs must satisfy P (checked
-//     through the package-level AllStronglyFairRunsSatisfy on the
-//     implementation system, not just the FairImplementation method),
+//     through AllFairRunsSatisfy on the implementation system),
 //     and every bottom SCC must carry a mark;
 //   - when it fails, SynthesizeFairImplementation must refuse.
 func TestQuickTheorem51RandomWide(t *testing.T) {
@@ -66,7 +66,7 @@ func TestQuickTheorem51RandomWide(t *testing.T) {
 			t.Fatalf("trial %d: behaviors differ, witness %s\nsystem:\n%s\nimplementation:\n%s",
 				trial, w.String(ab), sys.FormatString(), fi.System.FormatString())
 		}
-		good, bad, err := AllStronglyFairRunsSatisfy(fi.System, p)
+		good, bad, err := AllFairRunsSatisfy(context.Background(), fi.System, p, fairness.Strong)
 		if err != nil {
 			t.Fatal(err)
 		}

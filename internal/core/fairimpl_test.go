@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relive/internal/fairness"
 	"relive/internal/gen"
 	"relive/internal/paper"
 )
@@ -27,7 +28,7 @@ func TestSection5Example(t *testing.T) {
 	}
 
 	// Minimal automaton + strong fairness: not sufficient.
-	ok, violating, err := AllStronglyFairRunsSatisfy(sys, p)
+	ok, violating, err := AllFairRunsSatisfy(context.Background(), sys, p, fairness.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSection5Example(t *testing.T) {
 	if !same {
 		t.Fatalf("implementation behaviors differ from {a,b}^ω, witness %s", w.String(sys.Alphabet()))
 	}
-	good, bad, err := fi.AllStronglyFairRunsSatisfy(p)
+	good, bad, err := AllFairRunsSatisfy(context.Background(), fi.System, p, fairness.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestTheorem51OnFig2(t *testing.T) {
 	if !same {
 		t.Fatalf("behaviors changed by synthesis, witness %s", w.String(sys.Alphabet()))
 	}
-	good, bad, err := fi.AllStronglyFairRunsSatisfy(p)
+	good, bad, err := AllFairRunsSatisfy(context.Background(), fi.System, p, fairness.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestQuickTheorem51Random(t *testing.T) {
 			t.Fatalf("trial %d: behaviors differ, witness %s\nsystem:\n%s",
 				trial, w.String(ab), sys.FormatString())
 		}
-		good, bad, err := fi.AllStronglyFairRunsSatisfy(p)
+		good, bad, err := AllFairRunsSatisfy(context.Background(), fi.System, p, fairness.Strong)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"relive/internal/buchi"
+	"relive/internal/interrupt"
 	"relive/internal/nfa"
 	"relive/internal/obs"
 	"relive/internal/ts"
@@ -24,7 +25,7 @@ type MachineClosureResult struct {
 // prefix constructions and the inclusion check report to ctx's
 // recorder, and the inclusion polls ctx.
 func MachineClosed(ctx context.Context, lomega, lambda *buchi.Buchi) (MachineClosureResult, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)
 	}
 	rec := obs.RecorderFromContext(ctx)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestRelativeLivenessOmegaOnNonLimitClosed(t *testing.T) {
 
 	// □◇b relative liveness of "inf many a": every prefix extends to a
 	// word with both letters infinitely often.
-	rl, err := RelativeLivenessOmega(l, FromFormula(ltl.MustParse("G F b"), lab))
+	rl, err := RelativeLivenessOmega(context.Background(), l, FromFormula(ltl.MustParse("G F b"), lab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestRelativeLivenessOmegaOnNonLimitClosed(t *testing.T) {
 		t.Errorf("□◇b not RL of inf-a (prefix %s)", rl.BadPrefix.String(ab))
 	}
 	// "first letter is b": prefixes starting with a cannot be repaired.
-	rl, err = RelativeLivenessOmega(l, FromFormula(ltl.MustParse("b"), lab))
+	rl, err = RelativeLivenessOmega(context.Background(), l, FromFormula(ltl.MustParse("b"), lab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRelativeSafetyOmega(t *testing.T) {
 	lab := ltl.Canonical(ab)
 	// "first letter is b" IS a relative safety property of inf-a: a
 	// violating word has the prefix "a", whose every extension violates.
-	rs, err := RelativeSafetyOmega(l, FromFormula(ltl.MustParse("b"), lab))
+	rs, err := RelativeSafetyOmega(context.Background(), l, FromFormula(ltl.MustParse("b"), lab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestRelativeSafetyOmega(t *testing.T) {
 	}
 	// □◇b is not: violations (like (ab...a b^k a...)→ actually words
 	// with finitely many b) are limits of satisfying words.
-	rs, err = RelativeSafetyOmega(l, FromFormula(ltl.MustParse("G F b"), lab))
+	rs, err = RelativeSafetyOmega(context.Background(), l, FromFormula(ltl.MustParse("G F b"), lab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestQuickTheorem47Omega(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := RelativeLivenessOmega(l, p)
+		rl, err := RelativeLivenessOmega(context.Background(), l, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := RelativeSafetyOmega(l, p)
+		rs, err := RelativeSafetyOmega(context.Background(), l, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func randomOmega(rng *rand.Rand, ab *alphabet.Alphabet, n int) *buchi.Buchi {
 
 func TestIsLimitClosed(t *testing.T) {
 	ab := gen.Letters(2)
-	if ok, l, err := IsLimitClosed(infA(ab)); err != nil {
+	if ok, l, err := IsLimitClosed(context.Background(), infA(ab)); err != nil {
 		t.Fatal(err)
 	} else if ok {
 		t.Error("inf-a reported limit closed")
@@ -160,13 +161,13 @@ func TestIsLimitClosed(t *testing.T) {
 		t.Error("missing witness for non-limit-closure")
 	}
 	// Σ^ω is limit closed.
-	if ok, _, err := IsLimitClosed(buchi.UniversalAutomaton(ab)); err != nil {
+	if ok, _, err := IsLimitClosed(context.Background(), buchi.UniversalAutomaton(ab)); err != nil {
 		t.Fatal(err)
 	} else if !ok {
 		t.Error("Σ^ω reported not limit closed")
 	}
 	// The empty language is limit closed.
-	if ok, _, err := IsLimitClosed(buchi.New(ab)); err != nil {
+	if ok, _, err := IsLimitClosed(context.Background(), buchi.New(ab)); err != nil {
 		t.Fatal(err)
 	} else if !ok {
 		t.Error("∅ reported not limit closed")

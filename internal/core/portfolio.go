@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"relive/internal/alphabet"
+	"relive/internal/interrupt"
 	"relive/internal/obs"
 	"relive/internal/ts"
 )
@@ -68,7 +69,7 @@ func portfolio(ctx context.Context, sp obs.Span, n, workers int,
 	reports := make([]*Report, n)
 	errs := make([]error, n)
 	pool(ctx, sp.ID(), n, workers, func(ctx context.Context, i int) {
-		if err := ctxErr(ctx); err != nil {
+		if err := interrupt.Done(ctx); err != nil {
 			errs[i] = err
 			return
 		}

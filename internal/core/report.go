@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"relive/internal/interrupt"
 	"relive/internal/obs"
 	"relive/internal/ts"
 )
@@ -41,7 +42,7 @@ type Report struct {
 // pre(L∩P) product are each built once for the three procedures, whose
 // spans nest under one "core.CheckAll" span on ctx's recorder.
 func CheckAll(ctx context.Context, pc *PipelineCells) (*Report, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return nil, fmt.Errorf("core: check all: %w", err)
 	}
 	sp := obs.StartSpan(obs.RecorderFromContext(ctx), "core.CheckAll").

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"relive/internal/buchi"
+	"relive/internal/interrupt"
 	"relive/internal/nfa"
 	"relive/internal/obs"
 	"relive/internal/ts"
@@ -35,7 +36,7 @@ type LivenessResult struct {
 // behavior construction, the property translation, the pre(L∩P)
 // product, and the inclusion check — reports a span to ctx's recorder.
 func RelativeLiveness(ctx context.Context, pc *PipelineCells) (LivenessResult, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness: %w", err)
 	}
 	rec := obs.RecorderFromContext(ctx)

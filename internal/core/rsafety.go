@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"relive/internal/buchi"
+	"relive/internal/interrupt"
 	"relive/internal/obs"
 	"relive/internal/ts"
 	"relive/internal/word"
@@ -37,7 +38,7 @@ type SafetyResult struct {
 // pre(L∩P) product, its limit, the negation automaton, and the final
 // emptiness check — reports a span to ctx's recorder.
 func RelativeSafety(ctx context.Context, pc *PipelineCells) (SafetyResult, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
 	}
 	rec := obs.RecorderFromContext(ctx)
@@ -104,7 +105,7 @@ type SatisfactionResult struct {
 // equivalent to P being both a relative liveness and a relative safety
 // property; the equivalence is exercised by the test suite.
 func Satisfies(ctx context.Context, pc *PipelineCells) (SatisfactionResult, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return SatisfactionResult{}, fmt.Errorf("satisfaction: %w", err)
 	}
 	rec := obs.RecorderFromContext(ctx)

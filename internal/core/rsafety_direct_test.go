@@ -80,7 +80,7 @@ func checkRSRoutesAgree(t *testing.T, trial int, sys *ts.System, p Property) boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RelativeSafetyOmega(beh, p)
+	r4, err := RelativeSafetyOmega(context.Background(), beh, p)
 	if err != nil {
 		t.Fatal(err)
 	}

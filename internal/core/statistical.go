@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"relive/internal/interrupt"
 	"relive/internal/ltl"
 	"relive/internal/mc"
 	"relive/internal/obs"
@@ -107,7 +108,7 @@ func (r *StatisticalReport) Witness() (word.Lasso, bool) {
 // ("trim(L)" and "mc.sample" spans, mc.samples/mc.settled/mc.hits/
 // mc.steps counters).
 func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOptions) (*StatisticalReport, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := interrupt.Done(ctx); err != nil {
 		return nil, fmt.Errorf("statistical: %w", err)
 	}
 	cfg := o.config()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"relive/internal/core"
+	"relive/internal/fairness"
 	"relive/internal/ltl"
 	"relive/internal/nfa"
 	"relive/internal/paper"
@@ -93,7 +94,7 @@ func E3Fig3NotRelativeLiveness() (Result, error) {
 	// Cross-check with the fairness machinery: even all strongly fair
 	// runs violate it... more precisely, some strongly fair run violates
 	// it on every implementation candidate; here, on the system itself.
-	fairOK, _, err := core.AllStronglyFairRunsSatisfy(sys, p)
+	fairOK, _, err := core.AllFairRunsSatisfy(context.Background(), sys, p, fairness.Strong)
 	if err != nil {
 		return Result{}, err
 	}
@@ -255,7 +256,7 @@ func E7FairImplementation() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	minimalOK, _, err := core.AllStronglyFairRunsSatisfy(sys, p)
+	minimalOK, _, err := core.AllFairRunsSatisfy(context.Background(), sys, p, fairness.Strong)
 	if err != nil {
 		return Result{}, err
 	}
@@ -267,7 +268,7 @@ func E7FairImplementation() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	implOK, _, err := fi.AllStronglyFairRunsSatisfy(p)
+	implOK, _, err := core.AllFairRunsSatisfy(context.Background(), fi.System, p, fairness.Strong)
 	if err != nil {
 		return Result{}, err
 	}

@@ -187,7 +187,7 @@ func TestLawFairAbstractIdentityHom(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		direct, _, err := core.AllFairRunsSatisfy(sys, core.FromFormula(eta, nil), kind)
+		direct, _, err := core.AllFairRunsSatisfy(context.Background(), sys, core.FromFormula(eta, nil), kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestLawFairAbstractHideNothing(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		direct, _, err := core.AllFairRunsSatisfy(sys, core.FromFormula(eta, h.Labeling()), kind)
+		direct, _, err := core.AllFairRunsSatisfy(context.Background(), sys, core.FromFormula(eta, h.Labeling()), kind)
 		if err != nil {
 			t.Fatal(err)
 		}

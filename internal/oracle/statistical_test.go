@@ -19,7 +19,7 @@ import (
 // Differential and metamorphic battery for the statistical engine:
 // core.CheckStatistical (uniform random-walk sampling with bottom-SCC
 // lasso detection) against the exact fair-satisfaction check
-// core.AllFairRunsSatisfy(·, ·, fairness.Strong) — the paper's Section 9
+// core.AllFairRunsSatisfy(ctx, ·, ·, fairness.Strong) — the paper's Section 9
 // correspondence: under the uniform scheduler a run almost surely
 // settles into a bottom SCC and sweeps it strongly fairly, so "holds
 // with probability 1" coincides with "all strongly fair runs satisfy P".
@@ -73,7 +73,7 @@ func genStatCase(rng *rand.Rand, shape diffShape) statCase {
 // body and the shrinking predicate (deterministic: the case seed fixes
 // the sampling run).
 func diffStatFailure(sys *ts.System, c statCase) string {
-	exact, _, err := core.AllFairRunsSatisfy(sys, c.p, fairness.Strong)
+	exact, _, err := core.AllFairRunsSatisfy(context.Background(), sys, c.p, fairness.Strong)
 	if err != nil {
 		return fmt.Sprintf("AllFairRunsSatisfy: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestLawStatisticalBudgetMonotonicity(t *testing.T) {
 		sys := gen.System(rng, ab, 3+rng.Intn(4), 0.25+0.35*rng.Float64())
 		f := gen.Formula(rng, []string{"a", "b"}, 1+rng.Intn(2))
 		p := core.FromFormula(f, nil)
-		exact, _, err := core.AllFairRunsSatisfy(sys, p, fairness.Strong)
+		exact, _, err := core.AllFairRunsSatisfy(context.Background(), sys, p, fairness.Strong)
 		if err != nil || !exact {
 			continue
 		}
@@ -274,7 +274,7 @@ func TestLawStatisticalFunctional(t *testing.T) {
 		sys := functionalSystem(rng, ab, 2+rng.Intn(5))
 		f := gen.Formula(rng, []string{"a", "b"}, 1+rng.Intn(2))
 		p := core.FromFormula(f, nil)
-		exact, _, err := core.AllFairRunsSatisfy(sys, p, fairness.Strong)
+		exact, _, err := core.AllFairRunsSatisfy(context.Background(), sys, p, fairness.Strong)
 		if err != nil {
 			t.Fatal(err)
 		}

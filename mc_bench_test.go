@@ -1,5 +1,5 @@
 // Benchmarks for the statistical relative-liveness engine (internal/mc
-// via relive.CheckStatistical): sampling cost against system size and
+// via Checker.CheckStatistical): sampling cost against system size and
 // budget, worker scaling, and the sampled-vs-exact crossover that
 // motivates WithStatisticalFallback — on large products the exact
 // Büchi pipeline pays for the whole state space while the sampler pays
@@ -70,9 +70,10 @@ func BenchmarkStatisticalVsExact(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/exact", n), func(b *testing.B) {
+			checker := relive.With()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				holds, _, err := relive.AllFairRunsSatisfy(sys, phi, relive.FairnessStrong)
+				holds, _, err := checker.AllFairRunsSatisfy(context.Background(), sys, p, relive.FairnessStrong)
 				if err != nil || !holds {
 					b.Fatalf("verdict %v, %v", holds, err)
 				}

@@ -27,19 +27,20 @@ busy reject idle
 	return sys
 }
 
-// TestWithRecorder: the options entry point must produce the same
-// verdicts as the plain API and fill the attached trace.
+// TestWithRecorder: a Checker with a recorder must produce the same
+// verdicts as the default checker and fill the attached trace.
 func TestWithRecorder(t *testing.T) {
 	sys := observedServer(t)
-	f := relive.MustParseLTL("G F result")
+	p := ltlProperty("G F result")
+	ctx := context.Background()
 
 	tr := relive.NewTrace()
 	checker := relive.With(relive.WithRecorder(tr))
-	rep, err := checker.CheckAll(sys, f)
+	rep, err := checker.CheckAll(ctx, sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := relive.CheckAll(sys, f)
+	plain, err := relive.With().CheckAll(ctx, sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,10 @@ func TestWithRecorder(t *testing.T) {
 	}
 }
 
-// TestWithNoOptions: a bare Checker must behave like the plain API.
+// TestWithNoOptions: With() with no options is the default checker.
 func TestWithNoOptions(t *testing.T) {
 	sys := observedServer(t)
-	f := relive.MustParseLTL("G F result")
-	res, err := relive.With().CheckRelativeLiveness(sys, f)
+	res, err := relive.With().CheckRelativeLiveness(context.Background(), sys, ltlProperty("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWithNoOptions(t *testing.T) {
 func TestTraceJSONRoundTripPublic(t *testing.T) {
 	sys := observedServer(t)
 	tr := relive.NewTrace()
-	if _, err := relive.With(relive.WithRecorder(tr)).CheckSatisfies(sys, relive.MustParseLTL("G F result")); err != nil {
+	if _, err := relive.With(relive.WithRecorder(tr)).CheckSatisfies(context.Background(), sys, ltlProperty("G F result")); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -117,14 +117,13 @@ func ringSystem(t *testing.T, n int) *relive.System {
 	return sys
 }
 
-// TestStatisticalFallbackPlainCheckAll: over the state gate, the plain
-// CheckAll falls back exactly like CheckAllCtx — a sampled report with
-// the sampled verdict in all three verdict fields.
+// TestStatisticalFallbackPlainCheckAll: over the state gate, CheckAll
+// falls back — a sampled report with the sampled verdict in all three
+// verdict fields.
 func TestStatisticalFallbackPlainCheckAll(t *testing.T) {
 	sys := ringSystem(t, 24)
-	f := relive.MustParseLTL("G F result")
 	c := relive.With(relive.WithStatisticalFallback(4, 0))
-	rep, err := c.CheckAll(sys, f)
+	rep, err := c.CheckAll(context.Background(), sys, ltlProperty("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,30 +135,22 @@ func TestStatisticalFallbackPlainCheckAll(t *testing.T) {
 		t.Errorf("verdict fields %v/%v/%v, sampled verdict %v",
 			rep.Satisfied, rep.RelativeLiveness, rep.RelativeSafety, holds)
 	}
-	viaCtx, err := c.CheckAllCtx(context.Background(), sys, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(rep)
-	want, _ := json.Marshal(viaCtx)
-	if !bytes.Equal(got, want) {
-		t.Errorf("CheckAll and CheckAllCtx disagree:\n%s\n%s", got, want)
-	}
 }
 
 // TestStatisticalFallbackUnderGateIsExact: under the state gate the
 // report is the exact one, unmarked.
 func TestStatisticalFallbackUnderGateIsExact(t *testing.T) {
 	sys := ringSystem(t, 24)
-	f := relive.MustParseLTL("G F result")
-	rep, err := relive.With(relive.WithStatisticalFallback(100, 0)).CheckAll(sys, f)
+	p := ltlProperty("G F result")
+	ctx := context.Background()
+	rep, err := relive.With(relive.WithStatisticalFallback(100, 0)).CheckAll(ctx, sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Statistical != nil {
 		t.Fatal("CheckAll under the state gate returned a sampled report")
 	}
-	exact, err := relive.CheckAll(sys, f)
+	exact, err := relive.With().CheckAll(ctx, sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +166,12 @@ func TestStatisticalFallbackUnderGateIsExact(t *testing.T) {
 // state gate and never falls back to sampling.
 func TestStatisticalFallbackCancelledCaller(t *testing.T) {
 	sys := ringSystem(t, 24)
-	f := relive.MustParseLTL("G F result")
+	p := ltlProperty("G F result")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, maxStates := range []int{4, 100} {
 		c := relive.With(relive.WithStatisticalFallback(maxStates, time.Hour))
-		rep, err := c.CheckAllCtx(ctx, sys, f)
+		rep, err := c.CheckAll(ctx, sys, p)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("maxStates %d: err = %v, want context.Canceled", maxStates, err)
 		}

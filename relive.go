@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
@@ -152,83 +153,100 @@ func PropertyFromLTL(f *Formula, lab *Labeling) Property { return core.FromFormu
 // PropertyFromBuchi wraps a Büchi automaton as a Property.
 func PropertyFromBuchi(b *Buchi) Property { return core.FromAutomaton(b) }
 
-// CheckRelativeLiveness decides whether f (under the canonical
-// labeling) is a relative liveness property of sys (Definition 4.1,
-// via Lemma 4.3).
-func CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult, error) {
-	return core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
+// CheckAll runs all three checks of Section 4 — satisfaction, relative
+// liveness and relative safety — serially over one shared artifact
+// pipeline, and cross-validates Theorem 4.7. Under
+// WithStatisticalFallback a system over the state budget, or an exact
+// run over the time budget, is answered by the sampling engine instead;
+// the report's Statistical field marks such answers.
+func (c *Checker) CheckAll(ctx context.Context, sys *System, p Property) (*Report, error) {
+	if c.fbSet {
+		return c.checkAllWithFallback(ctx, sys, p)
+	}
+	return core.CheckAll(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
-// CheckRelativeLivenessProperty is CheckRelativeLiveness for a general
-// Property.
-func CheckRelativeLivenessProperty(sys *System, p Property) (LivenessResult, error) {
-	return core.RelativeLiveness(context.Background(), core.NewPipelineCells(sys, p))
+// CheckRelativeLiveness decides whether p is a relative liveness
+// property of sys (Definition 4.1, via Lemma 4.3).
+func (c *Checker) CheckRelativeLiveness(ctx context.Context, sys *System, p Property) (LivenessResult, error) {
+	return core.RelativeLiveness(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
-// CheckRelativeSafety decides whether f is a relative safety property
+// CheckRelativeSafety decides whether p is a relative safety property
 // of sys (Definition 4.2, via Lemma 4.4).
-func CheckRelativeSafety(sys *System, f *Formula) (SafetyResult, error) {
-	return core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
-}
-
-// CheckRelativeSafetyProperty is CheckRelativeSafety for a Property.
-func CheckRelativeSafetyProperty(sys *System, p Property) (SafetyResult, error) {
-	return core.RelativeSafety(context.Background(), core.NewPipelineCells(sys, p))
+func (c *Checker) CheckRelativeSafety(ctx context.Context, sys *System, p Property) (SafetyResult, error) {
+	return core.RelativeSafety(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
 // CheckSatisfies decides plain satisfaction L_ω ⊆ P. By Theorem 4.7 it
 // agrees with the conjunction of the two relative checks.
-func CheckSatisfies(sys *System, f *Formula) (SatisfactionResult, error) {
-	return core.Satisfies(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
+func (c *Checker) CheckSatisfies(ctx context.Context, sys *System, p Property) (SatisfactionResult, error) {
+	return core.Satisfies(c.ctx(ctx), core.NewPipelineCells(sys, p))
 }
 
-// CheckSatisfiesProperty is CheckSatisfies for a Property.
-func CheckSatisfiesProperty(sys *System, p Property) (SatisfactionResult, error) {
-	return core.Satisfies(context.Background(), core.NewPipelineCells(sys, p))
+// CheckPropertyPortfolio runs CheckAll for every property against sys
+// on a pool of runtime.GOMAXPROCS(0) workers. All properties share the
+// trimmed system and its behavior automaton, built once by whichever
+// worker needs them first; reports come back in props order with
+// verdicts and witnesses identical to checking each property serially.
+// Once ctx is done, running checks stop and jobs not yet started are
+// abandoned.
+func (c *Checker) CheckPropertyPortfolio(ctx context.Context, sys *System, props []Property) ([]*Report, error) {
+	return core.CheckPortfolio(c.ctx(ctx), sys, props, runtime.GOMAXPROCS(0))
+}
+
+// CheckSystemsPortfolio runs CheckAll for one property against every
+// system on a pool of runtime.GOMAXPROCS(0) workers. Systems sharing an
+// alphabet share the property automaton and its negation. Reports come
+// back in systems order, identical to the serial results.
+func (c *Checker) CheckSystemsPortfolio(ctx context.Context, systems []*System, p Property) ([]*Report, error) {
+	return core.CheckSystemsPortfolio(c.ctx(ctx), systems, p, runtime.GOMAXPROCS(0))
 }
 
 // CheckRelativeLivenessOmega decides relative liveness for an arbitrary
 // ω-regular language given as a Büchi automaton — Definition 4.1 in the
 // paper's full generality (system behaviors are the limit-closed special
 // case).
-func CheckRelativeLivenessOmega(lomega *Buchi, p Property) (LivenessResult, error) {
-	return core.RelativeLivenessOmega(lomega, p)
+func (c *Checker) CheckRelativeLivenessOmega(ctx context.Context, lomega *Buchi, p Property) (LivenessResult, error) {
+	return core.RelativeLivenessOmega(c.ctx(ctx), lomega, p)
 }
 
 // CheckRelativeSafetyOmega is the ω-language form of the relative-safety
 // check.
-func CheckRelativeSafetyOmega(lomega *Buchi, p Property) (SafetyResult, error) {
-	return core.RelativeSafetyOmega(lomega, p)
+func (c *Checker) CheckRelativeSafetyOmega(ctx context.Context, lomega *Buchi, p Property) (SafetyResult, error) {
+	return core.RelativeSafetyOmega(c.ctx(ctx), lomega, p)
 }
 
 // IsLimitClosed reports whether an ω-regular language is limit closed,
 // the precondition of Theorem 5.1.
-func IsLimitClosed(lomega *Buchi) (bool, Lasso, error) {
-	return core.IsLimitClosed(lomega)
+func (c *Checker) IsLimitClosed(ctx context.Context, lomega *Buchi) (bool, Lasso, error) {
+	return core.IsLimitClosed(c.ctx(ctx), lomega)
 }
 
 // MachineClosed decides Definition 4.6 for two Büchi automata.
-func MachineClosed(lomega, lambda *Buchi) (MachineClosureResult, error) {
-	return core.MachineClosed(context.Background(), lomega, lambda)
+func (c *Checker) MachineClosed(ctx context.Context, lomega, lambda *Buchi) (MachineClosureResult, error) {
+	return core.MachineClosed(c.ctx(ctx), lomega, lambda)
 }
 
 // SynthesizeFairImplementation runs the Theorem 5.1 construction: a
 // system with the same behaviors whose strongly fair runs all satisfy
-// the relative liveness property f.
-func SynthesizeFairImplementation(sys *System, f *Formula) (*FairImplementation, error) {
-	return core.SynthesizeFairImplementation(context.Background(), sys, core.FromFormula(f, nil))
-}
-
-// AllStronglyFairRunsSatisfy checks whether every strongly fair run of
-// sys satisfies f, returning a violating fair run otherwise.
-func AllStronglyFairRunsSatisfy(sys *System, f *Formula) (bool, *Run, error) {
-	return core.AllStronglyFairRunsSatisfy(sys, core.FromFormula(f, nil))
+// the relative liveness property p.
+func (c *Checker) SynthesizeFairImplementation(ctx context.Context, sys *System, p Property) (*FairImplementation, error) {
+	return core.SynthesizeFairImplementation(c.ctx(ctx), sys, p)
 }
 
 // AllFairRunsSatisfy checks whether every kind-fair run of sys
-// satisfies f, returning a violating fair run otherwise.
-func AllFairRunsSatisfy(sys *System, f *Formula, kind FairnessKind) (bool, *Run, error) {
-	return core.AllFairRunsSatisfy(sys, core.FromFormula(f, nil), kind)
+// satisfies p, returning a violating fair run otherwise.
+func (c *Checker) AllFairRunsSatisfy(ctx context.Context, sys *System, p Property, kind FairnessKind) (bool, *Run, error) {
+	return core.AllFairRunsSatisfy(c.ctx(ctx), sys, p, kind)
+}
+
+// VerifyViaAbstraction runs the paper's abstraction method end to end:
+// abstract sys under h, check that eta (in Σ'-normal form over h's
+// destination alphabet) is a relative liveness property of the abstract
+// behaviors, decide simplicity of h, and conclude per Corollary 8.4.
+func (c *Checker) VerifyViaAbstraction(ctx context.Context, sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
+	return core.VerifyViaAbstraction(c.ctx(ctx), sys, h, eta)
 }
 
 // CheckFairAbstract decides whether all kind-fair runs of sys satisfy
@@ -236,20 +254,13 @@ func AllFairRunsSatisfy(sys *System, f *Formula, kind FairnessKind) (bool, *Run,
 // the Theorem 5.1 fair-emptiness machinery with the Sections 6–8
 // abstraction constructions. eta must be in Σ'-normal form over h's
 // destination alphabet.
-func CheckFairAbstract(sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
-	return core.CheckFairAbstract(context.Background(), core.NewSystemCells(sys), h, kind, core.FromFormula(eta, ltl.Canonical(h.Dest())))
+func (c *Checker) CheckFairAbstract(ctx context.Context, sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
+	p := core.FromFormula(eta, ltl.Canonical(h.Dest()))
+	return core.CheckFairAbstract(c.ctx(ctx), core.NewSystemCells(sys), h, kind, p)
 }
 
 // ParseFairnessKind parses "strong" or "weak".
 func ParseFairnessKind(s string) (FairnessKind, error) { return core.ParseFairnessKind(s) }
-
-// VerifyViaAbstraction runs the paper's abstraction method end to end:
-// abstract sys under h, check that eta (in Σ'-normal form over h's
-// destination alphabet) is a relative liveness property of the abstract
-// behaviors, decide simplicity of h, and conclude per Corollary 8.4.
-func VerifyViaAbstraction(sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
-	return core.VerifyViaAbstraction(context.Background(), sys, h, eta)
-}
 
 // Rbar transforms an abstract property η into R̄(η) for interpretation
 // on the concrete system (Definition 7.4 / Figure 5).
@@ -284,17 +295,6 @@ func NewFairScheduler(sys *System) (*fairness.Scheduler, error) {
 // Report bundles the satisfaction, relative-liveness and
 // relative-safety verdicts; it marshals to JSON.
 type Report = core.Report
-
-// CheckAll runs all three checks of Section 4 and cross-validates
-// Theorem 4.7.
-func CheckAll(sys *System, f *Formula) (*Report, error) {
-	return core.CheckAll(context.Background(), core.NewPipelineCells(sys, core.FromFormula(f, nil)))
-}
-
-// CheckAllProperty is CheckAll for a general Property.
-func CheckAllProperty(sys *System, p Property) (*Report, error) {
-	return core.CheckAll(context.Background(), core.NewPipelineCells(sys, p))
-}
 
 // ReduceSystem returns the strong-bisimulation quotient of the system:
 // fewer states, identical behaviors, identical verdicts.

@@ -1,6 +1,7 @@
 package relive_test
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestCheckAllReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := relive.CheckAll(sys, relive.MustParseLTL("G F result"))
+	report, err := relive.With().CheckAll(context.Background(), sys, ltlProperty("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +55,14 @@ r result s0
 		t.Errorf("reduced to %d states, want 2", small.NumStates())
 	}
 	// Verdicts unchanged.
+	ctx := context.Background()
+	checker := relive.With()
 	for _, f := range []string{"G F result", "G F request"} {
-		r1, err := relive.CheckRelativeLiveness(sys, relive.MustParseLTL(f))
+		r1, err := checker.CheckRelativeLiveness(ctx, sys, ltlProperty(f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := relive.CheckRelativeLiveness(small, relive.MustParseLTL(f))
+		r2, err := checker.CheckRelativeLiveness(ctx, small, ltlProperty(f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +113,9 @@ func TestOmegaLanguageFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed, _, err := relive.IsLimitClosed(lomega)
+	ctx := context.Background()
+	checker := relive.With()
+	closed, _, err := checker.IsLimitClosed(ctx, lomega)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +123,14 @@ func TestOmegaLanguageFacade(t *testing.T) {
 		t.Error("FG-a language reported limit closed")
 	}
 	p := relive.PropertyFromLTL(relive.MustParseLTL("G F a"), relive.CanonicalLabeling(ab))
-	rl, err := relive.CheckRelativeLivenessOmega(lomega, p)
+	rl, err := checker.CheckRelativeLivenessOmega(ctx, lomega, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rl.Holds {
 		t.Error("□◇a should be (trivially) relative liveness of eventually-only-a")
 	}
-	rs, err := relive.CheckRelativeSafetyOmega(lomega, p)
+	rs, err := checker.CheckRelativeSafetyOmega(ctx, lomega, p)
 	if err != nil {
 		t.Fatal(err)
 	}

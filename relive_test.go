@@ -1,10 +1,13 @@
 package relive_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"relive"
+	"relive/internal/paper"
 )
 
 const serverText = `
@@ -15,28 +18,35 @@ busy result idle
 busy reject idle
 `
 
+// ltlProperty parses text as a formula under the canonical labeling.
+func ltlProperty(text string) relive.Property {
+	return relive.PropertyFromLTL(relive.MustParseLTL(text), nil)
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	sys, err := relive.ParseSystemString(serverText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := relive.MustParseLTL("G F result")
+	prop := ltlProperty("G F result")
+	ctx := context.Background()
+	checker := relive.With()
 
-	sat, err := relive.CheckSatisfies(sys, prop)
+	sat, err := checker.CheckSatisfies(ctx, sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sat.Holds {
 		t.Error("□◇result satisfied without fairness?")
 	}
-	rl, err := relive.CheckRelativeLiveness(sys, prop)
+	rl, err := checker.CheckRelativeLiveness(ctx, sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rl.Holds {
 		t.Error("□◇result not a relative liveness property of the server")
 	}
-	rs, err := relive.CheckRelativeSafety(sys, prop)
+	rs, err := checker.CheckRelativeSafety(ctx, sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +82,9 @@ denied reject idle
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := relive.VerifyViaAbstraction(sys, h, relive.MustParseLTL("G F result"))
+	ctx := context.Background()
+	checker := relive.With()
+	report, err := checker.VerifyViaAbstraction(ctx, sys, h, relive.MustParseLTL("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +103,7 @@ denied reject idle
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := relive.CheckRelativeLivenessProperty(sys, p)
+	rl, err := checker.CheckRelativeLiveness(ctx, sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +130,10 @@ q b q
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := relive.MustParseLTL("F (a & X a)")
-	ok, bad, err := relive.AllStronglyFairRunsSatisfy(sys, prop)
+	prop := ltlProperty("F (a & X a)")
+	ctx := context.Background()
+	checker := relive.With()
+	ok, bad, err := checker.AllFairRunsSatisfy(ctx, sys, prop, relive.FairnessStrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +143,7 @@ q b q
 	if bad == nil {
 		t.Fatal("no violating run")
 	}
-	fi, err := relive.SynthesizeFairImplementation(sys, prop)
+	fi, err := checker.SynthesizeFairImplementation(ctx, sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +189,7 @@ func TestPetriFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := relive.CheckRelativeLiveness(sys, relive.MustParseLTL("G F go"))
+	rl, err := relive.With().CheckRelativeLiveness(context.Background(), sys, ltlProperty("G F go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,5 +226,70 @@ func TestRbarPublic(t *testing.T) {
 	}
 	if !strings.Contains(f.String(), "ε") {
 		t.Errorf("R̄ should introduce ε: %s", f)
+	}
+}
+
+// TestVerdictMethodsCancelled: every verdict method takes its context
+// first and returns an error wrapping context.Canceled when that
+// context is already done, on the paper's server (Figure 2) and on an
+// ω-regex language that is not limit closed. A cancelled check is never
+// a verdict.
+func TestVerdictMethodsCancelled(t *testing.T) {
+	sys, err := paper.Fig2System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := relive.PropertyFromLTL(paper.PropertyInfResults(), nil)
+	h := paper.AbstractionHom(sys)
+	eta := paper.PropertyInfResults()
+	ab := relive.NewAlphabet("a", "b")
+	lomega, err := relive.ParseOmegaRegex(ab, "( a | b ) * ( a ) ^w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda, err := relive.ParseOmegaRegex(ab, "( a ) ^w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pOmega := relive.PropertyFromLTL(relive.MustParseLTL("G F a"), relive.CanonicalLabeling(ab))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := relive.With()
+	for _, row := range []struct {
+		name string
+		run  func() error
+	}{
+		{"CheckAll", func() error { _, err := c.CheckAll(ctx, sys, p); return err }},
+		{"CheckRelativeLiveness", func() error { _, err := c.CheckRelativeLiveness(ctx, sys, p); return err }},
+		{"CheckRelativeSafety", func() error { _, err := c.CheckRelativeSafety(ctx, sys, p); return err }},
+		{"CheckSatisfies", func() error { _, err := c.CheckSatisfies(ctx, sys, p); return err }},
+		{"CheckStatistical", func() error { _, err := c.CheckStatistical(ctx, sys, p); return err }},
+		{"CheckPropertyPortfolio", func() error {
+			_, err := c.CheckPropertyPortfolio(ctx, sys, []relive.Property{p, p})
+			return err
+		}},
+		{"CheckSystemsPortfolio", func() error {
+			_, err := c.CheckSystemsPortfolio(ctx, []*relive.System{sys, sys}, p)
+			return err
+		}},
+		{"CheckRelativeLivenessOmega", func() error { _, err := c.CheckRelativeLivenessOmega(ctx, lomega, pOmega); return err }},
+		{"CheckRelativeSafetyOmega", func() error { _, err := c.CheckRelativeSafetyOmega(ctx, lomega, pOmega); return err }},
+		{"IsLimitClosed", func() error { _, _, err := c.IsLimitClosed(ctx, lomega); return err }},
+		{"MachineClosed", func() error { _, err := c.MachineClosed(ctx, lomega, lambda); return err }},
+		{"SynthesizeFairImplementation", func() error { _, err := c.SynthesizeFairImplementation(ctx, sys, p); return err }},
+		{"AllFairRunsSatisfy", func() error {
+			_, _, err := c.AllFairRunsSatisfy(ctx, sys, p, relive.FairnessStrong)
+			return err
+		}},
+		{"VerifyViaAbstraction", func() error { _, err := c.VerifyViaAbstraction(ctx, sys, h, eta); return err }},
+		{"CheckFairAbstract", func() error {
+			_, err := c.CheckFairAbstract(ctx, sys, h, relive.FairnessStrong, eta)
+			return err
+		}},
+	} {
+		if err := row.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: err = %v, want context.Canceled", row.name, err)
+		}
 	}
 }

@@ -60,16 +60,15 @@ func WithConfidence(level float64) Option {
 	return func(c *Checker) { c.statConf = level }
 }
 
-// WithStatisticalFallback makes the Checker's CheckAll, CheckAllProperty
-// and their Ctx forms fall back to the statistical engine instead of
-// failing or stalling on systems too big to check exactly: systems with
-// more than maxStates states are sampled directly, and when maxExact > 0
-// the exact check runs under that time budget and a deadline overrun
-// (with the caller's context still alive) reruns statistically. A
-// fallback report carries the sampled fair verdict in all three verdict
-// fields and marks itself with a non-nil Statistical field — it is a
-// confidence-interval answer, never an exact one. maxStates <= 0
-// disables the state gate.
+// WithStatisticalFallback makes the Checker's CheckAll fall back to the
+// statistical engine instead of failing or stalling on systems too big
+// to check exactly: systems with more than maxStates states are sampled
+// directly, and when maxExact > 0 the exact check runs under that time
+// budget and a deadline overrun (with the caller's context still alive)
+// reruns statistically. A fallback report carries the sampled fair
+// verdict in all three verdict fields and marks itself with a non-nil
+// Statistical field — it is a confidence-interval answer, never an exact
+// one. maxStates <= 0 disables the state gate.
 func WithStatisticalFallback(maxStates int, maxExact time.Duration) Option {
 	return func(c *Checker) {
 		c.fbStates = maxStates
@@ -88,38 +87,17 @@ func (c *Checker) statOptions() core.StatOptions {
 	}
 }
 
-// CheckStatistical is the package-level statistical check with the
-// default budget (400 walks of 256 steps, confidence 0.99, seed 0).
-func CheckStatistical(sys *System, f *Formula) (*StatisticalReport, error) {
-	return With().CheckStatistical(sys, f)
-}
-
 // CheckStatistical runs the statistical engine with the Checker's
-// options (WithSeed, WithSampleBudget, WithConfidence). It samples on
+// options (WithSeed, WithSampleBudget, WithConfidence; by default 400
+// walks of 256 steps, confidence 0.99, seed 0). It samples on
 // runtime.GOMAXPROCS(0) walkers; the report does not depend on how
 // many.
-func (c *Checker) CheckStatistical(sys *System, f *Formula) (*StatisticalReport, error) {
-	return c.CheckStatisticalProperty(sys, core.FromFormula(f, nil))
-}
-
-// CheckStatisticalProperty is CheckStatistical for a Property.
-func (c *Checker) CheckStatisticalProperty(sys *System, p Property) (*StatisticalReport, error) {
-	return core.CheckStatistical(c.ctx(context.Background()), core.NewSystemCells(sys), p, c.statOptions())
-}
-
-// CheckStatisticalCtx is CheckStatistical with cooperative
-// cancellation.
-func (c *Checker) CheckStatisticalCtx(ctx context.Context, sys *System, f *Formula) (*StatisticalReport, error) {
-	return c.CheckStatisticalPropertyCtx(ctx, sys, core.FromFormula(f, nil))
-}
-
-// CheckStatisticalPropertyCtx is CheckStatisticalCtx for a Property.
-func (c *Checker) CheckStatisticalPropertyCtx(ctx context.Context, sys *System, p Property) (*StatisticalReport, error) {
+func (c *Checker) CheckStatistical(ctx context.Context, sys *System, p Property) (*StatisticalReport, error) {
 	return core.CheckStatistical(c.ctx(ctx), core.NewSystemCells(sys), p, c.statOptions())
 }
 
-// checkAllWithFallback is CheckAllPropertyCtx under
-// WithStatisticalFallback: exact when affordable, sampled otherwise.
+// checkAllWithFallback is CheckAll under WithStatisticalFallback: exact
+// when affordable, sampled otherwise.
 func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Property) (*Report, error) {
 	if c.fbStates > 0 && sys.NumStates() > c.fbStates {
 		return c.statFallbackReport(ctx, sys, p)
@@ -151,7 +129,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 // carry the sampled answer and the Statistical field holds the full
 // sampled evidence, so the report can never be mistaken for exact.
 func (c *Checker) statFallbackReport(ctx context.Context, sys *System, p Property) (*Report, error) {
-	sr, err := core.CheckStatistical(c.ctx(ctx), core.NewSystemCells(sys), p, c.statOptions())
+	sr, err := c.CheckStatistical(ctx, sys, p)
 	if err != nil {
 		return nil, err
 	}
