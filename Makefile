@@ -58,7 +58,7 @@ bench-save:
 # THRESHOLD, when set, makes the comparison fail (exit 1) if any
 # benchmark regresses below it, e.g. make bench-cmp THRESHOLD=0.90.
 # JSON=1 emits the comparison as one JSON object (per-benchmark ratios,
-# geomean, worst, gate verdict) instead of the table; the exit status
+# both geomeans, worst, gate verdict) instead of the table; the exit status
 # gates identically.
 BEFORE ?= bench_before.txt
 AFTER  ?= bench_after.txt

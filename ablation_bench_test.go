@@ -60,32 +60,6 @@ func BenchmarkIntersectionAblation(b *testing.B) {
 	})
 }
 
-func BenchmarkComplementAblation(b *testing.B) {
-	ab := gen.Letters(2)
-	// A deterministic automaton (closure of GFa) that both routes accept.
-	p := core.FromFormula(ltl.MustParse("G F a"), nil)
-	closure, err := core.Closure(p, ab)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("rank-based", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := closure.Complement(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("two-copy-deterministic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := closure.ComplementDeterministic(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkSimulationReductionAblation(b *testing.B) {
 	rng := rand.New(rand.NewSource(203))
 	ab := gen.Letters(2)

@@ -25,9 +25,6 @@ const Epsilon Symbol = 0
 // EpsilonName is the printable name of the Epsilon symbol.
 const EpsilonName = "ε"
 
-// IsEpsilon reports whether s is the reserved empty-word symbol.
-func (s Symbol) IsEpsilon() bool { return s == Epsilon }
-
 // Alphabet is a finite set of named symbols. The zero value is not usable;
 // construct alphabets with New.
 type Alphabet struct {
@@ -96,11 +93,6 @@ func (a *Alphabet) Names() []string {
 	out := make([]string, 0, a.Size())
 	out = append(out, a.names[1:]...)
 	return out
-}
-
-// Contains reports whether s is a proper letter of the alphabet.
-func (a *Alphabet) Contains(s Symbol) bool {
-	return s > 0 && int(s) < len(a.names)
 }
 
 // Clone returns a deep copy of the alphabet. Symbols keep their values,

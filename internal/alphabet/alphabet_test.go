@@ -22,14 +22,11 @@ func TestEpsilonReserved(t *testing.T) {
 	if got := a.Symbol(EpsilonName); got != Epsilon {
 		t.Errorf("Symbol(ε) = %d, want %d", got, Epsilon)
 	}
-	if !Epsilon.IsEpsilon() {
-		t.Error("Epsilon.IsEpsilon() = false")
+	if a.Symbol("a") == Epsilon {
+		t.Error("proper letter interned as ε")
 	}
-	if a.Symbol("a").IsEpsilon() {
-		t.Error("proper letter reported as ε")
-	}
-	if a.Contains(Epsilon) {
-		t.Error("Contains(Epsilon) = true; ε is not a proper letter")
+	if a.Size() != 1 {
+		t.Errorf("Size() = %d, want 1; ε is not a proper letter", a.Size())
 	}
 }
 

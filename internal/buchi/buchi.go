@@ -130,47 +130,12 @@ func (b *Buchi) addEdge(from State, sym alphabet.Symbol, to State) {
 // Succ returns the successors of s under sym.
 func (b *Buchi) Succ(s State, sym alphabet.Symbol) []State { return b.trans[s][sym] }
 
-// Clone returns a deep copy sharing the alphabet (and the immutable
-// compiled form, when one has been built).
-func (b *Buchi) Clone() *Buchi {
-	c := &Buchi{
-		ab:        b.ab,
-		initial:   append([]State(nil), b.initial...),
-		accepting: append([]bool(nil), b.accepting...),
-		trans:     make([]map[alphabet.Symbol][]State, len(b.trans)),
-	}
-	c.csr.Store(b.csr.Load())
-	for i, m := range b.trans {
-		if m == nil {
-			continue
-		}
-		cm := make(map[alphabet.Symbol][]State, len(m))
-		for sym, ts := range m {
-			cm[sym] = append([]State(nil), ts...)
-		}
-		c.trans[i] = cm
-	}
-	return c
-}
-
 func (b *Buchi) initialInts() []int {
 	out := make([]int, len(b.initial))
 	for i, s := range b.initial {
 		out[i] = int(s)
 	}
 	return out
-}
-
-// DropAcceptance returns the automaton with every state accepting. This
-// is the operation of Theorem 5.1: "A with its acceptance condition
-// removed" turns a reduced Büchi automaton for L_ω ∩ P into a
-// finite-state system accepting L_ω.
-func (b *Buchi) DropAcceptance() *Buchi {
-	c := b.Clone()
-	for i := range c.accepting {
-		c.accepting[i] = true
-	}
-	return c
 }
 
 // ToNFA reinterprets the Büchi automaton as an NFA on finite words with
@@ -191,29 +156,6 @@ func (b *Buchi) ToNFA() *nfa.NFA {
 		a.SetInitial(nfa.State(s))
 	}
 	return a
-}
-
-// FromNFA reinterprets an ε-free NFA as a Büchi automaton with the same
-// states and acceptance.
-func FromNFA(a *nfa.NFA) (*Buchi, error) {
-	if a.HasEpsilon() {
-		return nil, fmt.Errorf("buchi: NFA has ε-transitions")
-	}
-	b := New(a.Alphabet())
-	for i := 0; i < a.NumStates(); i++ {
-		b.AddState(a.Accepting(nfa.State(i)))
-	}
-	for i := 0; i < a.NumStates(); i++ {
-		for _, sym := range a.Alphabet().Symbols() {
-			for _, t := range a.Succ(nfa.State(i), sym) {
-				b.AddTransition(State(i), sym, State(t))
-			}
-		}
-	}
-	for _, s := range a.Initial() {
-		b.SetInitial(State(s))
-	}
-	return b, nil
 }
 
 // Reduce removes states that are unreachable or from which no ω-word can
@@ -503,26 +445,6 @@ func (b *Buchi) allAccepting() bool {
 	return len(b.accepting) > 0
 }
 
-// Union returns a Büchi automaton for L_ω(a) ∪ L_ω(c) by disjoint union.
-func Union(a, c *Buchi) *Buchi {
-	out := a.Clone()
-	offset := State(out.NumStates())
-	for i := 0; i < c.NumStates(); i++ {
-		out.AddState(c.accepting[i])
-	}
-	for i := range c.trans {
-		for sym, ts := range c.trans[i] {
-			for _, t := range ts {
-				out.AddTransition(State(i)+offset, sym, t+offset)
-			}
-		}
-	}
-	for _, s := range c.initial {
-		out.SetInitial(s + offset)
-	}
-	return out
-}
-
 // LassoAutomaton returns a Büchi automaton accepting exactly {l}.
 func LassoAutomaton(ab *alphabet.Alphabet, l word.Lasso) *Buchi {
 	b := New(ab)
@@ -558,21 +480,13 @@ func (b *Buchi) AcceptsLasso(l word.Lasso) bool {
 	return !IntersectEmpty(b, LassoAutomaton(b.ab, l))
 }
 
-// LimitOfPrefixClosed returns a Büchi automaton for lim(L(a)) where L(a)
-// must be prefix-closed: trim to states with an infinite continuation and
-// accept with every state. By König's lemma this accepts exactly the
-// ω-words all of whose prefixes are in L(a).
-func LimitOfPrefixClosed(a *nfa.NFA) (*Buchi, error) {
-	if ok, w := a.IsPrefixClosed(); !ok {
-		return nil, fmt.Errorf("buchi: language is not prefix-closed (witness prefix %v)", w)
-	}
-	return limitOfPrefixClosedUnchecked(a), nil
-}
-
-// LimitOfAllAccepting is LimitOfPrefixClosed for automata whose every
-// state accepts — the shape produced by transition systems — where
-// prefix-closure holds by construction and only the cheap structural
-// check is needed.
+// LimitOfAllAccepting returns a Büchi automaton for lim(L(a)) when
+// every state of a accepts — the shape produced by transition systems —
+// so that L(a) is prefix-closed by construction and only the cheap
+// structural check is needed. The result is trimmed to the states
+// with an infinite continuation, accepting with every state; by König's
+// lemma it accepts exactly the ω-words all of whose prefixes are in
+// L(a).
 func LimitOfAllAccepting(a *nfa.NFA) (*Buchi, error) {
 	for i := 0; i < a.NumStates(); i++ {
 		if !a.Accepting(nfa.State(i)) {
@@ -582,8 +496,8 @@ func LimitOfAllAccepting(a *nfa.NFA) (*Buchi, error) {
 	return limitOfPrefixClosedUnchecked(a), nil
 }
 
-// limitOfPrefixClosedUnchecked is LimitOfPrefixClosed without the
-// (expensive) prefix-closure validation. It reads an ε-free input's
+// limitOfPrefixClosedUnchecked builds lim(L(a)) for a prefix-closed
+// L(a) without validating prefix closure. It reads an ε-free input's
 // cached CSR in place and writes the output in one pass: a state
 // survives when it is reachable, co-reachable to an accepting state,
 // and on an infinite path within those states. Survivors are numbered
@@ -713,29 +627,6 @@ func limitOfPrefixClosedUnchecked(a *nfa.NFA) *Buchi {
 		if keep[s] >= 0 {
 			b.initial = append(b.initial, State(keep[s]))
 		}
-	}
-	return b
-}
-
-// Limit returns a Büchi automaton for lim(L(a)) = {x | infinitely many
-// prefixes of x are in L(a)} for an arbitrary regular L(a): determinize,
-// then accept on visiting accepting DFA states infinitely often. This is
-// sound because the run of a DFA over an ω-word is unique.
-func Limit(a *nfa.NFA) *Buchi {
-	d := a.Determinize()
-	b := New(a.Alphabet())
-	for i := 0; i < d.NumStates(); i++ {
-		b.AddState(d.Accepting(nfa.State(i)))
-	}
-	for i := 0; i < d.NumStates(); i++ {
-		for _, sym := range a.Alphabet().Symbols() {
-			if t, ok := d.Delta(nfa.State(i), sym); ok {
-				b.AddTransition(State(i), sym, State(t))
-			}
-		}
-	}
-	if d.Initial() >= 0 {
-		b.SetInitial(State(d.Initial()))
 	}
 	return b
 }

@@ -1,7 +1,9 @@
 package buchi
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"relive/internal/alphabet"
@@ -225,19 +227,6 @@ func TestQuickIntersectAllAgreesWithBinary(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	ab := alphabet.FromNames("a", "b")
-	u := Union(infManyA(ab), finManyA(ab)) // should be Σ^ω
-	for _, tc := range []struct{ prefix, loop string }{
-		{"", "a"}, {"", "b"}, {"ab", "ab"}, {"bbb", "a"},
-	} {
-		l := lasso(ab, tc.prefix, tc.loop)
-		if !u.AcceptsLasso(l) {
-			t.Errorf("union rejects %s", l.String(ab))
-		}
-	}
-}
-
 func TestReducePreservesLanguage(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	b := infManyA(ab)
@@ -283,58 +272,6 @@ func TestPrefixNFA(t *testing.T) {
 		}
 		if got := p.Accepts(w); got != tc.want {
 			t.Errorf("pre(a^ω) accepts %q = %v, want %v", tc.w, got, tc.want)
-		}
-	}
-}
-
-func TestLimitOfPrefixClosed(t *testing.T) {
-	ab := alphabet.FromNames("a", "b")
-	// L = prefix language of (ab)*: words alternating starting with a.
-	a := nfa.New(ab)
-	q0 := a.AddState(true)
-	q1 := a.AddState(true)
-	a.AddTransition(q0, ab.Symbol("a"), q1)
-	a.AddTransition(q1, ab.Symbol("b"), q0)
-	a.SetInitial(q0)
-	b, err := LimitOfPrefixClosed(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.AcceptsLasso(lasso(ab, "", "ab")) {
-		t.Error("lim rejects (ab)^ω")
-	}
-	if b.AcceptsLasso(lasso(ab, "", "a")) {
-		t.Error("lim accepts a^ω")
-	}
-	// Non-prefix-closed input must be rejected.
-	bad := nfa.New(ab)
-	p0 := bad.AddState(false)
-	p1 := bad.AddState(true)
-	bad.AddTransition(p0, ab.Symbol("a"), p1)
-	bad.SetInitial(p0)
-	if _, err := LimitOfPrefixClosed(bad); err == nil {
-		t.Error("LimitOfPrefixClosed accepted a non-prefix-closed language")
-	}
-}
-
-func TestLimitGeneral(t *testing.T) {
-	ab := alphabet.FromNames("a", "b")
-	// L = words ending in a: lim(L) = words with infinitely many a's.
-	a := nfa.New(ab)
-	q0 := a.AddState(false)
-	q1 := a.AddState(true)
-	for _, s := range []nfa.State{q0, q1} {
-		a.AddTransition(s, ab.Symbol("a"), q1)
-		a.AddTransition(s, ab.Symbol("b"), q0)
-	}
-	a.SetInitial(q0)
-	b := Limit(a)
-	ref := infManyA(ab)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 60; i++ {
-		l := genbase.Lasso(rng, ab, 4, 3)
-		if got, want := b.AcceptsLasso(l), ref.AcceptsLasso(l); got != want {
-			t.Errorf("lim accepts %s = %v, want %v", l.String(ab), got, want)
 		}
 	}
 }
@@ -500,4 +437,138 @@ func TestFromNFARoundTrip(t *testing.T) {
 	if _, err := FromNFA(eps); err == nil {
 		t.Error("FromNFA accepted an automaton with ε-transitions")
 	}
+}
+
+// detInfA returns a deterministic Büchi automaton for "infinitely many
+// a" over {a,b}.
+func detInfA(ab *alphabet.Alphabet) *Buchi {
+	b := New(ab)
+	q0 := b.AddState(false)
+	q1 := b.AddState(true)
+	sa, _ := ab.Lookup("a")
+	sb, _ := ab.Lookup("b")
+	b.AddTransition(q0, sb, q0)
+	b.AddTransition(q0, sa, q1)
+	b.AddTransition(q1, sa, q1)
+	b.AddTransition(q1, sb, q0)
+	b.SetInitial(q0)
+	return b
+}
+
+// TestComplementAuto complements a deterministic and a
+// nondeterministic automaton for "infinitely many a" with Complement,
+// the one entry for every input.
+func TestComplementAuto(t *testing.T) {
+	ab := alphabet.FromNames("a", "b")
+	det := detInfA(ab)
+	nd := infManyA(ab)
+	sa, _ := ab.Lookup("a")
+	nd.AddTransition(0, sa, 0)
+	for _, tc := range []struct {
+		name string
+		run  func() (*Buchi, error)
+	}{
+		{"Complement(det)", det.Complement},
+		{"Complement(nondet)", nd.Complement},
+	} {
+		c, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.AcceptsLasso(lasso(ab, "", "a")) || !c.AcceptsLasso(lasso(ab, "", "b")) {
+			t.Errorf("%s: wrong on a^ω or b^ω", tc.name)
+		}
+	}
+}
+
+func TestAccessorsAndString(t *testing.T) {
+	ab := alphabet.FromNames("a", "b")
+	b := detInfA(ab)
+	if len(b.Initial()) != 1 || b.Initial()[0] != 0 {
+		t.Errorf("Initial = %v", b.Initial())
+	}
+	b.SetAccepting(0, true)
+	if !b.Accepting(0) {
+		t.Error("SetAccepting did not stick")
+	}
+	s := b.String()
+	for _, want := range []string{"Buchi(2 states", "*0:", "a->"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() missing %q:\n%s", want, s)
+		}
+	}
+}
+
+func TestLimitOfAllAcceptingRejectsPartial(t *testing.T) {
+	ab := alphabet.FromNames("a")
+	a := nfa.New(ab)
+	q0 := a.AddState(true)
+	q1 := a.AddState(false)
+	sa, _ := ab.Lookup("a")
+	a.AddTransition(q0, sa, q1)
+	a.SetInitial(q0)
+	if _, err := LimitOfAllAccepting(a); err == nil {
+		t.Error("LimitOfAllAccepting accepted a non-all-accepting automaton")
+	}
+	a.SetAccepting(q1, true)
+	if _, err := LimitOfAllAccepting(a); err != nil {
+		t.Errorf("LimitOfAllAccepting rejected a valid automaton: %v", err)
+	}
+}
+
+// Clone returns a deep copy sharing the alphabet (and the immutable
+// compiled form, when one has been built).
+func (b *Buchi) Clone() *Buchi {
+	c := &Buchi{
+		ab:        b.ab,
+		initial:   append([]State(nil), b.initial...),
+		accepting: append([]bool(nil), b.accepting...),
+		trans:     make([]map[alphabet.Symbol][]State, len(b.trans)),
+	}
+	c.csr.Store(b.csr.Load())
+	for i, m := range b.trans {
+		if m == nil {
+			continue
+		}
+		cm := make(map[alphabet.Symbol][]State, len(m))
+		for sym, ts := range m {
+			cm[sym] = append([]State(nil), ts...)
+		}
+		c.trans[i] = cm
+	}
+	return c
+}
+
+// DropAcceptance returns the automaton with every state accepting: "A
+// with its acceptance condition removed" in Theorem 5.1, which
+// core.SynthesizeFairImplementation builds as a ts.System instead.
+func (b *Buchi) DropAcceptance() *Buchi {
+	c := b.Clone()
+	for i := range c.accepting {
+		c.accepting[i] = true
+	}
+	return c
+}
+
+// FromNFA reinterprets an ε-free NFA as a Büchi automaton with the same
+// states and acceptance.
+func FromNFA(a *nfa.NFA) (*Buchi, error) {
+	if a.HasEpsilon() {
+		return nil, fmt.Errorf("buchi: NFA has ε-transitions")
+	}
+	b := New(a.Alphabet())
+	for i := 0; i < a.NumStates(); i++ {
+		b.AddState(a.Accepting(nfa.State(i)))
+	}
+	for i := 0; i < a.NumStates(); i++ {
+		for _, sym := range a.Alphabet().Symbols() {
+			for _, t := range a.Succ(nfa.State(i), sym) {
+				b.AddTransition(State(i), sym, State(t))
+			}
+		}
+	}
+	for _, s := range a.Initial() {
+		b.SetInitial(State(s))
+	}
+	return b, nil
 }

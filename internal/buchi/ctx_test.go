@@ -74,18 +74,3 @@ func TestIntersectLassoCtxCancelled(t *testing.T) {
 		t.Fatal("returned lasso rejected by an operand")
 	}
 }
-
-func TestIntersectEmptyCtxCancelled(t *testing.T) {
-	ab := alphabet.FromNames("a")
-	a, c := ctxCycle(ab, 150, false), ctxCycle(ab, 149, false)
-	if _, err := IntersectEmptyCtx(cancelled(t), a, c); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	empty, err := IntersectEmptyCtx(context.Background(), a, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty != IntersectEmpty(a, c) {
-		t.Fatal("ctx and plain emptiness verdicts disagree")
-	}
-}

@@ -424,13 +424,6 @@ func IntersectEmpty(a, c *Buchi) bool {
 	return !ok
 }
 
-// IntersectEmptyCtx is IntersectEmpty with a cooperative cancellation
-// checkpoint inside the product exploration. A nil ctx never cancels.
-func IntersectEmptyCtx(ctx context.Context, a, c *Buchi) (bool, error) {
-	_, _, ok, err := intersectLasso(ctx, a, c, nil, nil)
-	return !ok, err
-}
-
 // IntersectEmptyFrom is IntersectEmpty with the exploration started
 // from the given operand states instead of the automata's initial
 // states. Decision procedures that ask "is the intersection empty when
@@ -439,11 +432,4 @@ func IntersectEmptyCtx(ctx context.Context, a, c *Buchi) (bool, error) {
 func IntersectEmptyFrom(a, c *Buchi, ainit, cinit []State) bool {
 	_, _, ok, _ := intersectLasso(nil, a, c, ainit, cinit)
 	return !ok
-}
-
-// IntersectLassoFrom is IntersectLasso started from the given operand
-// states (nil means the automaton's own initial states).
-func IntersectLassoFrom(a, c *Buchi, ainit, cinit []State) (word.Lasso, bool) {
-	l, _, ok, _ := intersectLasso(nil, a, c, ainit, cinit)
-	return l, ok
 }

@@ -45,18 +45,6 @@ func TestQuickIntersectIsConjunction(t *testing.T) {
 	}
 }
 
-// TestQuickUnionIsDisjunction: x ∈ A ∪ B ⟺ x ∈ A or x ∈ B.
-func TestQuickUnionIsDisjunction(t *testing.T) {
-	f := func(s1, s2, s3 int64) bool {
-		a, b := seedBuchi(s1), seedBuchi(s2)
-		l := seedLasso(s3)
-		return Union(a, b).AcceptsLasso(l) == (a.AcceptsLasso(l) || b.AcceptsLasso(l))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickReducePreservesMembership.
 func TestQuickReducePreservesMembership(t *testing.T) {
 	f := func(s1, s2 int64) bool {

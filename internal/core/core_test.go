@@ -337,3 +337,22 @@ func TestRemark1ClassicalLivenessAndSafety(t *testing.T) {
 		}
 	}
 }
+
+// restart clones b with the initial states replaced by the given set.
+func restart(b *buchi.Buchi, initial []buchi.State) *buchi.Buchi {
+	c := buchi.New(b.Alphabet())
+	for i := 0; i < b.NumStates(); i++ {
+		c.AddState(b.Accepting(buchi.State(i)))
+	}
+	for i := 0; i < b.NumStates(); i++ {
+		for _, sym := range b.Alphabet().Symbols() {
+			for _, t := range b.Succ(buchi.State(i), sym) {
+				c.AddTransition(buchi.State(i), sym, t)
+			}
+		}
+	}
+	for _, s := range initial {
+		c.SetInitial(s)
+	}
+	return c
+}

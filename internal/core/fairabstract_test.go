@@ -8,6 +8,7 @@ import (
 	"relive/internal/fairness"
 	"relive/internal/hom"
 	"relive/internal/ltl"
+	"relive/internal/oracle"
 	"relive/internal/ts"
 )
 
@@ -74,10 +75,10 @@ func TestCheckFairAbstractFails(t *testing.T) {
 		if err := run.Validate(sys); err != nil {
 			t.Fatalf("witness invalid on the original system: %v", err)
 		}
-		if kind == fairness.Strong && !run.IsStronglyFair(sys) {
+		if kind == fairness.Strong && !oracle.IsFair(sys, oracle.EdgeLasso(*run), oracle.StronglyFair) {
 			t.Fatal("witness not strongly fair")
 		}
-		if kind == fairness.Weak && !run.IsWeaklyFair(sys) {
+		if kind == fairness.Weak && !oracle.IsFair(sys, oracle.EdgeLasso(*run), oracle.WeaklyFair) {
 			t.Fatal("witness not weakly fair")
 		}
 		if len(report.AbstractLoop) == 0 {

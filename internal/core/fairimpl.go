@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"relive/internal/buchi"
-	"relive/internal/graph"
 	"relive/internal/nfa"
 	"relive/internal/obs"
 	"relive/internal/ts"
@@ -148,27 +147,4 @@ func (fi *FairImplementation) SameBehaviors(sys *ts.System) (bool, word.Word, er
 	}
 	eq, w := nfa.LanguageEqual(a1, a2)
 	return eq, w, nil
-}
-
-// BottomSCCsContainMarks is the structural argument from the proof of
-// Theorem 5.1, checkable in linear time: in the reduced product, every
-// reachable bottom SCC of the implementation contains a marked
-// (originally accepting) state, so any run that is eventually confined
-// to — and fairly exhausts — a bottom SCC hits marks infinitely often.
-func (fi *FairImplementation) BottomSCCsContainMarks() bool {
-	sys := fi.System
-	g, _ := sys.CSR()
-	for _, comp := range graph.BottomSCCs(g, []int{int(sys.Initial())}) {
-		hasMark := false
-		for _, v := range comp {
-			if fi.Marked[ts.State(v)] {
-				hasMark = true
-				break
-			}
-		}
-		if !hasMark {
-			return false
-		}
-	}
-	return true
 }

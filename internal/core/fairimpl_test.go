@@ -7,7 +7,10 @@ import (
 
 	"relive/internal/fairness"
 	"relive/internal/gen"
+	"relive/internal/graph"
+	"relive/internal/oracle"
 	"relive/internal/paper"
+	"relive/internal/ts"
 )
 
 // TestSection5Example reproduces the Section 5 discussion end to end:
@@ -41,7 +44,7 @@ func TestSection5Example(t *testing.T) {
 	if err := violating.Validate(sys); err != nil {
 		t.Fatalf("violating run invalid: %v", err)
 	}
-	if !violating.IsStronglyFair(sys) {
+	if !oracle.IsFair(sys, oracle.EdgeLasso(*violating), oracle.StronglyFair) {
 		t.Error("violating run not strongly fair")
 	}
 
@@ -164,4 +167,27 @@ func TestQuickTheorem51Random(t *testing.T) {
 	if synthesized == 0 {
 		t.Skip("no synthesizable samples")
 	}
+}
+
+// BottomSCCsContainMarks is the structural argument from the proof of
+// Theorem 5.1, checkable in linear time: in the reduced product, every
+// reachable bottom SCC of the implementation contains a marked
+// (originally accepting) state, so any run that is eventually confined
+// to — and fairly exhausts — a bottom SCC hits marks infinitely often.
+func (fi *FairImplementation) BottomSCCsContainMarks() bool {
+	sys := fi.System
+	g, _ := sys.CSR()
+	for _, comp := range graph.BottomSCCs(g, []int{int(sys.Initial())}) {
+		hasMark := false
+		for _, v := range comp {
+			if fi.Marked[ts.State(v)] {
+				hasMark = true
+				break
+			}
+		}
+		if !hasMark {
+			return false
+		}
+	}
+	return true
 }

@@ -89,19 +89,6 @@ func RelativeSafetyOmega(ctx context.Context, lomega *buchi.Buchi, p Property) (
 	return SafetyResult{Holds: true}, nil
 }
 
-// SatisfiesOmega decides L_ω(lomega) ⊆ P.
-func SatisfiesOmega(lomega *buchi.Buchi, p Property) (SatisfactionResult, error) {
-	notP, err := p.NegationAutomaton(lomega.Alphabet())
-	if err != nil {
-		return SatisfactionResult{}, fmt.Errorf("satisfaction (ω): %w", err)
-	}
-	l, found := buchi.IntersectLasso(lomega, notP)
-	if found {
-		return SatisfactionResult{Holds: false, Counterexample: l}, nil
-	}
-	return SatisfactionResult{Holds: true}, nil
-}
-
 // IsLimitClosed reports whether L_ω(lomega) is limit closed
 // (L_ω = lim(pre(L_ω))), the precondition of Theorem 5.1. The witness
 // is an ω-word in lim(pre(L_ω)) \ L_ω when the check fails.

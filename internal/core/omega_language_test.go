@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -172,4 +173,17 @@ func TestIsLimitClosed(t *testing.T) {
 	} else if !ok {
 		t.Error("∅ reported not limit closed")
 	}
+}
+
+// SatisfiesOmega decides L_ω(lomega) ⊆ P.
+func SatisfiesOmega(lomega *buchi.Buchi, p Property) (SatisfactionResult, error) {
+	notP, err := p.NegationAutomaton(lomega.Alphabet())
+	if err != nil {
+		return SatisfactionResult{}, fmt.Errorf("satisfaction (ω): %w", err)
+	}
+	l, found := buchi.IntersectLasso(lomega, notP)
+	if found {
+		return SatisfactionResult{Holds: false, Counterexample: l}, nil
+	}
+	return SatisfactionResult{Holds: true}, nil
 }

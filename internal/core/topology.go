@@ -99,71 +99,3 @@ func RelativeSafetyTopological(sys *ts.System, p Property) (SafetyResult, error)
 	}
 	return SafetyResult{Holds: closed, Violation: l}, nil
 }
-
-// ApproachingSequence materializes the "dense set" reading of
-// Lemma 4.9: given a behavior x and a radius sequence 1/(k+1) for
-// k = 0..depth, it returns behaviors y_k ∈ L_ω ∩ P with Cantor distance
-// d(x, y_k) ≤ 1/(k+1). When P is a relative liveness property this
-// succeeds for every behavior x and every depth; the returned slice
-// contains the approximating lassos.
-func ApproachingSequence(sys *ts.System, p Property, x word.Lasso, depth int) ([]word.Lasso, error) {
-	trimmed, err := sys.Trim()
-	if err != nil {
-		return nil, fmt.Errorf("approaching sequence: %w", err)
-	}
-	behaviors, err := trimmed.Behaviors()
-	if err != nil {
-		return nil, fmt.Errorf("approaching sequence: %w", err)
-	}
-	if !behaviors.AcceptsLasso(x) {
-		return nil, fmt.Errorf("approaching sequence: %s is not a behavior", x.String(sys.Alphabet()))
-	}
-	pa, err := p.Automaton(sys.Alphabet())
-	if err != nil {
-		return nil, err
-	}
-	inter := buchi.Intersect(behaviors, pa)
-	out := make([]word.Lasso, 0, depth+1)
-	for k := 0; k <= depth; k++ {
-		w := x.PrefixOfLen(k)
-		cont := restartOnWordOrNil(inter, w)
-		if cont == nil {
-			return nil, fmt.Errorf("approaching sequence: prefix %s has no extension in L∩P (P is not a relative liveness property)",
-				w.String(sys.Alphabet()))
-		}
-		tail, ok := cont.AcceptingLasso()
-		if !ok {
-			return nil, fmt.Errorf("approaching sequence: prefix %s has no extension in L∩P (P is not a relative liveness property)",
-				w.String(sys.Alphabet()))
-		}
-		y := word.MustLasso(w.Concat(tail.Prefix), tail.Loop)
-		out = append(out, y)
-	}
-	return out, nil
-}
-
-// restartOnWordOrNil returns b restarted at the states reached on w, or
-// nil when the run dies.
-func restartOnWordOrNil(b *buchi.Buchi, w word.Word) *buchi.Buchi {
-	cur := map[buchi.State]bool{}
-	for _, s := range b.Initial() {
-		cur[s] = true
-	}
-	for _, sym := range w {
-		next := map[buchi.State]bool{}
-		for s := range cur {
-			for _, t := range b.Succ(s, sym) {
-				next[t] = true
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		cur = next
-	}
-	states := make([]buchi.State, 0, len(cur))
-	for s := range cur {
-		states = append(states, s)
-	}
-	return restart(b, states)
-}

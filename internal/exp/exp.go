@@ -11,7 +11,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -120,26 +119,4 @@ func All() []Experiment {
 		{"E13", E13MonteCarlo},
 	}
 	return reg
-}
-
-// RunAll executes every experiment in order, returning results sorted
-// by ID.
-func RunAll() ([]Result, error) {
-	var out []Result
-	for _, e := range All() {
-		r, err := e.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessID(out[i].ID, out[j].ID) })
-	return out, nil
-}
-
-func lessID(a, b string) bool {
-	var ai, bi int
-	fmt.Sscanf(a, "E%d", &ai)
-	fmt.Sscanf(b, "E%d", &bi)
-	return ai < bi
 }

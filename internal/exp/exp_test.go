@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -52,4 +54,26 @@ func TestWorkerFarmGrowth(t *testing.T) {
 			t.Errorf("farm(%d) has %d states, want %d", n, sys.NumStates(), want)
 		}
 	}
+}
+
+// RunAll executes every experiment in order, returning results sorted
+// by ID.
+func RunAll() ([]Result, error) {
+	var out []Result
+	for _, e := range All() {
+		r, err := e.Run()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return lessID(out[i].ID, out[j].ID) })
+	return out, nil
+}
+
+func lessID(a, b string) bool {
+	var ai, bi int
+	fmt.Sscanf(a, "E%d", &ai)
+	fmt.Sscanf(b, "E%d", &bi)
+	return ai < bi
 }

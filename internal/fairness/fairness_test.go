@@ -7,6 +7,7 @@ import (
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
 	"relive/internal/ltl"
+	"relive/internal/oracle"
 	"relive/internal/ts"
 	"relive/internal/word"
 )
@@ -75,14 +76,14 @@ func TestStrongFairness(t *testing.T) {
 	ea := edgeOf(t, sys, "a")
 	eb := edgeOf(t, sys, "b")
 	both := Run{Loop: []ts.Edge{ea, eb}}
-	if !both.IsStronglyFair(sys) {
+	if !oracle.IsFair(sys, oracle.EdgeLasso(both), oracle.StronglyFair) {
 		t.Error("loop taking both edges is not strongly fair?")
 	}
 	onlyA := Run{Loop: []ts.Edge{ea}}
-	if onlyA.IsStronglyFair(sys) {
+	if oracle.IsFair(sys, oracle.EdgeLasso(onlyA), oracle.StronglyFair) {
 		t.Error("a^ω is strongly fair although b is always enabled")
 	}
-	if !onlyA.IsWeaklyFair(sys) == false {
+	if !oracle.IsFair(sys, oracle.EdgeLasso(onlyA), oracle.WeaklyFair) == false {
 		// b is continuously enabled (single-state loop) and never taken.
 		t.Error("a^ω should not be weakly fair here")
 	}
@@ -103,10 +104,10 @@ func TestWeakFairnessMultiState(t *testing.T) {
 	ea := edgeOf(t, sys, "a")
 	eb := edgeOf(t, sys, "b")
 	r := Run{Loop: []ts.Edge{ea, eb}}
-	if !r.IsWeaklyFair(sys) {
+	if !oracle.IsFair(sys, oracle.EdgeLasso(r), oracle.WeaklyFair) {
 		t.Error("(ab)^ω not weakly fair")
 	}
-	if r.IsStronglyFair(sys) {
+	if oracle.IsFair(sys, oracle.EdgeLasso(r), oracle.StronglyFair) {
 		t.Error("(ab)^ω strongly fair although c is enabled infinitely often and never taken")
 	}
 }
@@ -116,7 +117,7 @@ func TestExistsFairRunBasic(t *testing.T) {
 	lab := ltl.Canonical(sys.Alphabet())
 	// Property "infinitely many a": satisfiable by a fair run.
 	prop := ltl.TranslateBuchi(ltl.MustParse("G F a"), lab)
-	run, ok, err := ExistsFairRun(sys, prop, Strong)
+	run, ok, err := ExistsFairRunCtx(nil, sys, prop, Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestExistsFairRunBasic(t *testing.T) {
 	if err := run.Validate(sys); err != nil {
 		t.Fatalf("witness run invalid: %v", err)
 	}
-	if !run.IsStronglyFair(sys) {
+	if !oracle.IsFair(sys, oracle.EdgeLasso(run), oracle.StronglyFair) {
 		t.Error("witness run is not strongly fair")
 	}
 	if !prop.AcceptsLasso(run.Word()) {
@@ -135,7 +136,7 @@ func TestExistsFairRunBasic(t *testing.T) {
 
 	// "Eventually only a": no strongly fair run can avoid b forever.
 	prop2 := ltl.TranslateBuchi(ltl.MustParse("F G a"), lab)
-	_, ok, err = ExistsFairRun(sys, prop2, Strong)
+	_, ok, err = ExistsFairRunCtx(nil, sys, prop2, Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestExistsFairRunBasic(t *testing.T) {
 	}
 	// But a weakly fair one cannot exist either: the loop would sit at
 	// the single state with b enabled continuously.
-	_, ok, err = ExistsFairRun(sys, prop2, Weak)
+	_, ok, err = ExistsFairRunCtx(nil, sys, prop2, Weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestExistsFairRunWeakVsStrong(t *testing.T) {
 	lab := ltl.Canonical(ab)
 	noC := ltl.TranslateBuchi(ltl.MustParse("G !c"), lab)
 
-	run, ok, err := ExistsFairRun(sys, noC, Weak)
+	run, ok, err := ExistsFairRunCtx(nil, sys, noC, Weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,11 @@ func TestExistsFairRunWeakVsStrong(t *testing.T) {
 	if err := run.Validate(sys); err != nil {
 		t.Fatalf("weak witness invalid: %v", err)
 	}
-	if !run.IsWeaklyFair(sys) {
+	if !oracle.IsFair(sys, oracle.EdgeLasso(run), oracle.WeaklyFair) {
 		t.Error("weak witness is not weakly fair")
 	}
 
-	_, ok, err = ExistsFairRun(sys, noC, Strong)
+	_, ok, err = ExistsFairRunCtx(nil, sys, noC, Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +198,17 @@ func TestExistsFairRunNoRuns(t *testing.T) {
 	st, _ := sys.LookupState("dead")
 	sys.SetInitial(st)
 	prop := buchi.UniversalAutomaton(ab)
-	_, ok, err := ExistsFairRun(sys, prop, Strong)
+	_, ok, err := ExistsFairRunCtx(nil, sys, prop, Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("fair run found in a system without transitions")
 	}
-	if _, _, err := ExistsFairRun(ts.New(ab), prop, Strong); err == nil {
+	if _, _, err := ExistsFairRunCtx(nil, ts.New(ab), prop, Strong); err == nil {
 		t.Error("system without initial state accepted")
 	}
-	if _, _, err := ExistsFairRun(sys, prop, Kind(99)); err == nil {
+	if _, _, err := ExistsFairRunCtx(nil, sys, prop, Kind(99)); err == nil {
 		t.Error("unknown fairness kind accepted")
 	}
 }
@@ -240,7 +241,7 @@ func TestQuickFairWitnessesAreFair(t *testing.T) {
 		f := ltl.MustParse([]string{"G F a", "F G b", "G (a -> F c)", "F b"}[rng.Intn(4)])
 		prop := ltl.TranslateBuchi(f, ltl.Canonical(ab))
 		for _, kind := range []Kind{Strong, Weak} {
-			run, ok, err := ExistsFairRun(sys, prop, kind)
+			run, ok, err := ExistsFairRunCtx(nil, sys, prop, kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,10 +251,10 @@ func TestQuickFairWitnessesAreFair(t *testing.T) {
 			if err := run.Validate(sys); err != nil {
 				t.Fatalf("trial %d: invalid witness: %v\n%s", trial, err, sys.FormatString())
 			}
-			if kind == Strong && !run.IsStronglyFair(sys) {
+			if kind == Strong && !oracle.IsFair(sys, oracle.EdgeLasso(run), oracle.StronglyFair) {
 				t.Fatalf("trial %d: witness not strongly fair\n%s", trial, sys.FormatString())
 			}
-			if kind == Weak && !run.IsWeaklyFair(sys) {
+			if kind == Weak && !oracle.IsFair(sys, oracle.EdgeLasso(run), oracle.WeaklyFair) {
 				t.Fatalf("trial %d: witness not weakly fair\n%s", trial, sys.FormatString())
 			}
 			if !prop.AcceptsLasso(run.Word()) {
@@ -291,7 +292,7 @@ func TestQuickStrongFairCompleteness(t *testing.T) {
 		f := ltl.MustParse([]string{"G F a", "F G b", "G F b"}[rng.Intn(3)])
 		prop := ltl.TranslateBuchi(f, ltl.Canonical(ab))
 
-		_, found, err := ExistsFairRun(sys, prop, Strong)
+		_, found, err := ExistsFairRunCtx(nil, sys, prop, Strong)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,8 +304,8 @@ func TestQuickStrongFairCompleteness(t *testing.T) {
 		if found && !brute {
 			// The checker may legitimately find longer runs than the
 			// brute-force bound; re-verify the witness instead of failing.
-			run, _, _ := ExistsFairRun(sys, prop, Strong)
-			if err := run.Validate(sys); err != nil || !run.IsStronglyFair(sys) || !prop.AcceptsLasso(run.Word()) {
+			run, _, _ := ExistsFairRunCtx(nil, sys, prop, Strong)
+			if err := run.Validate(sys); err != nil || !oracle.IsFair(sys, oracle.EdgeLasso(run), oracle.StronglyFair) || !prop.AcceptsLasso(run.Word()) {
 				t.Fatalf("trial %d: checker-only witness bogus", trial)
 			}
 		}
@@ -327,7 +328,7 @@ func bruteForceFairRun(sys *ts.System, prop *buchi.Buchi, maxLen int) bool {
 			if r.Validate(sys) != nil {
 				continue
 			}
-			if r.IsStronglyFair(sys) && prop.AcceptsLasso(r.Word()) {
+			if oracle.IsFair(sys, oracle.EdgeLasso(r), oracle.StronglyFair) && prop.AcceptsLasso(r.Word()) {
 				return true
 			}
 		}

@@ -1,10 +1,10 @@
-// Package fairness implements fairness notions for finite-state
-// transition systems: strong and weak transition fairness of ultimately
-// periodic runs, a Streett-style checker for the existence of strongly
-// fair runs satisfying an ω-regular property (the machinery behind
-// Theorem 5.1's claim that all strongly fair computations of the
-// synthesized implementation satisfy the relative liveness property),
-// and a deterministic fair scheduler for simulation.
+// Package fairness implements strong and weak transition fairness for
+// finite-state transition systems: a Streett-style checker for the
+// existence of fair runs satisfying an ω-regular property (the
+// machinery behind Theorem 5.1's claim that all strongly fair
+// computations of the synthesized implementation satisfy the relative
+// liveness property), and a deterministic fair scheduler for
+// simulation.
 package fairness
 
 import (
@@ -77,97 +77,4 @@ func (r Run) Word() word.Lasso {
 		loop[i] = e.Sym
 	}
 	return word.MustLasso(prefix, loop)
-}
-
-// IsStronglyFair reports whether the run is strongly transition-fair: a
-// transition enabled infinitely often (its source state is visited by
-// the loop) must be taken infinitely often (it occurs in the loop).
-// Obligations come from the trimmed system: a transition into a
-// dead-end state can never be taken by an infinite run and so imposes
-// none — fairness is evaluated after trimming, matching ExistsFairRun.
-func (r Run) IsStronglyFair(sys *ts.System) bool {
-	loopStates := map[ts.State]bool{}
-	for _, e := range r.Loop {
-		loopStates[e.From] = true
-	}
-	taken := map[ts.Edge]bool{}
-	for _, e := range r.Loop {
-		taken[e] = true
-	}
-	alive := aliveStates(sys)
-	for _, e := range sys.Edges() {
-		if !alive[e.From] || !alive[e.To] {
-			continue // trimmed away: no obligation
-		}
-		if loopStates[e.From] && !taken[e] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsWeaklyFair reports whether the run is weakly transition-fair: a
-// transition continuously enabled from some point on (which, with
-// state-based enabledness, requires the loop to sit at its source state
-// only) must be taken infinitely often. As with IsStronglyFair,
-// obligations are restricted to transitions surviving the trim.
-func (r Run) IsWeaklyFair(sys *ts.System) bool {
-	loopStates := map[ts.State]bool{}
-	for _, e := range r.Loop {
-		loopStates[e.From] = true
-	}
-	if len(loopStates) > 1 {
-		return true // no transition is continuously enabled
-	}
-	var only ts.State
-	for s := range loopStates {
-		only = s
-	}
-	taken := map[ts.Edge]bool{}
-	for _, e := range r.Loop {
-		taken[e] = true
-	}
-	alive := aliveStates(sys)
-	for _, e := range sys.Edges() {
-		if !alive[e.From] || !alive[e.To] {
-			continue // trimmed away: no obligation
-		}
-		if e.From == only && !taken[e] {
-			return false
-		}
-	}
-	return true
-}
-
-// aliveStates computes, as a greatest fixpoint by repeated deletion,
-// the states with at least one infinite continuation — the states that
-// survive trimming (reachability aside, which is irrelevant for the
-// obligations of a run: it only visits reachable states).
-func aliveStates(sys *ts.System) []bool {
-	n := sys.NumStates()
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	edges := sys.Edges()
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			has := false
-			for _, e := range edges {
-				if int(e.From) == v && alive[e.To] {
-					has = true
-					break
-				}
-			}
-			if !has {
-				alive[v] = false
-				changed = true
-			}
-		}
-	}
-	return alive
 }

@@ -43,9 +43,6 @@ func NewScheduler(sys *ts.System) (*Scheduler, error) {
 	return s, nil
 }
 
-// Current returns the current state.
-func (s *Scheduler) Current() ts.State { return s.current }
-
 // Step takes the longest-waiting enabled transition and returns it;
 // ok is false when the current state has no outgoing transition.
 func (s *Scheduler) Step() (ts.Edge, bool) {

@@ -90,3 +90,6 @@ func TestSchedulerDeadEnd(t *testing.T) {
 		t.Error("scheduler accepted a system without initial state")
 	}
 }
+
+// Current returns the current state.
+func (s *Scheduler) Current() ts.State { return s.current }

@@ -14,21 +14,21 @@ import (
 // Kind selects a fairness notion.
 type Kind int
 
-// Fairness notions for ExistsFairRun.
+// Fairness notions for ExistsFairRunCtx.
 const (
 	Strong Kind = iota + 1
 	Weak
 )
 
-// ExistsFairRun reports whether the system has a fair (per kind) run
+// ExistsFairRunCtx reports whether the system has a fair (per kind) run
 // whose action word is accepted by prop. It returns a witness run when
 // one exists.
 //
 // Fairness is evaluated on the trimmed system: the system is trimmed
 // before the search, so transitions into dead-end states (which no
 // infinite run can take) and transitions of unreachable states impose
-// no fairness obligations. Run.IsStronglyFair and Run.IsWeaklyFair use
-// the same convention, so witnesses always validate against it.
+// no fairness obligations. oracle.IsFair, against which the tests
+// validate every witness, uses the same convention.
 //
 // The search works on the product of the trimmed system's edge graph
 // with prop: a vertex means "the system just took edge e and prop is in
@@ -39,14 +39,10 @@ const (
 // algorithm: an SCC violating a pair is shrunk by removing that pair's
 // E-vertices and re-decomposed. A fair lasso is then stitched through
 // one witness SCC and mapped back to the original system's states.
-func ExistsFairRun(sys *ts.System, prop *buchi.Buchi, kind Kind) (Run, bool, error) {
-	return ExistsFairRunCtx(nil, sys, prop, kind)
-}
-
-// ExistsFairRunCtx is ExistsFairRun with cooperative cancellation
-// checkpoints in the trim and the product exploration. A nil ctx never
-// cancels; a context error is returned as-is (wrapped), never conflated
-// with the "no fair run" verdict.
+//
+// The trim and the product exploration have cooperative cancellation
+// checkpoints. A nil ctx never cancels; a context error is returned
+// as-is (wrapped), never conflated with the "no fair run" verdict.
 func ExistsFairRunCtx(ctx context.Context, sys *ts.System, prop *buchi.Buchi, kind Kind) (Run, bool, error) {
 	if sys.Initial() < 0 {
 		return Run{}, false, fmt.Errorf("fairness: system has no initial state")

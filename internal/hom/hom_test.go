@@ -2,6 +2,7 @@ package hom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"relive/internal/alphabet"
@@ -29,7 +30,7 @@ func TestApplyWord(t *testing.T) {
 	w := word.FromNames(src, "a", "c", "b", "c", "c", "a")
 	got := h.Apply(w)
 	want := word.FromNames(h.Dest(), "x", "y", "x")
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Errorf("Apply = %s, want %s", got.String(h.Dest()), want.String(h.Dest()))
 	}
 	if len(h.Apply(word.Word{})) != 0 {

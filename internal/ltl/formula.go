@@ -107,18 +107,6 @@ func Before(l, r *Formula) *Formula { return &Formula{Op: OpBefore, Left: l, Rig
 // obligation that ζ ever happens.
 func WeakUntil(l, r *Formula) *Formula { return &Formula{Op: OpWeakUntil, Left: l, Right: r} }
 
-// AndAll folds a conjunction over fs; the empty conjunction is true.
-func AndAll(fs ...*Formula) *Formula {
-	if len(fs) == 0 {
-		return True()
-	}
-	out := fs[0]
-	for _, f := range fs[1:] {
-		out = And(out, f)
-	}
-	return out
-}
-
 // Key returns a canonical string form usable as a map key; structurally
 // equal formulas share the key.
 func (f *Formula) Key() string {

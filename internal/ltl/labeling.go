@@ -1,10 +1,6 @@
 package ltl
 
-import (
-	"sort"
-
-	"relive/internal/alphabet"
-)
+import "relive/internal/alphabet"
 
 // Labeling is a function λ : Σ → 2^AP giving, for every letter of an
 // alphabet, the set of atomic propositions that hold at positions
@@ -35,16 +31,6 @@ func (l *Labeling) SetLabel(sym alphabet.Symbol, props ...string) {
 // Has reports whether prop ∈ λ(sym).
 func (l *Labeling) Has(sym alphabet.Symbol, prop string) bool {
 	return l.labels[sym][prop]
-}
-
-// Props returns λ(sym) as a sorted slice.
-func (l *Labeling) Props(sym alphabet.Symbol) []string {
-	out := make([]string, 0, len(l.labels[sym]))
-	for p := range l.labels[sym] {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Canonical returns the canonical Σ-labeling function λ_Σ of

@@ -345,7 +345,7 @@ func TestLabelings(t *testing.T) {
 	if !hlab.Has(req, "request") || hlab.Has(req, alphabet.EpsilonName) {
 		t.Error("kept letter labeled wrongly")
 	}
-	if props := hlab.Props(tau); len(props) != 1 || props[0] != alphabet.EpsilonName {
-		t.Errorf("Props(tau) = %v", props)
+	if len(hlab.labels[tau]) != 1 {
+		t.Errorf("λ(tau) = %v, want {ε}", hlab.labels[tau])
 	}
 }

@@ -1,9 +1,5 @@
 package ltl
 
-import (
-	"relive/internal/buchi"
-)
-
 // Simplify returns an equivalent, usually smaller formula in negation
 // normal form. It normalizes first and then applies standard rewrite
 // rules bottom-up: Boolean constant folding and idempotence, temporal
@@ -117,16 +113,6 @@ func complementary(l, r *Formula) bool {
 	return false
 }
 
-// Satisfiable reports whether some ω-word over the labeling's alphabet
-// satisfies f, with a witness lasso.
-func Satisfiable(f *Formula, lab *Labeling) (bool, *buchi.Buchi) {
-	b := TranslateBuchi(f, lab)
-	if b.IsEmpty() {
-		return false, b
-	}
-	return true, b
-}
-
 // Equivalent reports whether f and g agree on every ω-word over the
 // labeling's alphabet, by emptiness of L(f ∧ ¬g) and L(¬f ∧ g).
 func Equivalent(f, g *Formula, lab *Labeling) bool {
@@ -134,10 +120,4 @@ func Equivalent(f, g *Formula, lab *Labeling) bool {
 		return false
 	}
 	return TranslateBuchi(And(Not(f), g), lab).IsEmpty()
-}
-
-// Implies reports whether f entails g over the labeling's alphabet:
-// L(f ∧ ¬g) is empty.
-func ImpliesSemantically(f, g *Formula, lab *Labeling) bool {
-	return TranslateBuchi(And(f, Not(g)), lab).IsEmpty()
 }

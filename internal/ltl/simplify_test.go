@@ -76,21 +76,6 @@ func TestQuickSimplifyPreservesSemantics(t *testing.T) {
 	}
 }
 
-func TestSatisfiable(t *testing.T) {
-	ab := alphabet.FromNames("a", "b")
-	lab := Canonical(ab)
-	if ok, _ := Satisfiable(MustParse("G F a"), lab); !ok {
-		t.Error("GFa unsatisfiable")
-	}
-	// With singleton labels, a ∧ b is unsatisfiable.
-	if ok, _ := Satisfiable(MustParse("a & b"), lab); ok {
-		t.Error("a∧b satisfiable under singleton labels")
-	}
-	if ok, _ := Satisfiable(MustParse("false"), lab); ok {
-		t.Error("false satisfiable")
-	}
-}
-
 func TestEquivalentAndImplies(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	lab := Canonical(ab)
@@ -110,12 +95,6 @@ func TestEquivalentAndImplies(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("Equivalent(%q, %q) = %v, want %v", tc.f, tc.g, got, tc.want)
 		}
-	}
-	if !ImpliesSemantically(MustParse("G a"), MustParse("F a"), lab) {
-		t.Error("□a should entail ◇a")
-	}
-	if ImpliesSemantically(MustParse("F a"), MustParse("G a"), lab) {
-		t.Error("◇a should not entail □a")
 	}
 }
 

@@ -65,15 +65,6 @@ func Rbar(f *Formula) (*Formula, error) {
 	return rbar(nf), nil
 }
 
-// MustRbar is Rbar for statically known-good formulas (tests, examples).
-func MustRbar(f *Formula) *Formula {
-	g, err := Rbar(f)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 func rbar(f *Formula) *Formula {
 	eps := EpsilonAtom()
 	switch f.Op {
@@ -95,37 +86,4 @@ func rbar(f *Formula) *Formula {
 		return Release(rbar(f.Left), rbar(f.Right))
 	}
 	panic(fmt.Sprintf("ltl: non-normalized formula in R̄: %s", f))
-}
-
-// TransformT is the paper's T mapping alone: the temporal clauses of R̄
-// without the wrapping of maximal pure Boolean subformulas. It is
-// exposed for completeness and for the unit tests that exercise the
-// difference between T and R̄; verification always uses Rbar.
-func TransformT(f *Formula) (*Formula, error) {
-	nf := f.Normalize()
-	for _, a := range nf.Atoms() {
-		if a == alphabet.EpsilonName {
-			return nil, fmt.Errorf("ltl: T input already mentions the ε proposition")
-		}
-	}
-	return transformT(nf), nil
-}
-
-func transformT(f *Formula) *Formula {
-	eps := EpsilonAtom()
-	switch f.Op {
-	case OpTrue, OpFalse, OpAtom, OpNot:
-		return f
-	case OpAnd:
-		return And(transformT(f.Left), transformT(f.Right))
-	case OpOr:
-		return Or(transformT(f.Left), transformT(f.Right))
-	case OpNext:
-		return Until(eps, And(Not(eps), Next(transformT(f.Left))))
-	case OpUntil:
-		return Until(transformT(f.Left), transformT(f.Right))
-	case OpRelease:
-		return Release(transformT(f.Left), transformT(f.Right))
-	}
-	panic(fmt.Sprintf("ltl: non-normalized formula in T: %s", f))
 }

@@ -2,31 +2,12 @@ package mc
 
 import "math"
 
-// Binomial confidence intervals for the sampled satisfaction
-// probability. Two standard constructions are provided: the Wilson
-// score interval (cheap, good coverage away from the boundary) and the
-// Clopper–Pearson "exact" interval (conservative — coverage is at
-// least the nominal level for every true p, which is the guarantee the
-// differential battery asserts against exact verdicts). Reports use
-// Clopper–Pearson; Wilson is exported for callers that prefer the
-// tighter interval.
-
-// Wilson returns the Wilson score interval for hits successes out of n
-// trials at the given two-sided confidence level (e.g. 0.99).
-func Wilson(hits, n int, confidence float64) (lo, hi float64) {
-	if n <= 0 {
-		return 0, 1
-	}
-	z := math.Sqrt2 * math.Erfinv(confidence)
-	p := float64(hits) / float64(n)
-	nn := float64(n)
-	denom := 1 + z*z/nn
-	center := p + z*z/(2*nn)
-	half := z * math.Sqrt(p*(1-p)/nn+z*z/(4*nn*nn))
-	lo = (center - half) / denom
-	hi = (center + half) / denom
-	return clamp01(lo), clamp01(hi)
-}
+// The binomial confidence interval for the sampled satisfaction
+// probability is the Clopper–Pearson "exact" interval: conservative,
+// its coverage is at least the nominal level for every true p, which
+// is the guarantee the differential battery asserts against exact
+// verdicts. The tests check that it contains the tighter Wilson score
+// interval.
 
 // ClopperPearson returns the Clopper–Pearson exact interval for hits
 // successes out of n trials at the given two-sided confidence level.

@@ -373,3 +373,21 @@ func TestDefaulted(t *testing.T) {
 		t.Fatalf("Defaulted() clobbered explicit fields: %+v", c)
 	}
 }
+
+// Wilson returns the Wilson score interval (cheap, good coverage away
+// from the boundary) for hits successes out of n trials at the given
+// two-sided confidence level (e.g. 0.99).
+func Wilson(hits, n int, confidence float64) (lo, hi float64) {
+	if n <= 0 {
+		return 0, 1
+	}
+	z := math.Sqrt2 * math.Erfinv(confidence)
+	p := float64(hits) / float64(n)
+	nn := float64(n)
+	denom := 1 + z*z/nn
+	center := p + z*z/(2*nn)
+	half := z * math.Sqrt(p*(1-p)/nn+z*z/(4*nn*nn))
+	lo = (center - half) / denom
+	hi = (center + half) / denom
+	return clamp01(lo), clamp01(hi)
+}

@@ -225,3 +225,17 @@ func TestIncludedMatchesComplementRoute(t *testing.T) {
 		}
 	}
 }
+
+// has reports whether bit i is set.
+func (b stateBits) has(i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
+
+// lookup returns the id of set, or -1 when it has not been interned.
+// It never allocates.
+func (in *setInterner) lookup(set stateBits) int32 {
+	for _, id := range in.byHash[set.hash()] {
+		if in.at(id).equal(set) {
+			return id
+		}
+	}
+	return -1
+}

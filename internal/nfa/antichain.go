@@ -52,12 +52,6 @@ func IncludedKernelCtx(ctx context.Context, a, b *NFA) (bool, word.Word, error) 
 	return IncludedCtx(ctx, a, b)
 }
 
-// IncludedAntichain is IncludedAntichainCtx without cancellation.
-func IncludedAntichain(a, b *NFA) (bool, word.Word) {
-	ok, w, _ := IncludedAntichainCtx(nil, a, b)
-	return ok, w
-}
-
 // IncludedAntichainCtx reports whether L(a) ⊆ L(b) using the antichain
 // kernel, returning a shortest word in L(a) \ L(b) when the inclusion
 // fails. See the file comment for the algorithm; agreement with

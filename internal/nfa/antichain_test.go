@@ -122,7 +122,7 @@ func shrinkNFA(a *nfa.NFA, keep func(*nfa.NFA) bool) *nfa.NFA {
 // counterexample from the antichain route.
 func inclusionAgrees(a, b *nfa.NFA) bool {
 	okS, wS := nfa.Included(a, b)
-	okA, wA := nfa.IncludedAntichain(a, b)
+	okA, wA, _ := nfa.IncludedAntichainCtx(nil, a, b)
 	if okS != okA {
 		return false
 	}
@@ -153,7 +153,7 @@ func TestIncludedAntichainMatchesSubset(t *testing.T) {
 			a = shrinkNFA(a, func(cand *nfa.NFA) bool { return !inclusionAgrees(cand, b) })
 			b = shrinkNFA(b, func(cand *nfa.NFA) bool { return !inclusionAgrees(a, cand) })
 			okS, wS := nfa.Included(a, b)
-			okA, wA := nfa.IncludedAntichain(a, b)
+			okA, wA, _ := nfa.IncludedAntichainCtx(nil, a, b)
 			t.Fatalf("trial %d: antichain/subset divergence (shrunk)\nsubset: ok=%v w=%v\nantichain: ok=%v w=%v\na=%v\nb=%v",
 				trial, okS, wS, okA, wA, a, b)
 		}
@@ -178,7 +178,7 @@ func TestUniversalAntichainMatchesSubset(t *testing.T) {
 		if !inclusionAgrees(star, a) {
 			a = shrinkNFA(a, func(cand *nfa.NFA) bool { return !inclusionAgrees(star, cand) })
 			okS, wS := nfa.Included(star, a)
-			okA, wA := nfa.IncludedAntichain(star, a)
+			okA, wA, _ := nfa.IncludedAntichainCtx(nil, star, a)
 			t.Fatalf("trial %d: Σ* inclusion divergence (shrunk)\nsubset: ok=%v w=%v\nantichain: ok=%v w=%v\na=%v",
 				trial, okS, wS, okA, wA, a)
 		}

@@ -23,8 +23,7 @@ func newStateBits(numStates int) stateBits {
 	return make(stateBits, words)
 }
 
-func (b stateBits) set(i int32)      { b[i>>6] |= 1 << (uint32(i) & 63) }
-func (b stateBits) has(i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
+func (b stateBits) set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
 
 func (b stateBits) clear() {
 	for i := range b {
@@ -121,17 +120,6 @@ func newSetInterner(numStates int) *setInterner {
 // backing array and is invalidated by the next intern call.
 func (in *setInterner) at(id int32) stateBits {
 	return stateBits(in.backing[int(id)*in.words : (int(id)+1)*in.words])
-}
-
-// lookup returns the id of set, or -1 when it has not been interned.
-// It never allocates.
-func (in *setInterner) lookup(set stateBits) int32 {
-	for _, id := range in.byHash[set.hash()] {
-		if in.at(id).equal(set) {
-			return id
-		}
-	}
-	return -1
 }
 
 // intern returns the id of set, copying it into the backing store when

@@ -74,9 +74,6 @@ func (a *NFA) Compiled() *Compiled {
 	return c
 }
 
-// NumStates returns the number of states of the compiled automaton.
-func (c *Compiled) NumStates() int { return c.n }
-
 // Row returns the successors of s under sym as a shared slice of state
 // numbers. sym may be alphabet.Epsilon.
 func (c *Compiled) Row(s State, sym alphabet.Symbol) []int32 {

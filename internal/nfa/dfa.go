@@ -1,9 +1,6 @@
 package nfa
 
-import (
-	"relive/internal/alphabet"
-	"relive/internal/word"
-)
+import "relive/internal/alphabet"
 
 // DFA is a deterministic finite automaton. DFAs are partial: a missing
 // transition rejects the rest of the input. The initial state of a DFA
@@ -44,9 +41,6 @@ func (d *DFA) AddState(accepting bool) State {
 // Accepting reports whether s is accepting.
 func (d *DFA) Accepting(s State) bool { return d.accepting[s] }
 
-// SetAccepting sets the acceptance status of s.
-func (d *DFA) SetAccepting(s State, accepting bool) { d.accepting[s] = accepting }
-
 // SetTransition sets δ(from, sym) = to, overwriting any previous target.
 func (d *DFA) SetTransition(from State, sym alphabet.Symbol, to State) {
 	m := d.trans[from]
@@ -61,35 +55,6 @@ func (d *DFA) SetTransition(from State, sym alphabet.Symbol, to State) {
 func (d *DFA) Delta(s State, sym alphabet.Symbol) (State, bool) {
 	t, ok := d.trans[s][sym]
 	return t, ok
-}
-
-// Accepts reports whether the DFA accepts w.
-func (d *DFA) Accepts(w word.Word) bool {
-	if d.initial < 0 {
-		return false
-	}
-	s := d.initial
-	for _, sym := range w {
-		t, ok := d.Delta(s, sym)
-		if !ok {
-			return false
-		}
-		s = t
-	}
-	return d.accepting[s]
-}
-
-// StateAfter returns the state reached on w from s, or ok=false when the
-// run leaves the automaton.
-func (d *DFA) StateAfter(s State, w word.Word) (State, bool) {
-	for _, sym := range w {
-		t, ok := d.Delta(s, sym)
-		if !ok {
-			return -1, false
-		}
-		s = t
-	}
-	return s, true
 }
 
 // Clone returns a deep copy sharing the alphabet.
@@ -208,15 +173,6 @@ func (d *DFA) Complete() *DFA {
 				c.SetTransition(State(i), sym, ensureSink())
 			}
 		}
-	}
-	return c
-}
-
-// Complement returns a DFA for the complement language Σ* \ L(d).
-func (d *DFA) Complement() *DFA {
-	c := d.Complete()
-	for i := range c.accepting {
-		c.accepting[i] = !c.accepting[i]
 	}
 	return c
 }

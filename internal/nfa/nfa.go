@@ -62,17 +62,6 @@ func (a *NFA) NumTransitions() int {
 	return n
 }
 
-// NumAccepting returns the number of accepting states.
-func (a *NFA) NumAccepting() int {
-	n := 0
-	for _, acc := range a.accepting {
-		if acc {
-			n++
-		}
-	}
-	return n
-}
-
 // AddState adds a fresh state and returns it; accepting sets its
 // acceptance status.
 func (a *NFA) AddState(accepting bool) State {
@@ -213,28 +202,6 @@ func (a *NFA) Accepts(w word.Word) bool {
 		}
 	}
 	return false
-}
-
-// ReachedBy returns the ε-closed set of states reached by reading w from
-// the initial states. The result is empty when w leaves the automaton.
-func (a *NFA) ReachedBy(w word.Word) []State {
-	set := a.EpsilonClosure(a.initial)
-	for _, sym := range w {
-		set = a.Step(set, sym)
-		if len(set) == 0 {
-			return nil
-		}
-	}
-	return set
-}
-
-// Residual returns an NFA for the left quotient cont(w, L(a)) =
-// { v | wv ∈ L(a) } (Definition 3.1): the same automaton with initial
-// states replaced by the states reached on w.
-func (a *NFA) Residual(w word.Word) *NFA {
-	c := a.Clone()
-	c.initial = a.ReachedBy(w)
-	return c
 }
 
 // ResidualFrom returns the automaton with the initial states replaced by

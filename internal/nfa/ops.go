@@ -8,65 +8,6 @@ import (
 	"relive/internal/word"
 )
 
-// Intersect returns an NFA for L(a) ∩ L(b) via the product construction.
-// Both automata must be over the same alphabet; ε-transitions are removed
-// first (already ε-free operands are used as-is, without a copy).
-func Intersect(a, b *NFA) *NFA {
-	ae := a.epsFree()
-	be := b.epsFree()
-	out := New(a.ab)
-	type pair struct{ x, y State }
-	index := map[pair]State{}
-	var queue []pair
-	intern := func(p pair) State {
-		if s, ok := index[p]; ok {
-			return s
-		}
-		s := out.AddState(ae.accepting[p.x] && be.accepting[p.y])
-		index[p] = s
-		queue = append(queue, p)
-		return s
-	}
-	for _, x := range ae.initial {
-		for _, y := range be.initial {
-			out.SetInitial(intern(pair{x, y}))
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		p := queue[qi]
-		from := index[p]
-		for sym, xs := range ae.trans[p.x] {
-			ys := be.trans[p.y][sym]
-			for _, x := range xs {
-				for _, y := range ys {
-					out.AddTransition(from, sym, intern(pair{x, y}))
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Union returns an NFA for L(a) ∪ L(b) by disjoint union of states.
-func Union(a, b *NFA) *NFA {
-	out := a.Clone()
-	offset := State(out.NumStates())
-	for i := 0; i < b.NumStates(); i++ {
-		out.AddState(b.accepting[i])
-	}
-	for i := range b.trans {
-		for sym, ts := range b.trans[i] {
-			for _, t := range ts {
-				out.AddTransition(State(i)+offset, sym, t+offset)
-			}
-		}
-	}
-	for _, s := range b.initial {
-		out.SetInitial(s + offset)
-	}
-	return out
-}
-
 // Included reports whether L(a) ⊆ L(b). When the inclusion fails, it
 // returns a shortest word in L(a) \ L(b) as a counterexample.
 //

@@ -90,3 +90,6 @@ func TestCompiledInvalidatedAfterMutation(t *testing.T) {
 		t.Fatal("stale compiled form served after mutation")
 	}
 }
+
+// NumStates returns the number of states of the compiled automaton.
+func (c *Compiled) NumStates() int { return c.n }

@@ -26,11 +26,11 @@ func TestNumTransitionsAndAccepting(t *testing.T) {
 	if got := a.NumTransitions(); got != 3 {
 		t.Errorf("NumTransitions after duplicate = %d, want 3", got)
 	}
-	if got := a.NumAccepting(); got != 1 {
-		t.Errorf("NumAccepting = %d, want 1", got)
+	if !a.Accepting(s0) || a.Accepting(s1) {
+		t.Errorf("accepting = (%v, %v), want (true, false)", a.Accepting(s0), a.Accepting(s1))
 	}
 	a.SetAccepting(s1, true)
-	if got := a.NumAccepting(); got != 2 {
-		t.Errorf("NumAccepting after SetAccepting = %d, want 2", got)
+	if !a.Accepting(s1) {
+		t.Error("SetAccepting did not stick")
 	}
 }

@@ -93,16 +93,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge adds other's counts into s, for combining per-worker or
-// per-shard histograms.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-}
-
 // Quantile returns an upper estimate of the q-quantile (0 ≤ q ≤ 1): the
 // upper bound of the bucket holding the rank-⌈q·count⌉ observation.
 // Returns 0 for an empty snapshot.

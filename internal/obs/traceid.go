@@ -113,15 +113,6 @@ func ContextWithTraceID(ctx context.Context, traceID string) context.Context {
 	return context.WithValue(ctx, traceIDKey{}, traceID)
 }
 
-// TraceIDFromContext returns the trace ID carried by ctx, or "".
-func TraceIDFromContext(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
-}
-
 // recorderKey carries a check's Recorder through context.Context, so
 // every layer of the check (core's pipeline, the buchi operations it
 // calls, portfolio workers) reports to the recorder its caller chose.

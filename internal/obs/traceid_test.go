@@ -134,3 +134,12 @@ func TestDumpCarriesTraceID(t *testing.T) {
 		t.Errorf("Reset kept trace id %q", got)
 	}
 }
+
+// TraceIDFromContext returns the trace ID carried by ctx, or "".
+func TraceIDFromContext(ctx context.Context) string {
+	if ctx == nil {
+		return ""
+	}
+	id, _ := ctx.Value(traceIDKey{}).(string)
+	return id
+}

@@ -115,14 +115,14 @@ func validRun(sys *ts.System, el EdgeLasso) bool {
 	return cur == loopStart
 }
 
-// isFair decides fairness of the run directly from the definitions,
+// IsFair decides fairness of the run directly from the definitions,
 // with obligations over the trimmed transitions only. Strong transition
 // fairness: every obligated transition whose source state is visited
 // infinitely often (it is a loop state) is taken infinitely often (it
 // is a loop edge). Weak transition fairness: a transition continuously
 // enabled from some point on — which with state-based enabledness means
 // the loop sits at its source state only — is taken infinitely often.
-func isFair(sys *ts.System, el EdgeLasso, kind FairnessKind) bool {
+func IsFair(sys *ts.System, el EdgeLasso, kind FairnessKind) bool {
 	obligated := trimmedEdges(sys)
 	loopStates := map[ts.State]bool{}
 	taken := map[ts.Edge]bool{}
@@ -226,7 +226,7 @@ func enumerateRunLassos(sys *ts.System, maxLen int) []EdgeLasso {
 // directions asymmetrically (see ConfirmFairAbstractViolation).
 func FairAbstractViolation(sys *ts.System, h *hom.Hom, kind FairnessKind, p Property, b Bounds) (EdgeLasso, bool, error) {
 	for _, el := range enumerateRunLassos(sys, b.LassoPrefix+b.LassoLoop) {
-		if !isFair(sys, el, kind) {
+		if !IsFair(sys, el, kind) {
 			continue
 		}
 		img, ok := applyHom(h, el.Word())
@@ -253,7 +253,7 @@ func ConfirmFairAbstractViolation(sys *ts.System, h *hom.Hom, kind FairnessKind,
 	if !validRun(sys, el) {
 		return false, nil
 	}
-	if !isFair(sys, el, kind) {
+	if !IsFair(sys, el, kind) {
 		return false, nil
 	}
 	img, ok := applyHom(h, el.Word())

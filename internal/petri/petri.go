@@ -72,9 +72,6 @@ func (n *Net) AddPlace(name string, tokens int) PlaceID {
 	return p
 }
 
-// PlaceName returns the name of p.
-func (n *Net) PlaceName(p PlaceID) string { return n.places[p] }
-
 // NumPlaces returns the number of places.
 func (n *Net) NumPlaces() int { return len(n.places) }
 

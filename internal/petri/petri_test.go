@@ -97,7 +97,7 @@ func TestAddPlaceIdempotent(t *testing.T) {
 	if n.InitialMarking()[p1] != 3 {
 		t.Error("re-adding place changed its marking")
 	}
-	if n.PlaceName(p1) != "p" || n.NumPlaces() != 1 {
+	if n.places[p1] != "p" || n.NumPlaces() != 1 {
 		t.Error("place bookkeeping wrong")
 	}
 }

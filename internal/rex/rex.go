@@ -68,15 +68,6 @@ func Parse(ab *alphabet.Alphabet, text string) (*Expr, error) {
 	return &Expr{root: root, ab: ab}, nil
 }
 
-// MustParse is Parse panicking on error, for constant expressions.
-func MustParse(ab *alphabet.Alphabet, text string) *Expr {
-	e, err := Parse(ab, text)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func lex(text string) ([]string, error) {
 	var toks []string
 	var cur strings.Builder

@@ -216,3 +216,12 @@ func TestLexerHandlesPunctuationTightly(t *testing.T) {
 		t.Fatal("sanity")
 	}
 }
+
+// MustParse is Parse panicking on error, for constant expressions.
+func MustParse(ab *alphabet.Alphabet, text string) *Expr {
+	e, err := Parse(ab, text)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}

@@ -145,22 +145,10 @@ func orDefault[T int | float64 | time.Duration](v *T, def T) {
 // httptest harness).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Trace returns the recorder backing /metrics, for tests and embedding
-// processes.
-func (s *Server) Trace() *obs.Trace { return s.tr }
-
-// Store returns the persistent artifact store (nil when persistence is
-// off), for tests and embedding processes.
-func (s *Server) Store() *store.Store { return s.store }
-
 // FlightRecords returns the flight recorder's completed checks, most
 // recent first (nil when the recorder is disabled) — the programmatic
 // view of GET /debug/checks.
 func (s *Server) FlightRecords() []CheckRecord { return s.flight.recent() }
-
-// FlightTrace returns the retained span tree for a slow check's trace
-// ID — the programmatic view of GET /debug/checks/{traceID}.
-func (s *Server) FlightTrace(traceID string) (obs.Dump, bool) { return s.flight.trace(traceID) }
 
 // Drain puts the server into draining mode — new check requests are
 // rejected with 503 and /healthz reports "draining" — and waits until

@@ -171,3 +171,40 @@ func TestQuickBisimilarRenamedCopy(t *testing.T) {
 		}
 	}
 }
+
+// Bisimilar reports whether two systems are strongly bisimilar from
+// their initial states, by refining a joint partition over the disjoint
+// union of their state spaces.
+func Bisimilar(a, b *System) (bool, error) {
+	if a.initial < 0 || b.initial < 0 {
+		return false, fmt.Errorf("ts: system has no initial state")
+	}
+	// Merge alphabets so action symbols agree by name.
+	ab := a.ab.Clone()
+	mapB := ab.Extend(b.ab)
+
+	joint := New(ab)
+	for i := 0; i < a.NumStates(); i++ {
+		joint.AddState("a:" + a.names[i])
+	}
+	for i := 0; i < b.NumStates(); i++ {
+		joint.AddState("b:" + b.names[i])
+	}
+	offset := State(a.NumStates())
+	for i := 0; i < a.NumStates(); i++ {
+		for sym, ts := range a.trans[i] {
+			for _, t := range ts {
+				joint.AddTransition(State(i), sym, t)
+			}
+		}
+	}
+	for i := 0; i < b.NumStates(); i++ {
+		for sym, ts := range b.trans[i] {
+			for _, t := range ts {
+				joint.AddTransition(State(i)+offset, mapB[sym], t+offset)
+			}
+		}
+	}
+	class := joint.BisimulationClasses()
+	return class[a.initial] == class[offset+b.initial], nil
+}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
@@ -99,18 +98,6 @@ func (s *System) AddEdge(from, action, to string) {
 // Succ returns the successors of st under sym.
 func (s *System) Succ(st State, sym alphabet.Symbol) []State { return s.trans[st][sym] }
 
-// Enabled returns the actions enabled at st, sorted.
-func (s *System) Enabled(st State) []alphabet.Symbol {
-	out := make([]alphabet.Symbol, 0, len(s.trans[st]))
-	for sym, ts := range s.trans[st] {
-		if len(ts) > 0 {
-			out = append(out, sym)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Edge is a labeled transition, used by enumeration helpers.
 type Edge struct {
 	From State
@@ -164,23 +151,6 @@ func (s *System) CSR() (g graph.CSR, syms []alphabet.Symbol) {
 		g.Off[v] += g.Off[v-1]
 	}
 	return g, syms
-}
-
-// Clone returns a deep copy sharing the alphabet.
-func (s *System) Clone() *System {
-	c := New(s.ab)
-	for _, n := range s.names {
-		c.AddState(n)
-	}
-	for from, m := range s.trans {
-		for sym, ts := range m {
-			for _, to := range ts {
-				c.AddTransition(State(from), sym, to)
-			}
-		}
-	}
-	c.initial = s.initial
-	return c
 }
 
 // NFA returns the finite automaton accepting L: all finite action

@@ -2,6 +2,7 @@ package ts
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -256,14 +257,14 @@ func TestDOT(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	s := loopSystem()
-	c := s.Clone()
-	c.AddEdge("s0", "a", "s0")
-	if len(s.Edges()) != 2 {
-		t.Error("mutating clone changed original")
+// Enabled returns the actions enabled at st, sorted.
+func (s *System) Enabled(st State) []alphabet.Symbol {
+	out := make([]alphabet.Symbol, 0, len(s.trans[st]))
+	for sym, ts := range s.trans[st] {
+		if len(ts) > 0 {
+			out = append(out, sym)
+		}
 	}
-	if len(c.Edges()) != 3 {
-		t.Error("clone edge not added")
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -53,20 +53,6 @@ func (l Lasso) PrefixOfLen(n int) Word {
 	return out
 }
 
-// Suffix returns the ω-word with the first n letters dropped, itself an
-// ultimately periodic word.
-func (l Lasso) Suffix(n int) Lasso {
-	if n <= len(l.Prefix) {
-		return Lasso{Prefix: l.Prefix[n:].Clone(), Loop: l.Loop.Clone()}
-	}
-	k := (n - len(l.Prefix)) % len(l.Loop)
-	// Rotate the loop by k.
-	loop := make(Word, 0, len(l.Loop))
-	loop = append(loop, l.Loop[k:]...)
-	loop = append(loop, l.Loop[:k]...)
-	return Lasso{Loop: loop}
-}
-
 // Normalize returns a canonical representation of the same ω-word: the
 // loop is reduced to its primitive root, the prefix is shortened as far
 // as possible by absorbing it into loop rotations, and then the prefix is
@@ -112,35 +98,13 @@ func (l Lasso) Equal(o Lasso) bool {
 	if !l.Valid() || !o.Valid() {
 		return false
 	}
-	n := maxInt(len(l.Prefix), len(o.Prefix)) + lcm(len(l.Loop), len(o.Loop))
+	n := max(len(l.Prefix), len(o.Prefix)) + lcm(len(l.Loop), len(o.Loop))
 	for i := 0; i < n; i++ {
 		if l.At(i) != o.At(i) {
 			return false
 		}
 	}
 	return true
-}
-
-// CommonPrefixLen returns the length of the longest common prefix of two
-// ω-words, or -1 when the words are equal (infinite common prefix).
-func (l Lasso) CommonPrefixLen(o Lasso) int {
-	n := maxInt(len(l.Prefix), len(o.Prefix)) + lcm(len(l.Loop), len(o.Loop))
-	for i := 0; i < n; i++ {
-		if l.At(i) != o.At(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// CantorDistance is the metric of Definition 4.8:
-// d(x,y) = 1/(|common(x,y)|+1) for x ≠ y and 0 for x = y.
-func (l Lasso) CantorDistance(o Lasso) float64 {
-	c := l.CommonPrefixLen(o)
-	if c < 0 {
-		return 0
-	}
-	return 1 / float64(c+1)
 }
 
 // String renders the lasso as "u·(v)^ω" using names from ab.
@@ -150,13 +114,6 @@ func (l Lasso) String(ab *alphabet.Alphabet) string {
 		return loop
 	}
 	return l.Prefix.String(ab) + "·" + loop
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func gcd(a, b int) int {

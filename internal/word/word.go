@@ -18,44 +18,6 @@ import (
 // Word is a finite word over an alphabet.
 type Word []alphabet.Symbol
 
-// Concat returns the concatenation w·v as a fresh word.
-func (w Word) Concat(v Word) Word {
-	out := make(Word, 0, len(w)+len(v))
-	out = append(out, w...)
-	out = append(out, v...)
-	return out
-}
-
-// Equal reports whether w and v are the same word.
-func (w Word) Equal(v Word) bool {
-	if len(w) != len(v) {
-		return false
-	}
-	for i := range w {
-		if w[i] != v[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// HasPrefix reports whether p is a prefix of w.
-func (w Word) HasPrefix(p Word) bool {
-	if len(p) > len(w) {
-		return false
-	}
-	return w[:len(p)].Equal(p)
-}
-
-// Prefixes returns all prefixes of w, from ε to w itself.
-func (w Word) Prefixes() []Word {
-	out := make([]Word, 0, len(w)+1)
-	for i := 0; i <= len(w); i++ {
-		out = append(out, w[:i])
-	}
-	return out
-}
-
 // Clone returns a fresh copy of w.
 func (w Word) Clone() Word {
 	out := make(Word, len(w))
@@ -83,19 +45,4 @@ func FromNames(ab *alphabet.Alphabet, names ...string) Word {
 		w[i] = ab.Symbol(n)
 	}
 	return w
-}
-
-// CommonPrefixLen returns the length of the longest common prefix of two
-// finite words.
-func CommonPrefixLen(a, b Word) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }

@@ -18,36 +18,6 @@ func TestWordBasics(t *testing.T) {
 	if got := (Word{}).String(ab); got != alphabet.EpsilonName {
 		t.Errorf("empty word String = %q", got)
 	}
-	v := FromNames(ab, "b")
-	cat := w.Concat(v)
-	if cat.String(ab) != "a·b·a·b" {
-		t.Errorf("Concat = %q", cat.String(ab))
-	}
-	if !cat.HasPrefix(w) || w.HasPrefix(cat) {
-		t.Error("HasPrefix misbehaves")
-	}
-	if n := len(w.Prefixes()); n != 4 {
-		t.Errorf("Prefixes count = %d, want 4", n)
-	}
-}
-
-func TestCommonPrefixLen(t *testing.T) {
-	ab := ab2()
-	tests := []struct {
-		a, b []string
-		want int
-	}{
-		{[]string{"a", "b"}, []string{"a", "b"}, 2},
-		{[]string{"a", "b"}, []string{"a", "a"}, 1},
-		{[]string{"b"}, []string{"a"}, 0},
-		{nil, []string{"a"}, 0},
-	}
-	for _, tc := range tests {
-		got := CommonPrefixLen(FromNames(ab, tc.a...), FromNames(ab, tc.b...))
-		if got != tc.want {
-			t.Errorf("CommonPrefixLen(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
 }
 
 func TestLassoAtAndSuffix(t *testing.T) {
@@ -59,14 +29,6 @@ func TestLassoAtAndSuffix(t *testing.T) {
 		if got := ab.Name(l.At(i)); got != n {
 			t.Errorf("At(%d) = %q, want %q", i, got, n)
 		}
-	}
-	s := l.Suffix(2)
-	// suffix from index 2: a b a b ... = (a b)^ω
-	if got := ab.Name(s.At(0)); got != "a" {
-		t.Errorf("Suffix(2).At(0) = %q, want a", got)
-	}
-	if !s.Equal(MustLasso(nil, FromNames(ab, "a", "b"))) {
-		t.Errorf("Suffix(2) = %s, want (a·b)^ω", s.String(ab))
 	}
 }
 
@@ -101,59 +63,12 @@ func TestLassoNormalize(t *testing.T) {
 	}
 }
 
-func TestCantorDistance(t *testing.T) {
-	ab := ab2()
-	x := MustLasso(nil, FromNames(ab, "a"))
-	y := MustLasso(FromNames(ab, "a", "a"), FromNames(ab, "b"))
-	// common prefix: a a, length 2 → d = 1/3
-	if got := x.CantorDistance(y); got != 1.0/3.0 {
-		t.Errorf("d = %v, want 1/3", got)
-	}
-	if got := x.CantorDistance(x); got != 0 {
-		t.Errorf("d(x,x) = %v, want 0", got)
-	}
-	// Metric axioms on a few sampled triples: symmetry and the
-	// ultrametric inequality d(x,z) ≤ max(d(x,y), d(y,z)).
-	z := MustLasso(FromNames(ab, "a"), FromNames(ab, "b", "a"))
-	pts := []Lasso{x, y, z}
-	for _, p := range pts {
-		for _, q := range pts {
-			if p.CantorDistance(q) != q.CantorDistance(p) {
-				t.Error("distance not symmetric")
-			}
-			for _, r := range pts {
-				dxz := p.CantorDistance(r)
-				m := p.CantorDistance(q)
-				if d2 := q.CantorDistance(r); d2 > m {
-					m = d2
-				}
-				if dxz > m+1e-12 {
-					t.Errorf("ultrametric inequality violated: %v > %v", dxz, m)
-				}
-			}
-		}
-	}
-}
-
 func TestNewLassoRejectsEmptyLoop(t *testing.T) {
 	if _, err := NewLasso(nil, nil); err == nil {
 		t.Error("NewLasso accepted an empty loop")
 	}
 	if (Lasso{}).Valid() {
 		t.Error("zero Lasso is Valid")
-	}
-}
-
-func TestLassoSuffixAgreesWithAt(t *testing.T) {
-	ab := ab2()
-	l := MustLasso(FromNames(ab, "a", "b", "b"), FromNames(ab, "b", "a", "a"))
-	for n := 0; n < 12; n++ {
-		s := l.Suffix(n)
-		for i := 0; i < 9; i++ {
-			if s.At(i) != l.At(n+i) {
-				t.Fatalf("Suffix(%d).At(%d) != At(%d)", n, i, n+i)
-			}
-		}
 	}
 }
 
