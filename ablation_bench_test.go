@@ -97,7 +97,7 @@ func BenchmarkStreettFairEmptiness(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prop := ltl.TranslateNegation(ltl.MustParse("G F result"), ltl.Canonical(sys.Alphabet()))
+	prop, _ := ltl.TranslateNegation(nil, ltl.MustParse("G F result"), ltl.Canonical(sys.Alphabet()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -343,9 +343,29 @@ func BenchmarkRLAblation(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
+// rlperfMenu is rlperf's property menu (bench/rlperf/workload.go), the
+// formulas every exact benchmark request checks over {a, b, c}.
+var rlperfMenu = []string{
+	"G F a", "G (a -> F b)", "F G c", "G F a & G F b",
+	"G (b -> X F c)", "(G F a) -> (G F b)", "G (a -> (b U c))", "F G (a | b)",
+}
+
+// BenchmarkLTLTranslation times ltl.TranslateBuchi on three formulas
+// over two letters, and on each rlperf menu formula (menu/P1..P8) and
+// its negation (menu/notP1..notP8) over {a, b, c}: the 16 translations
+// the service makes for exact requests.
 func BenchmarkLTLTranslation(b *testing.B) {
-	ab := gen.Letters(2)
-	lab := ltl.Canonical(ab)
+	translate := func(name string, f *ltl.Formula, lab *ltl.Labeling) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ltl.TranslateBuchi(nil, f, lab); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	lab := ltl.Canonical(gen.Letters(2))
 	for _, tc := range []struct {
 		name    string
 		formula string
@@ -354,13 +374,13 @@ func BenchmarkLTLTranslation(b *testing.B) {
 		{"response", "G (a -> F b)"},
 		{"nested", "G ((a U b) U (F a))"},
 	} {
-		f := ltl.MustParse(tc.formula)
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ltl.TranslateBuchi(f, lab)
-			}
-		})
+		translate(tc.name, ltl.MustParse(tc.formula), lab)
+	}
+	lab = ltl.Canonical(gen.Letters(3))
+	for i, text := range rlperfMenu {
+		f := ltl.MustParse(text)
+		translate(fmt.Sprintf("menu/P%d", i+1), f, lab)
+		translate(fmt.Sprintf("menu/notP%d", i+1), ltl.Not(f), lab)
 	}
 }
 

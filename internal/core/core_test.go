@@ -247,7 +247,7 @@ func TestRelativeSafetyWitness(t *testing.T) {
 		}
 		// Every prefix of the violation extends into L_ω ∩ P: check via
 		// the product being nonempty from each prefix configuration.
-		pa, err := p.Automaton(ab)
+		pa, err := p.Automaton(nil, ab)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -231,7 +231,7 @@ func remapRun(r fairness.Run, trimmed, orig *ts.System) fairness.Run {
 // automaton of the Section 5 example and succeeds for the Theorem 5.1
 // synthesis, whose second guarantee it verifies on fi.System.
 func AllFairRunsSatisfy(ctx context.Context, sys *ts.System, p Property, kind fairness.Kind) (bool, *fairness.Run, error) {
-	notP, err := p.NegationAutomaton(sys.Alphabet())
+	notP, err := p.NegationAutomaton(ctx, sys.Alphabet())
 	if err != nil {
 		return false, nil, fmt.Errorf("fair runs check: %w", err)
 	}

@@ -29,7 +29,7 @@ func RelativeLivenessOmega(ctx context.Context, lomega *buchi.Buchi, p Property)
 		return LivenessResult{}, fmt.Errorf("relative liveness (ω): %w", err)
 	}
 	ab := lomega.Alphabet()
-	pa, err := p.Automaton(ab)
+	pa, err := p.Automaton(ctx, ab)
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness (ω): %w", err)
 	}
@@ -56,7 +56,7 @@ func RelativeSafetyOmega(ctx context.Context, lomega *buchi.Buchi, p Property) (
 		return SafetyResult{}, fmt.Errorf("relative safety (ω): %w", err)
 	}
 	ab := lomega.Alphabet()
-	pa, err := p.Automaton(ab)
+	pa, err := p.Automaton(ctx, ab)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (ω): %w", err)
 	}
@@ -71,7 +71,7 @@ func RelativeSafetyOmega(ctx context.Context, lomega *buchi.Buchi, p Property) (
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (ω): %w", err)
 	}
-	notP, err := p.NegationAutomaton(ab)
+	notP, err := p.NegationAutomaton(ctx, ab)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (ω): %w", err)
 	}

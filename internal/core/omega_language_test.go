@@ -177,7 +177,7 @@ func TestIsLimitClosed(t *testing.T) {
 
 // SatisfiesOmega decides L_ω(lomega) ⊆ P.
 func SatisfiesOmega(lomega *buchi.Buchi, p Property) (SatisfactionResult, error) {
-	notP, err := p.NegationAutomaton(lomega.Alphabet())
+	notP, err := p.NegationAutomaton(nil, lomega.Alphabet())
 	if err != nil {
 		return SatisfactionResult{}, fmt.Errorf("satisfaction (ω): %w", err)
 	}

@@ -59,20 +59,23 @@ func (p Property) labelingFor(ab *alphabet.Alphabet) *ltl.Labeling {
 	return ltl.Canonical(ab)
 }
 
-// Automaton returns a Büchi automaton for P over ab.
-func (p Property) Automaton(ab *alphabet.Alphabet) (*buchi.Buchi, error) {
+// Automaton returns a Büchi automaton for P over ab. A formula's
+// translation stops with ctx's error once ctx is done; a nil ctx never
+// cancels.
+func (p Property) Automaton(ctx context.Context, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
 	switch {
 	case p.automaton != nil:
 		return p.automaton, nil
 	case p.formula != nil:
-		return ltl.TranslateBuchi(p.formula, p.labelingFor(ab)), nil
+		return ltl.TranslateBuchi(ctx, p.formula, p.labelingFor(ab))
 	}
 	return nil, fmt.Errorf("core: empty property")
 }
 
-// NegationAutomaton returns a Büchi automaton for Σ^ω \ P over ab.
-func (p Property) NegationAutomaton(ab *alphabet.Alphabet) (*buchi.Buchi, error) {
-	return p.negationFor(nil, ab)
+// NegationAutomaton returns a Büchi automaton for Σ^ω \ P over ab,
+// under ctx as Automaton is.
+func (p Property) NegationAutomaton(ctx context.Context, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
+	return p.negation(ctx, nil, ab)
 }
 
 // automatonFor is Automaton with the construction reported to ctx's
@@ -81,7 +84,7 @@ func (p Property) NegationAutomaton(ab *alphabet.Alphabet) (*buchi.Buchi, error)
 func (p Property) automatonFor(ctx context.Context, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
 	rec := obs.RecorderFromContext(ctx)
 	if rec == nil {
-		return p.Automaton(ab)
+		return p.Automaton(ctx, ab)
 	}
 	sp := obs.StartSpan(rec, "P→Büchi")
 	defer sp.End()
@@ -90,7 +93,7 @@ func (p Property) automatonFor(ctx context.Context, ab *alphabet.Alphabet) (*buc
 	} else {
 		sp.Tag("source", "automaton")
 	}
-	out, err := p.Automaton(ab)
+	out, err := p.Automaton(ctx, ab)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +107,11 @@ func (p Property) automatonFor(ctx context.Context, ab *alphabet.Alphabet) (*buc
 // translation or the rank-based complement (which appears as a child
 // "buchi.Complement" span with its own blowup figures).
 func (p Property) negationFor(ctx context.Context, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
-	rec := obs.RecorderFromContext(ctx)
+	return p.negation(ctx, obs.RecorderFromContext(ctx), ab)
+}
+
+// negation builds ¬P under ctx, reporting to rec.
+func (p Property) negation(ctx context.Context, rec obs.Recorder, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
 	switch {
 	case p.automaton != nil:
 		sp := obs.StartSpan(rec, "¬P")
@@ -123,7 +130,10 @@ func (p Property) negationFor(ctx context.Context, ab *alphabet.Alphabet) (*buch
 	case p.formula != nil:
 		sp := obs.StartSpan(rec, "¬P").Tag("source", "ltl.TranslateNegation")
 		defer sp.End()
-		out := ltl.TranslateNegation(p.formula, p.labelingFor(ab))
+		out, err := ltl.TranslateNegation(ctx, p.formula, p.labelingFor(ab))
+		if err != nil {
+			return nil, err
+		}
 		sp.Int("out_states", int64(out.NumStates()))
 		sp.Int("out_transitions", int64(out.NumTransitions()))
 		return out, nil

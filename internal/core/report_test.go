@@ -79,10 +79,10 @@ func TestPropertyAccessors(t *testing.T) {
 	if empty.String() != "<empty property>" {
 		t.Errorf("empty property String = %q", empty.String())
 	}
-	if _, err := empty.Automaton(ab); err == nil {
+	if _, err := empty.Automaton(nil, ab); err == nil {
 		t.Error("empty property produced an automaton")
 	}
-	if _, err := empty.NegationAutomaton(ab); err == nil {
+	if _, err := empty.NegationAutomaton(nil, ab); err == nil {
 		t.Error("empty property produced a negation automaton")
 	}
 }

@@ -131,7 +131,7 @@ func RelativeLivenessDirect(sys *ts.System, p Property) (LivenessResult, error) 
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness (direct): %w", err)
 	}
-	pa, err := p.Automaton(sys.Alphabet())
+	pa, err := p.Automaton(nil, sys.Alphabet())
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("relative liveness (direct): %w", err)
 	}

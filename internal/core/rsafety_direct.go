@@ -27,11 +27,11 @@ func RelativeSafetyDirect(sys *ts.System, p Property) (SafetyResult, error) {
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (direct): %w", err)
 	}
-	pa, err := p.Automaton(sys.Alphabet())
+	pa, err := p.Automaton(nil, sys.Alphabet())
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (direct): %w", err)
 	}
-	notP, err := p.NegationAutomaton(sys.Alphabet())
+	notP, err := p.NegationAutomaton(nil, sys.Alphabet())
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("relative safety (direct): %w", err)
 	}

@@ -91,7 +91,7 @@ func checkRSRoutesAgree(t *testing.T, trial int, sys *ts.System, p Property) boo
 	if r1.Holds {
 		return true
 	}
-	pa, err := p.Automaton(sys.Alphabet())
+	pa, err := p.Automaton(nil, sys.Alphabet())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOp
 		return report, nil
 	}
 
-	newEval, err := statEval(sys, p)
+	newEval, err := statEval(ctx, sys, p)
 	if err != nil {
 		return nil, fmt.Errorf("statistical: %w", err)
 	}
@@ -203,14 +203,14 @@ func CheckStatistical(ctx context.Context, sc *SystemCells, p Property, o StatOp
 // (ltl.Compile), and each worker evaluates it in its own scratch; an
 // automaton-backed one is judged by lasso membership in the automaton,
 // which needs no scratch.
-func statEval(sys *ts.System, p Property) (func() func(word.Lasso) (bool, error), error) {
+func statEval(ctx context.Context, sys *ts.System, p Property) (func() func(word.Lasso) (bool, error), error) {
 	if f := p.Formula(); f != nil {
 		prog := ltl.Compile(f, p.labelingFor(sys.Alphabet()))
 		return func() func(word.Lasso) (bool, error) {
 			return prog.Evaluator().Eval
 		}, nil
 	}
-	aut, err := p.Automaton(sys.Alphabet())
+	aut, err := p.Automaton(ctx, sys.Alphabet())
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,7 @@ func RelativeLivenessTopological(sys *ts.System, p Property) (LivenessResult, er
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("topological liveness: %w", err)
 	}
-	pa, err := p.Automaton(sys.Alphabet())
+	pa, err := p.Automaton(nil, sys.Alphabet())
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("topological liveness: %w", err)
 	}
@@ -84,11 +84,11 @@ func RelativeSafetyTopological(sys *ts.System, p Property) (SafetyResult, error)
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("topological safety: %w", err)
 	}
-	pa, err := p.Automaton(sys.Alphabet())
+	pa, err := p.Automaton(nil, sys.Alphabet())
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("topological safety: %w", err)
 	}
-	notP, err := p.NegationAutomaton(sys.Alphabet())
+	notP, err := p.NegationAutomaton(nil, sys.Alphabet())
 	if err != nil {
 		return SafetyResult{}, fmt.Errorf("topological safety: %w", err)
 	}

@@ -37,7 +37,7 @@ func TestQuickBadPrefixIsShortest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pa, err := p.Automaton(ab)
+		pa, err := p.Automaton(nil, ab)
 		if err != nil {
 			t.Fatal(err)
 		}

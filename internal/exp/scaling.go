@@ -80,7 +80,7 @@ func E8Scaling(sizes ScalingSizes) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		pa, err := p.Automaton(ab)
+		pa, err := p.Automaton(nil, ab)
 		if err != nil {
 			return Result{}, err
 		}
@@ -175,7 +175,7 @@ func scalePoint(rng *rand.Rand, ab *alphabet.Alphabet, n int, p core.Property, t
 		if err != nil {
 			return ScalingPoint{}, err
 		}
-		pa, err := p.Automaton(ab)
+		pa, err := p.Automaton(nil, ab)
 		if err != nil {
 			return ScalingPoint{}, err
 		}

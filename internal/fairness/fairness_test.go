@@ -116,7 +116,7 @@ func TestExistsFairRunBasic(t *testing.T) {
 	sys := abLoop()
 	lab := ltl.Canonical(sys.Alphabet())
 	// Property "infinitely many a": satisfiable by a fair run.
-	prop := ltl.TranslateBuchi(ltl.MustParse("G F a"), lab)
+	prop, _ := ltl.TranslateBuchi(nil, ltl.MustParse("G F a"), lab)
 	run, ok, err := ExistsFairRunCtx(nil, sys, prop, Strong)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestExistsFairRunBasic(t *testing.T) {
 	}
 
 	// "Eventually only a": no strongly fair run can avoid b forever.
-	prop2 := ltl.TranslateBuchi(ltl.MustParse("F G a"), lab)
+	prop2, _ := ltl.TranslateBuchi(nil, ltl.MustParse("F G a"), lab)
 	_, ok, err = ExistsFairRunCtx(nil, sys, prop2, Strong)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestExistsFairRunWeakVsStrong(t *testing.T) {
 	init, _ := sys.LookupState("s0")
 	sys.SetInitial(init)
 	lab := ltl.Canonical(ab)
-	noC := ltl.TranslateBuchi(ltl.MustParse("G !c"), lab)
+	noC, _ := ltl.TranslateBuchi(nil, ltl.MustParse("G !c"), lab)
 
 	run, ok, err := ExistsFairRunCtx(nil, sys, noC, Weak)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestQuickFairWitnessesAreFair(t *testing.T) {
 		sys.SetInitial(init)
 
 		f := ltl.MustParse([]string{"G F a", "F G b", "G (a -> F c)", "F b"}[rng.Intn(4)])
-		prop := ltl.TranslateBuchi(f, ltl.Canonical(ab))
+		prop, _ := ltl.TranslateBuchi(nil, f, ltl.Canonical(ab))
 		for _, kind := range []Kind{Strong, Weak} {
 			run, ok, err := ExistsFairRunCtx(nil, sys, prop, kind)
 			if err != nil {
@@ -290,7 +290,7 @@ func TestQuickStrongFairCompleteness(t *testing.T) {
 		init, _ := sys.LookupState("A")
 		sys.SetInitial(init)
 		f := ltl.MustParse([]string{"G F a", "F G b", "G F b"}[rng.Intn(3)])
-		prop := ltl.TranslateBuchi(f, ltl.Canonical(ab))
+		prop, _ := ltl.TranslateBuchi(nil, f, ltl.Canonical(ab))
 
 		_, found, err := ExistsFairRunCtx(nil, sys, prop, Strong)
 		if err != nil {

@@ -59,7 +59,7 @@ func TestExistsFairRunIgnoresUnreachableStates(t *testing.T) {
 	sys.SetInitial(init)
 
 	lab := ltl.Canonical(ab)
-	gfb := ltl.TranslateBuchi(ltl.MustParse("G F b"), lab)
+	gfb, _ := ltl.TranslateBuchi(nil, ltl.MustParse("G F b"), lab)
 	for _, kind := range []Kind{Strong, Weak} {
 		if _, ok, err := ExistsFairRunCtx(nil, sys, gfb, kind); err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestExistsFairRunIgnoresUnreachableStates(t *testing.T) {
 			t.Fatalf("kind %d: found a GFb run although b only occurs in an unreachable component", kind)
 		}
 	}
-	gfa := ltl.TranslateBuchi(ltl.MustParse("G F a"), lab)
+	gfa, _ := ltl.TranslateBuchi(nil, ltl.MustParse("G F a"), lab)
 	run, ok, err := ExistsFairRunCtx(nil, sys, gfa, Strong)
 	if err != nil {
 		t.Fatal(err)

@@ -185,7 +185,7 @@ func TestTranslateBuchiBasics(t *testing.T) {
 		{"<>(a && X a)", "b", "ab", false},
 	}
 	for _, tc := range tests {
-		b := TranslateBuchi(MustParse(tc.formula), lab)
+		b, _ := TranslateBuchi(nil, MustParse(tc.formula), lab)
 		l := lasso(ab, tc.prefix, tc.loop)
 		if got := b.AcceptsLasso(l); got != tc.want {
 			t.Errorf("automaton for %q accepts %s = %v, want %v",
@@ -263,7 +263,7 @@ func TestQuickTranslationAgreesWithEval(t *testing.T) {
 	atoms := ab.Names()
 	for trial := 0; trial < 80; trial++ {
 		f := randomFormula(rng, atoms, 3)
-		b := TranslateBuchi(f, lab)
+		b, _ := TranslateBuchi(nil, f, lab)
 		for i := 0; i < 10; i++ {
 			l := randomLasso(rng, ab, 3, 3)
 			want, err := EvalLasso(f, l, lab)
@@ -287,8 +287,8 @@ func TestQuickTranslationNegation(t *testing.T) {
 	atoms := ab.Names()
 	for trial := 0; trial < 40; trial++ {
 		f := randomFormula(rng, atoms, 3)
-		pos := TranslateBuchi(f, lab)
-		neg := TranslateNegation(f, lab)
+		pos, _ := TranslateBuchi(nil, f, lab)
+		neg, _ := TranslateNegation(nil, f, lab)
 		for i := 0; i < 8; i++ {
 			l := randomLasso(rng, ab, 3, 3)
 			if pos.AcceptsLasso(l) == neg.AcceptsLasso(l) {

@@ -116,8 +116,11 @@ func complementary(l, r *Formula) bool {
 // Equivalent reports whether f and g agree on every ω-word over the
 // labeling's alphabet, by emptiness of L(f ∧ ¬g) and L(¬f ∧ g).
 func Equivalent(f, g *Formula, lab *Labeling) bool {
-	if !TranslateBuchi(And(f, Not(g)), lab).IsEmpty() {
+	// Without a context, the translation cannot fail.
+	fNotG, _ := TranslateBuchi(nil, And(f, Not(g)), lab)
+	if !fNotG.IsEmpty() {
 		return false
 	}
-	return TranslateBuchi(And(Not(f), g), lab).IsEmpty()
+	notFG, _ := TranslateBuchi(nil, And(Not(f), g), lab)
+	return notFG.IsEmpty()
 }

@@ -118,7 +118,8 @@ func TestWeakUntilSemantics(t *testing.T) {
 			t.Fatalf("a W b disagrees with its expansion on %s", l.String(ab))
 		}
 		// The automaton route agrees too.
-		if got := TranslateBuchi(w, lab).AcceptsLasso(l); got != v1 {
+		b, _ := TranslateBuchi(nil, w, lab)
+		if got := b.AcceptsLasso(l); got != v1 {
 			t.Fatalf("automaton for a W b disagrees on %s", l.String(ab))
 		}
 	}

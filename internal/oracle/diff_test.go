@@ -82,7 +82,7 @@ func genPairCase(rng *rand.Rand, ab *alphabet.Alphabet, shape diffShape) (pairCa
 	sys := gen.System(rng, ab, n, 0.25+0.35*rng.Float64())
 	if rng.Float64() < 0.7 {
 		f := gen.Formula(rng, []string{"a", "b"}, 1+rng.Intn(shape.maxDepth))
-		pa := ltl.TranslateBuchi(f, ltl.Canonical(ab))
+		pa, _ := ltl.TranslateBuchi(nil, f, ltl.Canonical(ab))
 		if pa.NumStates() > translationCap {
 			return pairCase{}, false
 		}

@@ -48,7 +48,7 @@ func genFairCase(rng *rand.Rand, src *alphabet.Alphabet) (fairCase, bool) {
 		h = gen.Hom(rng, src, 0.4)
 	}
 	eta := gen.Formula(rng, h.Dest().Names(), 1+rng.Intn(2))
-	pa := ltl.TranslateBuchi(eta, ltl.Canonical(h.Dest()))
+	pa, _ := ltl.TranslateBuchi(nil, eta, ltl.Canonical(h.Dest()))
 	if pa.NumStates() > translationCap {
 		return fairCase{}, false
 	}
@@ -266,7 +266,7 @@ func TestLawFairAbstractTrivialFairness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			notEta := ltl.TranslateNegation(eta, ltl.Canonical(h.Dest()))
+			notEta, _ := ltl.TranslateNegation(nil, eta, ltl.Canonical(h.Dest()))
 			plain := buchi.IntersectEmpty(behaviors, h.InverseImageBuchi(notEta))
 			if rep.Holds != plain {
 				t.Fatalf("trial %d: trivial-fairness law violated: fair-abstract=%v plain=%v\nη=%s h=%s %s\n%s",

@@ -209,7 +209,7 @@ func TestLawTranslationAgreesWithEval(t *testing.T) {
 	lab := ltl.Canonical(ab)
 	for trial := 0; trial < 150; trial++ {
 		f := gen.Formula(rng, []string{"a", "b"}, 1+rng.Intn(3))
-		b := ltl.TranslateBuchi(f, lab)
+		b, _ := ltl.TranslateBuchi(nil, f, lab)
 		for i := 0; i < 12; i++ {
 			l := gen.Lasso(rng, ab, 2, 3)
 			want, err := ltl.EvalLasso(f, l, lab)
@@ -219,7 +219,8 @@ func TestLawTranslationAgreesWithEval(t *testing.T) {
 			if got := oracle.AcceptsLasso(b, l); got != want {
 				small := gen.ShrinkFormula(f, func(g *ltl.Formula) bool {
 					w, err := ltl.EvalLasso(g, l, lab)
-					return err == nil && oracle.AcceptsLasso(ltl.TranslateBuchi(g, lab), l) != w
+					gb, _ := ltl.TranslateBuchi(nil, g, lab)
+					return err == nil && oracle.AcceptsLasso(gb, l) != w
 				})
 				t.Fatalf("trial %d: translation of %s disagrees with EvalLasso on %s (Büchi %v, eval %v)\nshrunk formula: %s",
 					trial, f, l.String(ab), got, want, small)

@@ -85,7 +85,7 @@ func (p Property) automaton(ab *alphabet.Alphabet) (*buchi.Buchi, error) {
 	case p.Auto != nil:
 		return p.Auto, nil
 	case p.Formula != nil:
-		return ltl.TranslateBuchi(p.Formula, p.labelingFor(ab)), nil
+		return ltl.TranslateBuchi(nil, p.Formula, p.labelingFor(ab))
 	}
 	return nil, fmt.Errorf("oracle: empty property")
 }

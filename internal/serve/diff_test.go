@@ -59,7 +59,7 @@ func TestServeDifferentialAgainstOracle(t *testing.T) {
 		n := 3 + rng.Intn(4)
 		sys := gen.System(rng, ab, n, 0.25+0.35*rng.Float64())
 		f := gen.Formula(rng, []string{"a", "b"}, 1+rng.Intn(3))
-		pa := ltl.TranslateBuchi(f, ltl.Canonical(ab))
+		pa, _ := ltl.TranslateBuchi(nil, f, ltl.Canonical(ab))
 		if pa.NumStates() > translationCap {
 			skipped++
 			continue

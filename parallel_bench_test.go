@@ -104,10 +104,7 @@ func portfolioGenOperands(b *testing.B) (*ts.System, []core.Property) {
 		}
 	}
 	var props []core.Property
-	for _, f := range []string{
-		"G F a", "G (a -> F b)", "F G c", "G F a & G F b",
-		"G (b -> X F c)", "(G F a) -> (G F b)", "G (a -> (b U c))", "F G (a | b)",
-	} {
+	for _, f := range rlperfMenu {
 		props = append(props, core.FromFormula(relive.MustParseLTL(f), nil))
 	}
 	return sys, props
