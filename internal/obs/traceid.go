@@ -103,16 +103,6 @@ func isHex(s string) bool {
 	return true
 }
 
-// traceIDKey carries the request's trace ID through context.Context so
-// any layer below the HTTP handler (portfolio workers, future shard
-// clients) can stamp artifacts with the originating request.
-type traceIDKey struct{}
-
-// ContextWithTraceID returns ctx carrying the trace ID.
-func ContextWithTraceID(ctx context.Context, traceID string) context.Context {
-	return context.WithValue(ctx, traceIDKey{}, traceID)
-}
-
 // recorderKey carries a check's Recorder through context.Context, so
 // every layer of the check (core's pipeline, the buchi operations it
 // calls, portfolio workers) reports to the recorder its caller chose.

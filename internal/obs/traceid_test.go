@@ -81,18 +81,6 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceIDContext(t *testing.T) {
-	ctx := context.Background()
-	if got := TraceIDFromContext(ctx); got != "" {
-		t.Fatalf("empty context carries trace id %q", got)
-	}
-	id := NewTraceID()
-	ctx = ContextWithTraceID(ctx, id)
-	if got := TraceIDFromContext(ctx); got != id {
-		t.Fatalf("trace id through context = %q, want %q", got, id)
-	}
-}
-
 func TestRecorderContext(t *testing.T) {
 	if rec := RecorderFromContext(nil); rec != nil {
 		t.Fatalf("nil context carries recorder %v", rec)
@@ -101,12 +89,9 @@ func TestRecorderContext(t *testing.T) {
 		t.Fatalf("empty context carries recorder %v", rec)
 	}
 	tr := NewTrace()
-	ctx := ContextWithRecorder(ContextWithTraceID(context.Background(), "x"), tr)
+	ctx := ContextWithRecorder(context.Background(), tr)
 	if rec := RecorderFromContext(ctx); rec != Recorder(tr) {
 		t.Fatalf("recorder through context = %v, want the trace", rec)
-	}
-	if got := TraceIDFromContext(ctx); got != "x" {
-		t.Fatalf("recorder hid the trace id: got %q", got)
 	}
 	if rec := RecorderFromContext(ContextWithRecorder(ctx, nil)); rec != nil {
 		t.Fatalf("a nil recorder did not switch instrumentation off: %v", rec)
@@ -133,13 +118,4 @@ func TestDumpCarriesTraceID(t *testing.T) {
 	if got := tr.TraceID(); got != "" {
 		t.Errorf("Reset kept trace id %q", got)
 	}
-}
-
-// TraceIDFromContext returns the trace ID carried by ctx, or "".
-func TraceIDFromContext(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
 }

@@ -79,8 +79,7 @@ func (s *Server) traced(endpoint string, check bool, h http.HandlerFunc) http.Ha
 		}
 		w.Header().Set(TraceHeader, obs.Traceparent(tid))
 
-		ctx := obs.ContextWithTraceID(r.Context(), tid)
-		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
+		ctx := context.WithValue(r.Context(), reqInfoKey{}, ri)
 		sw := &statusWriter{ResponseWriter: w}
 		if check {
 			s.flight.begin(tid, endpoint, ri.start)
