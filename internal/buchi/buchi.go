@@ -490,7 +490,7 @@ func (b *Buchi) AcceptsLasso(l word.Lasso) bool {
 func LimitOfAllAccepting(a *nfa.NFA) (*Buchi, error) {
 	for i := 0; i < a.NumStates(); i++ {
 		if !a.Accepting(nfa.State(i)) {
-			return nil, fmt.Errorf("buchi: state %d is not accepting; use LimitOfPrefixClosed", i)
+			return nil, fmt.Errorf("buchi: state %d is not accepting", i)
 		}
 	}
 	return limitOfPrefixClosedUnchecked(a), nil

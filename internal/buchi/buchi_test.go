@@ -507,8 +507,9 @@ func TestLimitOfAllAcceptingRejectsPartial(t *testing.T) {
 	sa, _ := ab.Lookup("a")
 	a.AddTransition(q0, sa, q1)
 	a.SetInitial(q0)
-	if _, err := LimitOfAllAccepting(a); err == nil {
-		t.Error("LimitOfAllAccepting accepted a non-all-accepting automaton")
+	_, err := LimitOfAllAccepting(a)
+	if want := "buchi: state 1 is not accepting"; err == nil || err.Error() != want {
+		t.Errorf("LimitOfAllAccepting of a non-all-accepting automaton: err = %v, want %q", err, want)
 	}
 	a.SetAccepting(q1, true)
 	if _, err := LimitOfAllAccepting(a); err != nil {
