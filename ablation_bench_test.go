@@ -53,7 +53,7 @@ func BenchmarkIntersectionAblation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			acc := autos[0]
 			for _, a := range autos[1:] {
-				acc = buchi.Intersect(acc, a)
+				acc, _ = buchi.IntersectCtx(nil, acc, a)
 			}
 			_ = acc
 		}
@@ -71,7 +71,8 @@ func BenchmarkSimulationReductionAblation(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a := autos[i%len(autos)]
-			buchi.Intersect(a, a).IsEmpty()
+			p, _ := buchi.IntersectCtx(nil, a, a)
+			p.IsEmpty()
 		}
 	})
 }

@@ -9,7 +9,7 @@ import (
 // automaton: one flat successor array indexed by (state, symbol). It is
 // built once per automaton — the Buchi caches it and invalidates the
 // cache on AddState/AddTransition — and every hot algorithm (Reduce,
-// AcceptingLasso, Intersect, the on-the-fly emptiness checks) walks it
+// AcceptingLasso, IntersectCtx, the on-the-fly emptiness checks) walks it
 // instead of the map-based transition tables. Büchi automata have no
 // ε-transitions, so symbols are numbered 1..syms and row (s, sym) is
 // s*syms + sym-1.

@@ -39,7 +39,7 @@ func TestIntersectCtxCancelledTwoTrack(t *testing.T) {
 	if _, err := IntersectCtx(cancelled(t), a, c); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	want := Intersect(a, c)
+	want, _ := intersect(nil, a, c)
 	got, err := IntersectCtx(nil, a, c)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 func TestQuickIntersectEmptyMatchesMaterialized(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		a, c := seedBuchi(s1), seedBuchi(s2)
-		return IntersectEmpty(a, c) == Intersect(a, c).IsEmpty()
+		return IntersectEmpty(a, c) == product(a, c).IsEmpty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -26,12 +26,12 @@ func TestQuickIntersectEmptyMatchesMaterialized(t *testing.T) {
 func TestQuickIntersectLassoWitnessValid(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		a, c := seedBuchi(s1), seedBuchi(s2)
-		l, ok := IntersectLasso(a, c)
+		l, ok, _ := IntersectLassoCtx(nil, a, c)
 		if !ok {
 			return true
 		}
-		inA := !Intersect(a, LassoAutomaton(a.Alphabet(), l)).IsEmpty()
-		inC := !Intersect(c, LassoAutomaton(c.Alphabet(), l)).IsEmpty()
+		inA := !product(a, LassoAutomaton(a.Alphabet(), l)).IsEmpty()
+		inC := !product(c, LassoAutomaton(c.Alphabet(), l)).IsEmpty()
 		return inA && inC
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -49,7 +49,7 @@ func TestQuickIntersectEmptyFromMatchesRestart(t *testing.T) {
 		ainit := randomStateSet(rng, a.NumStates())
 		cinit := randomStateSet(rng, c.NumStates())
 		got := IntersectEmptyFrom(a, c, ainit, cinit)
-		want := Intersect(rerooted(a, ainit), rerooted(c, cinit)).IsEmpty()
+		want := product(rerooted(a, ainit), rerooted(c, cinit)).IsEmpty()
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -63,11 +63,11 @@ func TestIntersectEmptyPlainMode(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		a := seedBuchi(seed).DropAcceptance() // every state accepting
 		c := seedBuchi(seed + 1000)
-		want := Intersect(a, c).IsEmpty()
+		want := product(a, c).IsEmpty()
 		if got := IntersectEmpty(a, c); got != want {
 			t.Fatalf("seed %d: plain-mode IntersectEmpty = %v, materialized = %v", seed, got, want)
 		}
-		l, ok := IntersectLasso(a, c)
+		l, ok, _ := IntersectLassoCtx(nil, a, c)
 		if ok != !want {
 			t.Fatalf("seed %d: IntersectLasso ok = %v, want %v", seed, ok, !want)
 		}

@@ -191,7 +191,7 @@ func TestGoldenIntersect(t *testing.T) {
 			allAccepting(a)
 			allAccepting(c)
 		}
-		p := Intersect(a, c)
+		p := product(a, c)
 		putAutomaton(p)
 		pc, err := IntersectCtx(context.Background(), a, c)
 		if err != nil {

@@ -62,7 +62,7 @@ func TestIntersectCtxMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: IntersectCtx: %v", name, err)
 		}
-		plain := Intersect(b, c)
+		plain, _ := intersect(nil, b, c)
 		if inter.NumStates() != plain.NumStates() || inter.NumTransitions() != plain.NumTransitions() {
 			t.Errorf("%s: IntersectCtx size %d/%d, plain %d/%d", name,
 				inter.NumStates(), inter.NumTransitions(), plain.NumStates(), plain.NumTransitions())
@@ -71,7 +71,7 @@ func TestIntersectCtxMatchesPlain(t *testing.T) {
 		if err != nil || !ok || !b.AcceptsLasso(l) {
 			t.Errorf("%s: IntersectLassoCtx witness invalid (ok=%v, err=%v)", name, ok, err)
 		}
-		if pl, pok := IntersectLasso(b, c); pok != ok || pl.String(b.Alphabet()) != l.String(b.Alphabet()) {
+		if pl, _, pok, _ := intersectLasso(nil, b, c, nil, nil); pok != ok || pl.String(b.Alphabet()) != l.String(b.Alphabet()) {
 			t.Errorf("%s: IntersectLassoCtx = %v, plain %v", name, l, pl)
 		}
 	}

@@ -26,7 +26,7 @@ func TestQuickIntersectCommutes(t *testing.T) {
 	f := func(s1, s2, s3 int64) bool {
 		a, b := seedBuchi(s1), seedBuchi(s2)
 		l := seedLasso(s3)
-		return Intersect(a, b).AcceptsLasso(l) == Intersect(b, a).AcceptsLasso(l)
+		return product(a, b).AcceptsLasso(l) == product(b, a).AcceptsLasso(l)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -38,7 +38,7 @@ func TestQuickIntersectIsConjunction(t *testing.T) {
 	f := func(s1, s2, s3 int64) bool {
 		a, b := seedBuchi(s1), seedBuchi(s2)
 		l := seedLasso(s3)
-		return Intersect(a, b).AcceptsLasso(l) == (a.AcceptsLasso(l) && b.AcceptsLasso(l))
+		return product(a, b).AcceptsLasso(l) == (a.AcceptsLasso(l) && b.AcceptsLasso(l))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

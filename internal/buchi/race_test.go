@@ -45,7 +45,7 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 			if l, ok := b.AcceptingLasso(); ok && !b.AcceptsLasso(l) {
 				t.Error("witness lasso rejected by its own automaton")
 			}
-			_ = Intersect(b, other).IsEmpty()
+			_ = product(b, other).IsEmpty()
 			if ok, _, err := Included(inf, fin); err != nil {
 				t.Error(err)
 			} else if ok {

@@ -171,7 +171,7 @@ func ResolveKernel(c *Buchi) string {
 
 // IncludedKernelCtx reports whether L_ω(a) ⊆ L_ω(c) on the route the
 // size of c picks: the lazy rank route (IncludedRankCtx) from
-// autoRankMin states, the eager Complement-then-IntersectLasso route
+// autoRankMin states, the eager Complement-then-IntersectLassoCtx route
 // (Included) below.
 func IncludedKernelCtx(ctx context.Context, a, c *Buchi) (bool, word.Lasso, error) {
 	if ResolveKernel(c) == "antichain" {

@@ -259,7 +259,7 @@ func TestRelativeSafetyWitness(t *testing.T) {
 			if contBeh == nil || contPA == nil {
 				t.Fatalf("trial %d: prefix %s leaves the product", trial, w.String(ab))
 			}
-			if buchi.Intersect(contBeh, contPA).IsEmpty() {
+			if prod, _ := buchi.IntersectCtx(nil, contBeh, contPA); prod.IsEmpty() {
 				t.Fatalf("trial %d: prefix %s of the violation has no extension in L∩P — not in lim(pre(L∩P))",
 					trial, w.String(ab))
 			}

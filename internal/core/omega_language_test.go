@@ -181,7 +181,7 @@ func SatisfiesOmega(lomega *buchi.Buchi, p Property) (SatisfactionResult, error)
 	if err != nil {
 		return SatisfactionResult{}, fmt.Errorf("satisfaction (ω): %w", err)
 	}
-	l, found := buchi.IntersectLasso(lomega, notP)
+	l, found, _ := buchi.IntersectLassoCtx(nil, lomega, notP)
 	if found {
 		return SatisfactionResult{Holds: false, Counterexample: l}, nil
 	}

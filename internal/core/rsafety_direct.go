@@ -117,7 +117,9 @@ func RelativeSafetyDirect(sys *ts.System, p Property) (SafetyResult, error) {
 		}
 	}
 
-	l, found := buchi.IntersectLasso(buchi.Intersect(behaviors, notP), live)
+	// A nil ctx never cancels, so neither call can fail.
+	lNotP, _ := buchi.IntersectCtx(nil, behaviors, notP)
+	l, found, _ := buchi.IntersectLassoCtx(nil, lNotP, live)
 	if found {
 		return SafetyResult{Holds: false, Violation: l}, nil
 	}

@@ -43,8 +43,9 @@ func ClosedIn(sub, sup, relComplement *buchi.Buchi) (bool, word.Lasso, error) {
 	if err != nil {
 		return false, word.Lasso{}, fmt.Errorf("closedness: %w", err)
 	}
-	limitPoints := buchi.Intersect(sup, limPre)
-	l, found := buchi.IntersectLasso(limitPoints, relComplement)
+	// A nil ctx never cancels, so neither call can fail.
+	limitPoints, _ := buchi.IntersectCtx(nil, sup, limPre)
+	l, found, _ := buchi.IntersectLassoCtx(nil, limitPoints, relComplement)
 	if found {
 		return false, l, nil
 	}
@@ -68,7 +69,8 @@ func RelativeLivenessTopological(sys *ts.System, p Property) (LivenessResult, er
 	if err != nil {
 		return LivenessResult{}, fmt.Errorf("topological liveness: %w", err)
 	}
-	dense, w := DenseIn(buchi.Intersect(behaviors, pa), behaviors)
+	lp, _ := buchi.IntersectCtx(nil, behaviors, pa) // a nil ctx never cancels
+	dense, w := DenseIn(lp, behaviors)
 	return LivenessResult{Holds: dense, BadPrefix: w}, nil
 }
 
@@ -93,7 +95,8 @@ func RelativeSafetyTopological(sys *ts.System, p Property) (SafetyResult, error)
 		return SafetyResult{}, fmt.Errorf("topological safety: %w", err)
 	}
 	// Within the behaviors, the complement of behaviors ∩ P is ¬P.
-	closed, l, err := ClosedIn(buchi.Intersect(behaviors, pa), behaviors, notP)
+	lp, _ := buchi.IntersectCtx(nil, behaviors, pa) // a nil ctx never cancels
+	closed, l, err := ClosedIn(lp, behaviors, notP)
 	if err != nil {
 		return SafetyResult{}, err
 	}

@@ -50,7 +50,8 @@ func TestQuickBadPrefixIsShortest(t *testing.T) {
 			if contPA == nil {
 				return false
 			}
-			return !buchi.Intersect(contBeh, contPA).IsEmpty()
+			prod, _ := buchi.IntersectCtx(nil, contBeh, contPA)
+			return !prod.IsEmpty()
 		}
 		// The returned prefix must be unrecoverable...
 		if recoverable(rl.BadPrefix) {

@@ -179,7 +179,8 @@ func scalePoint(rng *rand.Rand, ab *alphabet.Alphabet, n int, p core.Property, t
 		if err != nil {
 			return ScalingPoint{}, err
 		}
-		if prod := buchi.Intersect(beh, pa); prod.NumStates() > pt.MaxProd {
+		// A nil ctx never cancels.
+		if prod, _ := buchi.IntersectCtx(nil, beh, pa); prod.NumStates() > pt.MaxProd {
 			pt.MaxProd = prod.NumStates()
 		}
 	}

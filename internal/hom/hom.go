@@ -229,7 +229,8 @@ func (h *Hom) InverseImageBuchi(b *buchi.Buchi) *buchi.Buchi {
 		}
 	}
 	vis.SetInitial(wait)
-	return buchi.Intersect(raw, vis)
+	out, _ := buchi.IntersectCtx(nil, raw, vis) // a nil ctx never cancels
+	return out
 }
 
 // Labeling returns the canonical h-labeling λ_{hΣΣ'} of Definition 7.3:

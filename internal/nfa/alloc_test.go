@@ -212,7 +212,7 @@ func TestIncludedMatchesComplementRoute(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		a := buildFromSeed(rng.Int63(), ab)
 		b := buildFromSeed(rng.Int63(), ab)
-		ok, w := Included(a, b)
+		ok, w, _ := IncludedCtx(nil, a, b)
 		diff := Intersect(a, b.Determinize().Complement().ToNFA())
 		want := diff.IsEmpty()
 		if ok != want {

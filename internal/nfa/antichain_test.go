@@ -121,7 +121,7 @@ func shrinkNFA(a *nfa.NFA, keep func(*nfa.NFA) bool) *nfa.NFA {
 // on the pair: same verdict, same counterexample length, and a genuine
 // counterexample from the antichain route.
 func inclusionAgrees(a, b *nfa.NFA) bool {
-	okS, wS := nfa.Included(a, b)
+	okS, wS, _ := nfa.IncludedCtx(nil, a, b)
 	okA, wA, _ := nfa.IncludedAntichainCtx(nil, a, b)
 	if okS != okA {
 		return false
@@ -152,7 +152,7 @@ func TestIncludedAntichainMatchesSubset(t *testing.T) {
 		if !inclusionAgrees(a, b) {
 			a = shrinkNFA(a, func(cand *nfa.NFA) bool { return !inclusionAgrees(cand, b) })
 			b = shrinkNFA(b, func(cand *nfa.NFA) bool { return !inclusionAgrees(a, cand) })
-			okS, wS := nfa.Included(a, b)
+			okS, wS, _ := nfa.IncludedCtx(nil, a, b)
 			okA, wA, _ := nfa.IncludedAntichainCtx(nil, a, b)
 			t.Fatalf("trial %d: antichain/subset divergence (shrunk)\nsubset: ok=%v w=%v\nantichain: ok=%v w=%v\na=%v\nb=%v",
 				trial, okS, wS, okA, wA, a, b)
@@ -177,7 +177,7 @@ func TestUniversalAntichainMatchesSubset(t *testing.T) {
 		a := genbase.NFA(rng, cfg, ab)
 		if !inclusionAgrees(star, a) {
 			a = shrinkNFA(a, func(cand *nfa.NFA) bool { return !inclusionAgrees(star, cand) })
-			okS, wS := nfa.Included(star, a)
+			okS, wS, _ := nfa.IncludedCtx(nil, star, a)
 			okA, wA, _ := nfa.IncludedAntichainCtx(nil, star, a)
 			t.Fatalf("trial %d: Σ* inclusion divergence (shrunk)\nsubset: ok=%v w=%v\nantichain: ok=%v w=%v\na=%v",
 				trial, okS, wS, okA, wA, a)
@@ -201,7 +201,7 @@ func TestDirectSimulationImpliesInclusion(t *testing.T) {
 					continue
 				}
 				// L(p) ⊆ L(q): compare the automata re-rooted at p and q.
-				if ok, w := nfa.Included(rerooted(a, nfa.State(p)), rerooted(a, nfa.State(q))); !ok {
+				if ok, w, _ := nfa.IncludedCtx(nil, rerooted(a, nfa.State(p)), rerooted(a, nfa.State(q))); !ok {
 					t.Fatalf("trial %d: %d ≼ %d but L(%d) ⊄ L(%d), witness %v", trial, p, q, p, q, w)
 				}
 			}

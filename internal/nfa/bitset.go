@@ -4,7 +4,7 @@ import "math/bits"
 
 // This file holds the bitset substrate of the subset constructions:
 // state sets as []uint64 words, interned by content under a 64-bit hash
-// so the PSPACE-shaped loops (Determinize, Included, LanguageEqual)
+// so the PSPACE-shaped loops (Determinize, IncludedCtx, LanguageEqual)
 // never build varint-string keys or per-set symbol maps. The hit path —
 // looking up a set that has been seen before — performs no allocation;
 // the allocation regression tests in alloc_test.go pin that down.

@@ -53,10 +53,10 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 			// Every path below reaches Compiled() on the shared automaton.
 			empty[g] = a.IsEmpty()
 			_ = a.Trim().NumStates()
-			if ok, w := Included(a, a); !ok {
+			if ok, w, _ := IncludedCtx(nil, a, a); !ok {
 				t.Errorf("automaton not included in itself: counterexample %v", w)
 			}
-			_, _ = Included(a, b)
+			IncludedCtx(nil, a, b)
 			if c := a.Compiled(); c.NumStates() != a.NumStates() {
 				t.Errorf("compiled form has %d states, automaton has %d", c.NumStates(), a.NumStates())
 			}

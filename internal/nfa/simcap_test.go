@@ -29,7 +29,7 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 		a := genbase.NFA(rng, cfg, ab)
 		b := genbase.NFA(rng, cfg, ab)
 
-		okRef, wRef := nfa.Included(a, b)
+		okRef, wRef, _ := nfa.IncludedCtx(nil, a, b)
 		ok0, w0, err := nfa.IncludedAntichainCap(nil, a, b, unseeded)
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +52,7 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 
 		// Universality: Σ* as the left operand.
 		star := nfa.SigmaStar(ab)
-		uRef, uwRef := nfa.Included(star, a)
+		uRef, uwRef, _ := nfa.IncludedCtx(nil, star, a)
 		u0, uw0, err := nfa.IncludedAntichainCap(nil, star, a, unseeded)
 		if err != nil {
 			t.Fatal(err)

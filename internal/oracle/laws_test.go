@@ -181,7 +181,7 @@ func TestLawDef46MachineClosure(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		lomega := gen.Buchi(rng, gen.Config{States: 3, Density: 0.5, AcceptRatio: 0.5}, ab)
 		other := gen.Buchi(rng, gen.Config{States: 2, Density: 0.5, AcceptRatio: 0.5}, ab)
-		lambda := buchi.Intersect(lomega, other)
+		lambda, _ := buchi.IntersectCtx(nil, lomega, other)
 		got, err := core.MachineClosed(context.Background(), lomega, lambda)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
