@@ -479,8 +479,9 @@ func FuzzCheckStatistical(f *testing.F) {
 // everything that decodes is (a) checked against the decoder's own
 // validation contract, (b) re-marshaled and re-decoded (wire
 // round-trip), and (c) for small requests, served end to end through
-// the in-process handler, which must answer with a well-formed JSON
-// response and never panic or hang.
+// the in-process handler, twice, which must answer with a well-formed
+// JSON response and never panic or hang; a completed check that did not
+// ask for no_cache must replay byte for byte the second time.
 func FuzzServeRequest(f *testing.F) {
 	f.Add([]byte(`{"system":"init idle\nidle request busy\nbusy result idle\n","ltl":"G F result"}`))
 	f.Add([]byte(`{"system":"init s0\ns0 a s0\n","omega":"( a ) ^w"}`))
@@ -561,7 +562,7 @@ func FuzzServeRequest(f *testing.F) {
 				t.Fatalf("endpoint %q decoded to unexpected type %T", endpoint, req)
 			}
 			if small {
-				serveOnce(t, handler, "/v1/check/"+endpoint, req)
+				serveTwice(t, handler, "/v1/check/"+endpoint, req)
 			}
 		}
 	})
@@ -580,14 +581,38 @@ func redecodeServe(t *testing.T, req any, decode func([]byte) error) {
 	}
 }
 
-// serveOnce pushes a decoded request through the in-process handler and
-// requires a known status plus a JSON body.
-func serveOnce(t *testing.T, handler http.Handler, path string, req any) {
+// serveTwice pushes a decoded request through the in-process handler
+// twice, and requires a known status plus a JSON body each time. When
+// the first answer is 200 and the request did not set no_cache, the
+// second must replay it: 200, the cache-hit header and the same bytes.
+func serveTwice(t *testing.T, handler http.Handler, path string, req any) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
+	var head struct {
+		NoCache bool `json:"no_cache"`
+	}
+	if err := json.Unmarshal(body, &head); err != nil {
+		t.Fatalf("unmarshal own request: %v", err)
+	}
+	first := serveChecked(t, handler, path, body)
+	second := serveChecked(t, handler, path, body)
+	if first.Code != http.StatusOK || head.NoCache {
+		return
+	}
+	if second.Code != http.StatusOK || second.Header().Get(serve.CacheHeader) != "hit" ||
+		!bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatalf("repeat of %s: status %d, cache %q, body %q; first answer %q",
+			body, second.Code, second.Header().Get(serve.CacheHeader), second.Body.String(), first.Body.String())
+	}
+}
+
+// serveChecked serves one request body and requires a known status plus
+// a JSON body.
+func serveChecked(t *testing.T, handler http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 	switch rec.Code {
@@ -600,6 +625,7 @@ func serveOnce(t *testing.T, handler http.Handler, path string, req any) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 		t.Fatalf("status %d body is not JSON: %q", rec.Code, rec.Body.String())
 	}
+	return rec
 }
 
 // fuzzNFA decodes an NFA over ab from fuzzer bytes: the first byte

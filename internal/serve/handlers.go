@@ -91,31 +91,35 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/checks/{trace}", s.traced("debug", false, s.handleDebugTrace))
 }
 
-// checkHandler serves one check endpoint: decode and key → report-cache
-// and store probe → bind → admission → bounded, cancellable run → cache
-// fill. Cache hits are served without binding or a worker slot.
+// checkHandler serves one check endpoint: request-bytes index → decode
+// and key → report-cache and store probe → bind → admission → bounded,
+// cancellable run → cache fill. Cache hits are served without binding
+// or a worker slot; a body indexed from an earlier request is answered
+// without being decoded.
 func (s *Server) checkHandler(ep endpoint) http.HandlerFunc {
 	span := "serve." + ep.name
 	return func(w http.ResponseWriter, r *http.Request) {
 		obs.Count(s.tr, "serve.requests", 1)
 		body, err := readBody(w, r)
-		var c *call
-		if err == nil {
-			c, err = ep.key(body)
-		}
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
 			return
 		}
 		ri := reqFrom(r.Context()) // traced installs it on every check route
+		bkey := bodyKey(ep.name, body)
+		if rkey, ok := s.bodies.Get(bkey); ok && s.replay(w, ri, rkey) {
+			obs.Count(s.tr, "serve.cache.body_hits", 1)
+			return
+		}
+		c, err := ep.key(body)
+		if err != nil {
+			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
+			return
+		}
 		ri.hash = c.rkey
-		if !c.noCache {
-			if cached, path, ok := s.cachedReport(c.rkey); ok {
-				// A replayed report is a completed check that bypassed the run.
-				ri.cachePath, ri.verdict = path, "ok"
-				writeCached(w, cached, true)
-				return
-			}
+		if !c.noCache && s.replay(w, ri, c.rkey) {
+			s.bodies.Add(bkey, c.rkey)
+			return
 		}
 		path, run, err := c.bind(s, s.systemCells(c.sys))
 		if err != nil {
@@ -148,8 +152,21 @@ func (s *Server) checkHandler(ep endpoint) http.HandlerFunc {
 			s.writeCheckError(w, r, err)
 			return
 		}
-		s.finish(w, r, c.rkey, out, c.noCache)
+		s.finish(w, r, c, bkey, out)
 	}
+}
+
+// replay answers the request with the completed report under rkey, if
+// the report LRU or the store holds one.
+func (s *Server) replay(w http.ResponseWriter, ri *reqInfo, rkey string) bool {
+	cached, path, ok := s.cachedReport(rkey)
+	if !ok {
+		return false
+	}
+	// A replayed report is a completed check that bypassed the run.
+	ri.hash, ri.cachePath, ri.verdict = rkey, path, "ok"
+	writeCached(w, cached, true)
+	return true
 }
 
 // Cache-path labels: where a check's answer came from.
@@ -191,17 +208,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// finish marshals the check result, fills the report cache, and writes
-// the response as a cache miss.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, rkey string, out any, noCache bool) {
+// finish marshals the check result, fills the report cache and the
+// request-bytes index under bkey, and writes the response as a cache
+// miss.
+func (s *Server) finish(w http.ResponseWriter, r *http.Request, c *call, bkey string, out any) {
 	body, err := json.Marshal(out)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "internal", err)
 		return
 	}
 	body = append(body, '\n')
-	if !noCache {
-		s.reports.Add(rkey, body)
+	if !c.noCache {
+		s.reports.Add(c.rkey, body)
+		s.bodies.Add(bkey, c.rkey)
 	}
 	obs.Count(s.tr, "serve.completed", 1)
 	if ri := reqFrom(r.Context()); ri != nil {
@@ -211,8 +230,8 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, rkey string, out
 	// Write-through after the response: a store write never adds
 	// latency to the check that produced the report. no_cache responses
 	// are not persisted either — they exist to measure the cold path.
-	if !noCache {
-		s.storePut(storeKindReport, rkey, body)
+	if !c.noCache {
+		s.storePut(storeKindReport, c.rkey, body)
 	}
 }
 

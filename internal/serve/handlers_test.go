@@ -44,3 +44,21 @@ func TestPortfolioReportHitSkipsPipelines(t *testing.T) {
 			before.Hits, after.Hits, before.Misses, after.Misses)
 	}
 }
+
+// TestBodyKeyFraming: the request-bytes index keys a body as hashKey
+// keys the endpoint name and the body's text, so moving bytes between
+// the two parts changes the key.
+func TestBodyKeyFraming(t *testing.T) {
+	for _, tc := range []struct{ endpoint, body string }{
+		{"all", `{"system":"init s0\ns0 a s0\n","ltl":"G a"}`},
+		{"all", ""},
+		{"", "all"},
+	} {
+		if got, want := bodyKey(tc.endpoint, []byte(tc.body)), hashKey(tc.endpoint, tc.body); got != want {
+			t.Errorf("bodyKey(%q, %q) = %s, hashKey = %s", tc.endpoint, tc.body, got, want)
+		}
+	}
+	if bodyKey("all", []byte("x")) == bodyKey("al", []byte("lx")) {
+		t.Error("bodyKey(all, x) = bodyKey(al, lx)")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 
 	"relive/internal/ts"
 )
@@ -43,11 +44,27 @@ func canonicalSystem(text string) (*canonSystem, error) {
 // bytes.
 func hashKey(parts ...string) string {
 	h := sha256.New()
-	var n [8]byte
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
+		writeLen(h, len(p))
 		h.Write([]byte(p))
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// bodyKey is hashKey(endpoint, string(body)), computed without copying
+// the body into a string: the key of the request-bytes index.
+func bodyKey(endpoint string, body []byte) string {
+	h := sha256.New()
+	writeLen(h, len(endpoint))
+	h.Write([]byte(endpoint))
+	writeLen(h, len(body))
+	h.Write(body)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeLen writes a key part's length prefix: 8 bytes, little-endian.
+func writeLen(h hash.Hash, n int) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(n))
+	h.Write(b[:])
 }

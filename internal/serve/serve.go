@@ -41,6 +41,8 @@ type Config struct {
 	// capacities for parsed systems (with their trimmed-system /
 	// behavior-automaton cells), per-(system, property) artifact sets,
 	// and marshaled reports; <= 0 means 256, 1024, and 4096.
+	// ReportEntries also bounds the request-bytes index in front of the
+	// report LRU.
 	SystemEntries   int
 	PipelineEntries int
 	ReportEntries   int
@@ -91,7 +93,12 @@ type Server struct {
 	systems   *cache.LRU[*core.SystemCells]
 	pipelines *cache.LRU[*core.PipelineCells]
 	reports   *cache.LRU[[]byte]
-	store     *store.Store // nil when persistence is off
+	// bodies is the request-bytes index: bodyKey(endpoint, body) → the
+	// report key that endpoint's key step computed from those bytes. It
+	// holds only bodies whose report was served or cached, so none of
+	// them asked for no_cache or got a 400.
+	bodies *cache.LRU[string]
+	store  *store.Store // nil when persistence is off
 
 	mux *http.ServeMux
 }
@@ -124,6 +131,7 @@ func New(cfg Config) *Server {
 		systems:   cache.New[*core.SystemCells](cfg.SystemEntries),
 		pipelines: cache.New[*core.PipelineCells](cfg.PipelineEntries),
 		reports:   cache.New[[]byte](cfg.ReportEntries),
+		bodies:    cache.New[string](cfg.ReportEntries),
 		store:     cfg.Store,
 	}
 	if cfg.FlightEntries > 0 {
